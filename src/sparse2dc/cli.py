@@ -119,9 +119,15 @@ def _cmd_color(args) -> int:
         if coloring is None:
             _emit({"k": k, "colors": None}, f"no {k}-coloring exists")
             return VIOLATION
-    assert is_valid_2distance(g, coloring)[0]
+    colors = [coloring.get(v) for v in g.vertices()]
+    ok, violation = is_valid_2distance(g, coloring)
+    if not ok:
+        u, v, dist = violation
+        _emit({"k": k, "colors": colors, "violation": [u, v, dist]},
+              f"invalid coloring: vertices {u} and {v} at distance {dist} share a color")
+        return VIOLATION
     _emit(
-        {"k": k, "colors": [coloring.get(v) for v in g.vertices()]},
+        {"k": k, "colors": colors},
         f"valid 2-distance coloring with {len(set(coloring.colors.values()))} colors",
     )
     return OK

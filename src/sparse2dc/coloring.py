@@ -148,6 +148,22 @@ def _peel(adj: list[set[int]], vertices: set[int], k: int) -> tuple[set[int], li
     return live, order
 
 
+def _dsatur_pick(adj: list[set[int]], pool, colors: dict[int, int], degree) -> int | None:
+    """DSATUR choice: the uncolored vertex of ``pool`` seeing the most
+    distinct colors, then with the largest ``degree[v]``, then the smallest
+    id; None when every vertex of ``pool`` is colored."""
+    best = None
+    best_key = None
+    for v in pool:
+        if v in colors:
+            continue
+        sat = len({colors[w] for w in adj[v] if w in colors})
+        key = (-sat, -degree[v], v)
+        if best_key is None or key < best_key:
+            best, best_key = v, key
+    return best
+
+
 def _decide_k_colorable(
     adj: list[set[int]],
     core: set[int],
@@ -163,23 +179,11 @@ def _decide_k_colorable(
     colors: dict[int, int] = {}
     live_deg = {v: len(adj[v] & core) for v in core}
 
-    def choose() -> int | None:
-        best = None
-        best_key = None
-        for v in order_pool:
-            if v in colors:
-                continue
-            sat = len({colors[w] for w in adj[v] if w in colors})
-            key = (-sat, -live_deg[v], v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
-
     def backtrack(max_used: int) -> bool:
         counter[0] += 1
         if budget is not None and counter[0] > budget:
             raise SearchBudgetExceeded(counter[0])
-        v = choose()
+        v = _dsatur_pick(adj, order_pool, colors, live_deg)
         if v is None:
             return True
         banned = {colors[w] for w in adj[v] if w in colors}
@@ -229,15 +233,9 @@ def _greedy_clique(adj: list[set[int]], seed: int) -> set[int]:
 def _greedy_square_coloring(adj: list[set[int]], n: int) -> dict[int, int]:
     """DSATUR greedy; an upper bound, not necessarily optimal."""
     colors: dict[int, int] = {}
+    degree = [len(a) for a in adj]
     for _ in range(n):
-        best, best_key = None, None
-        for v in range(n):
-            if v in colors:
-                continue
-            sat = len({colors[w] for w in adj[v] if w in colors})
-            key = (-sat, -len(adj[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+        best = _dsatur_pick(adj, range(n), colors, degree)
         banned = {colors[w] for w in adj[best] if w in colors}
         colors[best] = next(c for c in range(1, n + 2) if c not in banned)
     return colors

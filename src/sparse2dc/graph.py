@@ -357,9 +357,9 @@ def subdivide(g: Graph, t: int) -> Graph:
 def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
     """Copy of ``g`` without the given edges (ids unchanged)."""
     gone = {(min(e), max(e)) for e in drop}
-    for e in gone:
-        if e not in set(g.edges()):
-            raise ValueError(f"edge {e} not present")
+    for u, v in gone:
+        if not (0 <= u and v < g.n and g.has_edge(u, v)):
+            raise ValueError(f"edge {(u, v)} not present")
     return Graph(g.n, [e for e in g.edges() if e not in gone])
 
 

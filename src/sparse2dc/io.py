@@ -107,10 +107,15 @@ def from_graph6(line: str) -> Graph:
 
 
 def autodetect(text: str) -> Graph:
-    """Parse edge-list or graph6 content, whichever fits."""
+    """Parse edge-list or graph6 content, whichever fits.
+
+    graph6 content must hold exactly one graph, on one non-empty line.
+    """
     stripped = text.strip()
     first = stripped.split("\n", 1)[0].strip()
     parts = first.split()
     if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
         return parse_edge_list(stripped)[0]
+    if "\n" in stripped:  # a second non-empty line: another graph
+        raise ValueError("graph6 input holds more than one line; expected one graph")
     return from_graph6(first)

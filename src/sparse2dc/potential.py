@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .flow import FlowNetwork
-from .graph import Graph
+from .graph import Graph, remove_edges, remove_vertices
 
 #: Density threshold tied to the default coefficients: mad <= 18/7.
 DENSITY_BOUND = Fraction(18, 7)
@@ -259,7 +259,7 @@ def verify_potential_laws(
         # passing to a subgraph cannot lower rho*
         if g.m:
             dropped = rng.sample(g.edges(), k=rng.randint(1, min(3, g.m)))
-            h = Graph(g.n, [e for e in g.edges() if e not in set(dropped)])
+            h = remove_edges(g, dropped)
             rha = rho_star(h, a, params).value
             report.record(
                 "subgraph",
@@ -284,7 +284,7 @@ def verify_potential_laws(
                 w for v in a for w in g.adjacency[v] if w not in a
             )
             s_cover = boundary | (_random_subset(rng, g.n) - a)
-            h, remap = _remove_set(g, a)
+            h, remap = remove_vertices(g, a)
             cross = sum(1 for u, v in g.edges() if (u in a) != (v in a) and (u in s_cover or v in s_cover))
             mapped = frozenset(remap[v] for v in s_cover)
             lhs = rho_star(h, mapped, params).value
@@ -322,10 +322,3 @@ def verify_potential_laws(
                  "after": ra_h2, "before": ra, "forced": ra_uv},
             )
     return report
-
-
-def _remove_set(g: Graph, drop: frozenset[int]) -> tuple[Graph, dict[int, int]]:
-    keep = [v for v in g.vertices() if v not in drop]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges() if u not in drop and v not in drop]
-    return Graph(len(keep), edges), remap

@@ -15,7 +15,7 @@ sponsor assignment) lives here too; the discharging engine consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .coloring import (
     Coloring,
@@ -49,25 +49,6 @@ PALETTE = 8
 ANCHOR = PALETTE - 1
 #: Below this |V|+|E| total the solver switches to exhaustive search.
 BASE_THRESHOLD = 24
-
-KINDS = (
-    "DegreeOne",
-    "CountingPair",
-    "FourPlusPath",
-    "ThreePathBadEnd",
-    "TwoPathBadEnds",
-    "TwoPathChord",
-    "ThreePathCycle",
-    "SmallVertex",
-    "WeirdSeven",
-    "WeirdSix",
-    "SevenSevenTwoPaths",
-    "TwoConsecutiveThreePaths",
-    "ThreeConsecutiveThreePaths",
-    "SponsorManyBridges",
-    "SponsorAllBadNeighbors",
-    "SponsorWithSmallX",
-)
 
 
 class DetectionRefused(Exception):
@@ -108,7 +89,7 @@ class Configuration:
 
     def validate(self, g: Graph) -> None:
         """Recheck the witness against ``g`` from scratch."""
-        _VALIDATORS[self.kind](g, self)
+        _BY_KIND[self.kind].validate(g, self)
 
 
 @dataclass
@@ -139,6 +120,14 @@ class _RunIndex:
             ints = r.internal
             self.from_edge[(u, ints[0])] = (ints, v)
             self.from_edge[(v, ints[-1])] = (tuple(reversed(ints)), u)
+        # the multigraph of the open 3-runs on their anchors:
+        # anchor -> [(other anchor, index into runs3)]
+        self.runs3 = [r for r in self.runs if r.length == 3 and not r.closed]
+        self.three_adj: dict[int, list[tuple[int, int]]] = {}
+        for i, r in enumerate(self.runs3):
+            u, v = r.endpoints
+            self.three_adj.setdefault(u, []).append((v, i))
+            self.three_adj.setdefault(v, []).append((u, i))
 
     def oriented(self, anchor: int, first: int) -> tuple[tuple[int, ...], int]:
         """Internals ordered away from ``anchor``, plus the far endpoint."""
@@ -158,8 +147,7 @@ def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
 
 
 # ---------------------------------------------------------------------------
-# detectors (dispatch order matters: later recipes assume earlier detectors
-# fire nowhere in the graph)
+# detectors (their dispatch order is the order of _REGISTRY)
 
 
 def _detect_degree_one(g: Graph, idx, ds) -> Configuration | None:
@@ -229,12 +217,7 @@ def _detect_three_path_cycle(g: Graph, idx: _RunIndex, ds) -> Configuration | No
     Returns anchors (a_0..a_{m-1}) and runs (r_0..r_{m-1}) with r_i joining
     a_i to a_{i+1 mod m}.
     """
-    runs3 = [r for r in idx.runs if r.length == 3 and not r.closed]
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, r in enumerate(runs3):
-        u, v = r.endpoints
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
+    runs3, adj = idx.runs3, idx.three_adj
 
     def chain_to_root(parent, x):
         out = [x]
@@ -417,12 +400,7 @@ def _detect_two_consecutive_three_paths(
 def _detect_three_consecutive_three_paths(
     g: Graph, idx: _RunIndex, ds
 ) -> Configuration | None:
-    runs3 = [r for r in idx.runs if r.length == 3 and not r.closed]
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for i, r in enumerate(runs3):
-        u, v = r.endpoints
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
+    runs3, adj = idx.runs3, idx.three_adj
     for v in sorted(adj):
         for w, i2 in sorted(adj[v]):
             for u, i1 in sorted(adj[v]):
@@ -477,30 +455,27 @@ def _detect_seven_seven(
     return None
 
 
-def _sponsor_oriented(g: Graph, idx: _RunIndex, u: int, params):
-    """The unique open 3-run at ``u`` when the potential orientation makes
-    ``u`` the constrained endpoint; None otherwise."""
-    runs_here = _open_three_runs_at(g, idx, u)
-    if len(runs_here) != 1:
-        return None
-    ints, v = runs_here[0]
-    pot_u = _potential_without(g, set(ints), {u}, params)
-    pot_v = _potential_without(g, set(ints), {v}, params)
-    if pot_u > pot_v:
-        return None
-    return ints, v, pot_u, pot_v
+def _oriented_sponsors(g: Graph, idx: _RunIndex, params):
+    """Each 7-vertex ``u`` with a unique open 3-run whose potential
+    orientation makes ``u`` the constrained endpoint, as
+    (u, internals from u, far end, potential at u, potential at far end)."""
+    for u in g.vertices():
+        if g.degree(u) != 7:
+            continue
+        runs_here = _open_three_runs_at(g, idx, u)
+        if len(runs_here) != 1:
+            continue
+        ints, v = runs_here[0]
+        pot_u = _potential_without(g, set(ints), {u}, params)
+        pot_v = _potential_without(g, set(ints), {v}, params)
+        if pot_u <= pot_v:
+            yield u, ints, v, pot_u, pot_v
 
 
 def _detect_sponsor_many_bridges(
     g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
 ) -> Configuration | None:
-    for u in g.vertices():
-        if g.degree(u) != 7:
-            continue
-        oriented = _sponsor_oriented(g, idx, u, params)
-        if oriented is None:
-            continue
-        ints, v, pot_u, pot_v = oriented
+    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx, params):
         low2 = [
             s
             for s in _slot_kinds(g, idx, u)
@@ -534,13 +509,7 @@ def _sponsor_neighbor_split(g: Graph, idx: _RunIndex, u: int, p_first: int):
 def _detect_sponsor_all_bad(
     g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
 ) -> Configuration | None:
-    for u in g.vertices():
-        if g.degree(u) != 7:
-            continue
-        oriented = _sponsor_oriented(g, idx, u, params)
-        if oriented is None:
-            continue
-        ints, v, pot_u, pot_v = oriented
+    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx, params):
         qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
         if rest:
             continue
@@ -561,13 +530,7 @@ def _detect_sponsor_all_bad(
 def _detect_sponsor_small_x(
     g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
 ) -> Configuration | None:
-    for u in g.vertices():
-        if g.degree(u) != 7:
-            continue
-        oriented = _sponsor_oriented(g, idx, u, params)
-        if oriented is None:
-            continue
-        ints, v, pot_u, pot_v = oriented
+    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx, params):
         qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
         if len(rest) != 1 or ds[rest[0]] > 12:
             continue
@@ -592,40 +555,17 @@ def _detect_sponsor_small_x(
     return None
 
 
-_DETECTORS: tuple[tuple[str, Callable], ...] = (
-    ("DegreeOne", _detect_degree_one),
-    ("FourPlusPath", _detect_four_plus_path),
-    ("ThreePathBadEnd", _detect_three_path_bad_end),
-    ("TwoPathBadEnds", _detect_two_path_bad_ends),
-    ("TwoPathChord", _detect_two_path_chord),
-    ("ThreePathCycle", _detect_three_path_cycle),
-    ("SmallVertex", _detect_small_vertex),
-    ("CountingPair", _detect_counting_pair),
-    ("WeirdSeven", _detect_weird_seven),
-    ("WeirdSix", _detect_weird_six),
-    ("TwoConsecutiveThreePaths", _detect_two_consecutive_three_paths),
-    ("ThreeConsecutiveThreePaths", _detect_three_consecutive_three_paths),
-    ("SevenSevenTwoPaths", _detect_seven_seven),
-    ("SponsorManyBridges", _detect_sponsor_many_bridges),
-    ("SponsorAllBadNeighbors", _detect_sponsor_all_bad),
-    ("SponsorWithSmallX", _detect_sponsor_small_x),
-)
-
-
 def detect_configuration(
     g: Graph, params: PotentialParams = DEFAULT_PARAMS
 ) -> Configuration | None:
-    """First firing configuration in dispatch order, or None.
-
-    Cheap structural detectors run before the potential-backed ones, so a
-    later detector may assume no earlier one fires anywhere in the graph.
-    """
+    """First firing configuration in dispatch order (that of ``KINDS``),
+    or None."""
     if not params.is_default:
         raise DetectionRefused("configuration detectors require coefficients (9, 7)")
     idx = _RunIndex(g)
     ds = [d_star(g, v) for v in g.vertices()]
-    for _, detector in _DETECTORS:
-        cfg = detector(g, idx, ds)
+    for kind in _REGISTRY:
+        cfg = kind.detect(g, idx, ds)
         if cfg is not None:
             return cfg
     return None
@@ -762,6 +702,24 @@ def _apply_three_path_cycle(g, cfg, params):
     )
 
 
+def _w_triples(g: Graph, wvertices):
+    """(w, first internals of its two capped runs) per capped 3-vertex."""
+    out = []
+    for w in wvertices:
+        starts = [n for n in g.adjacency[w] if g.degree(n) == 2]
+        out.append((w, starts[0], starts[1]))
+    return out
+
+
+def _first_splice_far(h0: Graph, remap, v: int, fars, params) -> int | None:
+    """Position of the first far end other than ``v`` whose potential
+    together with ``v`` in ``h0`` leaves room for a k=2 splice (>= 3)."""
+    for pos, far in enumerate(fars):
+        if far != v and rho_star(h0, {remap[v], remap[far]}, params).value >= 3:
+            return pos
+    return None
+
+
 def _apply_weird_seven(g, cfg, params):
     u = cfg.data["u"]
     six = cfg.data["six"]
@@ -778,16 +736,8 @@ def _apply_weird_seven(g, cfg, params):
         dropped.update(ints)
         detail["extra"] = (ints[0], ints[1], far)
     else:  # deg-three neighbor with two capped runs
-        y = w
-        runs_at_y = []
-        idx = _RunIndex(g)
-        for yn in g.adjacency[y]:
-            if g.degree(yn) == 2:
-                yints, yfar = idx.oriented(y, yn)
-                runs_at_y.append(yints[0])
-        dropped.add(y)
-        dropped.update(runs_at_y)
-        detail["extra"] = (y, runs_at_y[0], runs_at_y[1])
+        detail["extra"] = _w_triples(g, [w])[0]
+        dropped.update(detail["extra"])
     return _vertex_removal(g, dropped, "weird-seven", detail)
 
 
@@ -841,14 +791,7 @@ def _apply_seven_seven(g, cfg, params):
     for _, ints, _ in six:
         dropped.update(ints)
     h0, remap = remove_vertices(g, dropped)
-    chosen = None
-    for pos, (_, _, far) in enumerate(six):
-        if far == v:
-            continue
-        value = rho_star(h0, {remap[v], remap[far]}, params).value
-        if value >= 3:
-            chosen = pos
-            break
+    chosen = _first_splice_far(h0, remap, v, [f for _, _, f in six], params)
     if chosen is None:
         raise InternalContradiction("no splice endpoint for the capped 7-vertex")
     far = six[chosen][2]
@@ -872,26 +815,15 @@ def _apply_sponsor_bridges(g, cfg, params):
     h0, remap = remove_vertices(g, dropped)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": triples}
-    for pos, (_, _, far) in enumerate(qpaths):
-        if far == v:
-            continue
-        if rho_star(h0, {remap[v], remap[far]}, params).value >= 3:
-            detail["chosen"] = pos
-            return _surgery(
-                g, dropped, [(v, far, 2)], "sponsor-bridges-a", detail, params
-            )
+    pos = _first_splice_far(h0, remap, v, [f for _, _, f in triples], params)
+    if pos is not None:
+        detail["chosen"] = pos
+        return _surgery(
+            g, dropped, [(v, triples[pos][2], 2)], "sponsor-bridges-a", detail, params
+        )
     if g.has_edge(u, v) or rho_star(h0, {remap[u], remap[v]}, params).value >= 7:
         return _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail, params)
     raise InternalContradiction("no splice available at the bridged sponsor")
-
-
-def _w_triples(g: Graph, idx: _RunIndex, wvertices):
-    """(w, first internals of its two capped runs) per capped 3-vertex."""
-    out = []
-    for w in wvertices:
-        starts = [n for n in g.adjacency[w] if g.degree(n) == 2]
-        out.append((w, starts[0], starts[1]))
-    return out
 
 
 def _apply_sponsor_all_bad(g, cfg, params):
@@ -900,21 +832,17 @@ def _apply_sponsor_all_bad(g, cfg, params):
     qpaths = cfg.data["qpaths"]
     ws = cfg.data["wvertices"]
     k, l = len(qpaths), len(ws)
-    idx = _RunIndex(g)
-    wtriples = _w_triples(g, idx, ws)
+    wtriples = _w_triples(g, ws)
     qtriples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": qtriples, "w": tuple(wtriples)}
 
+    w_local = {x for triple in wtriples for x in triple}
     if k == 0:
-        dropped = {u, p[0], p[1]}
-        for w, r1, s1 in wtriples:
-            dropped.update((w, r1, s1))
+        dropped = {u, p[0], p[1]} | w_local
         return _vertex_removal(g, dropped, "sponsor-allbad-k0", detail)
 
     if k == 1:
-        dropped = {u, *p, qtriples[0][0], qtriples[0][1]}
-        for w, r1, s1 in wtriples:
-            dropped.update((w, r1, s1))
+        dropped = {u, *p, qtriples[0][0], qtriples[0][1]} | w_local
         return _surgery(
             g, dropped, [(v, qtriples[0][2], 3)], "sponsor-allbad-k1", detail, params
         )
@@ -925,21 +853,19 @@ def _apply_sponsor_all_bad(g, cfg, params):
     h0, remap = remove_vertices(g, dropped)
     far = [t[2] for t in qtriples]
 
-    def pot(graph, a, b, extra_map=None):
-        mapping = extra_map or remap
-        return rho_star(graph, {mapping[a], mapping[b]}, params).value
+    def pot(graph, a, b):
+        return rho_star(graph, {remap[a], remap[b]}, params).value
 
     def with_splice(a, b, kk):
         if kk == 0 and h0.has_edge(remap[a], remap[b]):
             return h0
         return add_path(h0, remap[a], remap[b], kk)
 
-    def second_ok(h1, a, b, need):
+    def edge_fits(h, a, b):
+        """Room in h for a k=0 splice a-b; an existing edge is enough."""
         if a == b:
             return False
-        if h1.has_edge(remap[a], remap[b]) and need == 7:
-            return True
-        return rho_star(h1, {remap[a], remap[b]}, params).value >= need
+        return h.has_edge(remap[a], remap[b]) or pot(h, a, b) >= 7
 
     # template: two capped-path far ends splice plus a direct edge to a w
     if l >= 1:
@@ -950,7 +876,7 @@ def _apply_sponsor_all_bad(g, cfg, params):
                 if pot(h0, far[i], far[ip]) >= 3:
                     h1 = with_splice(far[i], far[ip], 2)
                     for j, w in enumerate(ws):
-                        if second_ok(h1, v, w, 7):
+                        if edge_fits(h1, v, w):
                             detail2 = dict(detail, i=i, ip=ip, j=j)
                             return _surgery(
                                 g,
@@ -963,16 +889,14 @@ def _apply_sponsor_all_bad(g, cfg, params):
     # template: two direct edges into distinct w's
     if l >= 2:
         for jp, wjp in enumerate(ws):
-            if not (
-                h0.has_edge(remap[v], remap[wjp]) or pot(h0, v, wjp) >= 7
-            ):
+            if not edge_fits(h0, v, wjp):
                 continue
             h1 = with_splice(v, wjp, 0)
             for i in range(k):
                 for j, wj in enumerate(ws):
                     if j == jp or far[i] == wj:
                         continue
-                    if second_ok(h1, far[i], wj, 7):
+                    if edge_fits(h1, far[i], wj):
                         detail2 = dict(detail, i=i, j=j, jp=jp)
                         return _surgery(
                             g,
@@ -993,9 +917,7 @@ def _apply_sponsor_all_bad(g, cfg, params):
                     for ipp in range(k):
                         if ipp in (i, ip) or far[ipp] == v:
                             continue
-                        if rho_star(
-                            h1, {remap[v], remap[far[ipp]]}, params
-                        ).value >= 3:
+                        if pot(h1, v, far[ipp]) >= 3:
                             detail2 = dict(detail, i=i, ip=ip, ipp=ipp)
                             return _surgery(
                                 g,
@@ -1018,7 +940,7 @@ def _apply_sponsor_all_bad(g, cfg, params):
                     for j, wj in enumerate(ws):
                         if far[i] == wj:
                             continue
-                        if second_ok(h1, far[i], wj, 7):
+                        if edge_fits(h1, far[i], wj):
                             detail2 = dict(detail, i=i, ip=ip, j=j)
                             return _surgery(
                                 g,
@@ -1036,22 +958,19 @@ def _apply_sponsor_small_x(g, cfg, params):
     p = cfg.data["p"]
     qpaths = cfg.data["qpaths"]
     ws = cfg.data["wvertices"]
-    idx = _RunIndex(g)
-    wtriples = _w_triples(g, idx, ws)
+    wtriples = _w_triples(g, ws)
     qtriples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     dropped = {u, *p}
     for q1, q2, _ in qtriples:
         dropped.update((q1, q2))
     h0, remap = remove_vertices(g, dropped)
     detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": tuple(wtriples)}
-    for pos, (_, _, far) in enumerate(qtriples):
-        if far == v:
-            continue
-        if rho_star(h0, {remap[v], remap[far]}, params).value >= 3:
-            detail2 = dict(detail, chosen=pos)
-            return _surgery(
-                g, dropped, [(v, far, 2)], "sponsor-smallx-a", detail2, params
-            )
+    pos = _first_splice_far(h0, remap, v, [f for _, _, f in qtriples], params)
+    if pos is not None:
+        detail2 = dict(detail, chosen=pos)
+        return _surgery(
+            g, dropped, [(v, qtriples[pos][2], 2)], "sponsor-smallx-a", detail2, params
+        )
     for z in sorted(set(ws) | {x}):
         if z == v:
             continue
@@ -1065,26 +984,6 @@ def _apply_sponsor_small_x(g, cfg, params):
     raise InternalContradiction("no splice available at the small-reach sponsor")
 
 
-_APPLIERS: dict[str, Callable] = {
-    "DegreeOne": _apply_degree_one,
-    "FourPlusPath": _apply_four_plus_path,
-    "ThreePathBadEnd": _apply_three_path_bad_end,
-    "TwoPathBadEnds": _apply_two_path_bad_ends,
-    "TwoPathChord": _apply_two_path_chord,
-    "ThreePathCycle": _apply_three_path_cycle,
-    "SmallVertex": _apply_small_vertex,
-    "CountingPair": _apply_counting_pair,
-    "WeirdSeven": _apply_weird_seven,
-    "WeirdSix": _apply_weird_six,
-    "TwoConsecutiveThreePaths": _apply_two_consecutive,
-    "ThreeConsecutiveThreePaths": _apply_three_consecutive,
-    "SevenSevenTwoPaths": _apply_seven_seven,
-    "SponsorManyBridges": _apply_sponsor_bridges,
-    "SponsorAllBadNeighbors": _apply_sponsor_all_bad,
-    "SponsorWithSmallX": _apply_sponsor_small_x,
-}
-
-
 def apply_reduction(
     g: Graph, cfg: Configuration, params: PotentialParams = DEFAULT_PARAMS
 ) -> Reduction:
@@ -1094,7 +993,7 @@ def apply_reduction(
     if not params.is_default:
         raise DetectionRefused("reductions require coefficients (9, 7)")
     cfg.validate(g)
-    red = _APPLIERS[cfg.kind](g, cfg, params)
+    red = _BY_KIND[cfg.kind].apply(g, cfg, params)
     if red.graph.n + red.graph.m >= g.n + g.m:
         raise AssertionError(f"{cfg.kind}: reduction failed to shrink the graph")
     if red.recorded.get("splices"):
@@ -1531,18 +1430,12 @@ def classify_vertices(
 
     sponsors: dict[int, int] = {}
     roots: set[int] = set()
-    runs3 = [r for r in idx.runs if r.length == 3 and not r.closed]
-    incident: dict[int, list[PathDescriptor]] = {}
-    for r in runs3:
-        for e in r.endpoints:
-            incident.setdefault(e, []).append(r)
-    for anchor in sorted(incident):
-        if len(incident[anchor]) >= 2:
+    for anchor in sorted(idx.three_adj):
+        if len(idx.three_adj[anchor]) >= 2:
             roots.add(anchor)
-            for r in incident[anchor]:
-                other = r.endpoints[1] if r.endpoints[0] == anchor else r.endpoints[0]
-                sponsors[other] = r.internal[1]
-    for r in runs3:
+            for other, i in idx.three_adj[anchor]:
+                sponsors[other] = idx.runs3[i].internal[1]
+    for r in idx.runs3:
         a, b = r.endpoints
         if a in roots or b in roots:
             continue
@@ -1577,15 +1470,6 @@ def cycle_pattern(n: int) -> list[int]:
     return [1, 2, 3] * (k - 1) + tail
 
 
-def _induced(g: Graph, comp: list[int]) -> tuple[Graph, dict[int, int]]:
-    remap = {v: i for i, v in enumerate(comp)}
-    inside = set(comp)
-    edges = [
-        (remap[u], remap[v]) for u, v in g.edges() if u in inside and v in inside
-    ]
-    return Graph(len(comp), edges), remap
-
-
 def _base_color(g: Graph) -> Coloring:
     """Color a residual graph on which no configuration fires."""
     phi = Coloring(PALETTE)
@@ -1608,7 +1492,7 @@ def _base_color(g: Graph) -> Coloring:
             for v, c in zip(ring, cycle_pattern(len(ring))):
                 phi.set(v, c)
             continue
-        sub, remap = _induced(g, comp)
+        sub, remap = remove_vertices(g, set(g.vertices()) - key)
         if sub.max_degree() == 7:
             raise InternalContradiction(
                 "no configuration fires on an irreducible max-degree-7 component"
@@ -1846,21 +1730,59 @@ def _validate_sponsor_small_x(g, cfg):
     )
 
 
-_VALIDATORS: dict[str, Callable] = {
-    "DegreeOne": _validate_degree_one,
-    "FourPlusPath": _validate_four_plus,
-    "ThreePathBadEnd": _validate_three_bad_end,
-    "TwoPathBadEnds": _validate_two_bad_ends,
-    "TwoPathChord": _validate_two_chord,
-    "ThreePathCycle": _validate_three_cycle,
-    "SmallVertex": _validate_small_vertex,
-    "CountingPair": _validate_counting,
-    "WeirdSeven": _validate_weird_seven,
-    "WeirdSix": _validate_weird_six,
-    "TwoConsecutiveThreePaths": _validate_two_consecutive,
-    "ThreeConsecutiveThreePaths": _validate_three_consecutive,
-    "SevenSevenTwoPaths": _validate_seven_seven,
-    "SponsorManyBridges": _validate_sponsor_bridges,
-    "SponsorAllBadNeighbors": _validate_sponsor_all_bad,
-    "SponsorWithSmallX": _validate_sponsor_small_x,
-}
+
+
+# ---------------------------------------------------------------------------
+# the configuration registry
+
+
+class _Kind(NamedTuple):
+    """One reducible configuration: its detector, surgery and witness check."""
+
+    name: str
+    detect: Callable
+    apply: Callable
+    validate: Callable
+
+
+#: Every configuration in dispatch order.  Cheap structural detectors run
+#: before the potential-backed ones, and a later detector (and its
+#: extension recipe) may assume that no earlier one fires anywhere in the
+#: graph.
+_REGISTRY: tuple[_Kind, ...] = (
+    _Kind("DegreeOne", _detect_degree_one,
+          _apply_degree_one, _validate_degree_one),
+    _Kind("FourPlusPath", _detect_four_plus_path,
+          _apply_four_plus_path, _validate_four_plus),
+    _Kind("ThreePathBadEnd", _detect_three_path_bad_end,
+          _apply_three_path_bad_end, _validate_three_bad_end),
+    _Kind("TwoPathBadEnds", _detect_two_path_bad_ends,
+          _apply_two_path_bad_ends, _validate_two_bad_ends),
+    _Kind("TwoPathChord", _detect_two_path_chord,
+          _apply_two_path_chord, _validate_two_chord),
+    _Kind("ThreePathCycle", _detect_three_path_cycle,
+          _apply_three_path_cycle, _validate_three_cycle),
+    _Kind("SmallVertex", _detect_small_vertex,
+          _apply_small_vertex, _validate_small_vertex),
+    _Kind("CountingPair", _detect_counting_pair,
+          _apply_counting_pair, _validate_counting),
+    _Kind("WeirdSeven", _detect_weird_seven,
+          _apply_weird_seven, _validate_weird_seven),
+    _Kind("WeirdSix", _detect_weird_six,
+          _apply_weird_six, _validate_weird_six),
+    _Kind("TwoConsecutiveThreePaths", _detect_two_consecutive_three_paths,
+          _apply_two_consecutive, _validate_two_consecutive),
+    _Kind("ThreeConsecutiveThreePaths", _detect_three_consecutive_three_paths,
+          _apply_three_consecutive, _validate_three_consecutive),
+    _Kind("SevenSevenTwoPaths", _detect_seven_seven,
+          _apply_seven_seven, _validate_seven_seven),
+    _Kind("SponsorManyBridges", _detect_sponsor_many_bridges,
+          _apply_sponsor_bridges, _validate_sponsor_bridges),
+    _Kind("SponsorAllBadNeighbors", _detect_sponsor_all_bad,
+          _apply_sponsor_all_bad, _validate_sponsor_all_bad),
+    _Kind("SponsorWithSmallX", _detect_sponsor_small_x,
+          _apply_sponsor_small_x, _validate_sponsor_small_x),
+)
+_BY_KIND = {kind.name: kind for kind in _REGISTRY}
+#: The configuration kinds, in dispatch order.
+KINDS = tuple(_BY_KIND)

@@ -30,12 +30,7 @@ from .families import (
 from .graph import INFINITE_GIRTH, Graph, check_girth_mad_bound, girth, subdivide
 from .io import to_graph6
 from .potential import DENSITY_BOUND, mad_exact
-from .reductions import (
-    ForestOfStarsError,
-    InternalContradiction,
-    constructive_color,
-    detect_configuration,
-)
+from .reductions import ForestOfStarsError, constructive_color, detect_configuration
 
 
 @dataclass(frozen=True)
@@ -67,6 +62,11 @@ class CorpusRecord:
         }
 
 
+def _named(exc: Exception) -> str:
+    """An exception as reported in findings: its type, then its message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _facts(g: Graph, provenance: dict, deep: bool = True) -> CorpusRecord:
     value, _ = mad_exact(g) if g.n else (Fraction(0), frozenset())
     gir = girth(g)
@@ -86,8 +86,8 @@ def _facts(g: Graph, provenance: dict, deep: bool = True) -> CorpusRecord:
                 phi = constructive_color(g, verify_preconditions=False)
                 ok, _violation = is_valid_2distance(g, phi)
                 status = "valid-8-coloring" if ok else "invalid"
-            except (InternalContradiction, SearchBudgetExceeded) as exc:
-                status = f"failed: {exc}"
+            except Exception as exc:
+                status = f"failed: {_named(exc)}"
     return CorpusRecord(
         to_graph6(g),
         provenance,
@@ -324,12 +324,14 @@ class HuntReport:
 
 
 def _record_finding(report: HuntReport, g: Graph, check: str, detail: str) -> None:
+    g6 = to_graph6(g)
     report.findings.append(
         {
             "check": check,
             "detail": detail,
-            "graph6": to_graph6(g),
-            "replay": f"sparse2dc verify --input <graph6:{to_graph6(g)}>",
+            "graph6": g6,
+            # graph6 bytes are 63..126, so no single quote needs escaping
+            "replay": f"printf '%s\\n' '{g6}' | sparse2dc verify --input -",
         }
     )
 
@@ -373,19 +375,22 @@ def hunt(
             try:
                 if detect_configuration(g) is None:
                     _record_finding(report, g, "coverage", "no configuration fires")
-            except InternalContradiction as exc:  # pragma: no cover
-                _record_finding(report, g, "coverage", str(exc))
+            except Exception as exc:
+                _record_finding(report, g, "coverage", _named(exc))
         try:
             phi = constructive_color(g, verify_preconditions=False)
             ok, violation = is_valid_2distance(g, phi)
             if not ok:
                 _record_finding(report, g, "coloring", f"violation {violation}")
-        except (InternalContradiction, SearchBudgetExceeded) as exc:
-            _record_finding(report, g, "coloring", str(exc))
+        except Exception as exc:
+            _record_finding(report, g, "coloring", _named(exc))
         if g.n and g.min_degree() >= 2 and g.max_degree() <= 7:
             try:
                 ledger = run_discharge(g)
-            except ForestOfStarsError:
+            except ForestOfStarsError:  # the charge rules do not apply
+                ledger = None
+            except Exception as exc:
+                _record_finding(report, g, "discharge", _named(exc))
                 ledger = None
             if ledger is not None:
                 if ledger.total_final() != 28 * g.m - 36 * g.n:

@@ -69,3 +69,13 @@ def test_autodetect_both_formats():
     g = petersen()
     assert autodetect(write_edge_list(g)) == g
     assert autodetect(to_graph6(g)) == g
+
+
+def test_autodetect_rejects_several_graph6_lines():
+    with pytest.raises(ValueError, match="expected one graph"):
+        autodetect("Bw\nDQc\n")
+
+
+@pytest.mark.parametrize("text", ["Bw\n", ">>graph6<<Bw\n", "\n  Bw \n\n"])
+def test_autodetect_reads_one_graph6_line(text):
+    assert autodetect(text) == from_graph6("Bw") == Graph(3, [(0, 1), (0, 2), (1, 2)])

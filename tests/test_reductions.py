@@ -486,8 +486,8 @@ class TestDetectorKnockouts:
 
         g = self.fixture_for(kind)
         assert detect_configuration(g).kind == kind
-        crippled = tuple((n, f) for n, f in module._DETECTORS if n != kind)
-        monkeypatch.setattr(module, "_DETECTORS", crippled)
+        crippled = tuple(k for k in module._REGISTRY if k.name != kind)
+        monkeypatch.setattr(module, "_REGISTRY", crippled)
         after = detect_configuration(g)
         expected = self.EXPECTED_FALLBACK[kind]
         if expected is None:
@@ -655,3 +655,43 @@ class TestBoundaryFuzz:
             phi = constructive_color(g, verify_preconditions=False)
             assert is_valid_2distance(g, phi)[0]
             solved += 1
+
+
+class TestRelabeling:
+    def test_relabeling_keeps_density_potential_kind_and_validity(self):
+        """A random vertex permutation keeps the exact density, the
+        potential of a mapped pair, the first firing kind, and the validity
+        of the solver's coloring."""
+        from sparse2dc.verify import (
+            GenerationError,
+            random_capped_instance,
+            random_hub_instance,
+            random_tree_instance,
+        )
+
+        def first_kind(g):
+            cfg = detect_configuration(g)
+            return None if cfg is None else cfg.kind
+
+        rng = random.Random(31)
+        makers = (random_capped_instance, random_tree_instance, random_hub_instance)
+        checked = 0
+        for i in range(60):
+            try:
+                g, _ = makers[i % 3](rng)
+            except GenerationError:
+                continue
+            value = mad_exact(g)[0]
+            if g.max_degree() > 7 or value > DENSITY_BOUND:
+                continue
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert mad_exact(h)[0] == value
+            u, v = rng.sample(range(g.n), 2)
+            assert rho_star(h, {perm[u], perm[v]}).value == rho_star(g, {u, v}).value
+            assert first_kind(h) == first_kind(g)
+            phi = constructive_color(h, verify_preconditions=False)
+            assert is_valid_2distance(h, phi)[0]
+            checked += 1
+        assert checked >= 40

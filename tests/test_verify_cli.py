@@ -108,6 +108,35 @@ class TestHunt:
         assert report.instances >= 6
         assert report.ok, report.findings
 
+    @staticmethod
+    def block_solver(monkeypatch):
+        from sparse2dc import verify
+        from sparse2dc.reductions import ExtensionError
+
+        def blocked(g, **kwargs):
+            raise ExtensionError("probe", 0, {})
+
+        monkeypatch.setattr(verify, "constructive_color", blocked)
+
+    def test_any_exception_becomes_a_finding(self, monkeypatch):
+        """An exception type the hunt does not expect is recorded, with its
+        type, instead of aborting the hunt."""
+        self.block_solver(monkeypatch)
+        report = hunt(seed=1, budget=3)
+        assert report.findings
+        for finding in report.findings:
+            assert finding["check"] == "coloring"
+            assert finding["detail"].startswith("ExtensionError: extension probe")
+
+    def test_finding_replays_through_the_cli(self, monkeypatch):
+        self.block_solver(monkeypatch)
+        finding = hunt(seed=1, budget=1).findings[0]
+        g6 = finding["graph6"]
+        assert finding["replay"] == f"printf '%s\\n' '{g6}' | sparse2dc verify --input -"
+        proc = run_cli(["verify", "--input", "-"], stdin=g6 + "\n")
+        assert proc.returncode != 2, proc.stderr
+        assert json.loads(proc.stdout)["constructive_valid"] is True
+
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -202,6 +231,28 @@ class TestCli:
         proc = run_cli(["mad", "--input", "/nonexistent/path.g6"])
         assert proc.returncode == 2, proc.stderr
 
+    def test_several_graph6_lines_exit_2(self):
+        proc = run_cli(["mad", "--input", "-"], stdin="Bw\nDQc\n")
+        assert proc.returncode == 2, proc.stderr
+        assert "expected one graph" in proc.stderr
+
+    def test_color_reports_an_invalid_coloring(self, monkeypatch, capsys, tmp_path):
+        """The validity check survives ``python -O``: a coloring that breaks
+        the distance-2 condition is reported with exit code 1."""
+        from sparse2dc import cli
+        from sparse2dc.coloring import Coloring
+
+        def monochrome(g, k, budget=None):
+            return Coloring(k, {v: 1 for v in g.vertices()})
+
+        path = tmp_path / "c5.txt"
+        path.write_text(write_edge_list(cycle(5)))
+        monkeypatch.setattr(cli, "color_2distance", monochrome)
+        assert cli.main(["color", "--input", str(path), "--k", "5"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["violation"] == [0, 1, 1]
+        assert payload["colors"] == [1] * 5
+
 
 class TestDetectorMutation:
     def test_disabling_detectors_breaks_coverage(self, monkeypatch):
@@ -214,11 +265,11 @@ class TestDetectorMutation:
         g = fx.four_plus_path()
         assert detect_configuration(g).kind == "FourPlusPath"
         crippled = tuple(
-            (name, fn)
-            for name, fn in reductions._DETECTORS
-            if name not in ("FourPlusPath", "CountingPair")
+            kind
+            for kind in reductions._REGISTRY
+            if kind.name not in ("FourPlusPath", "CountingPair")
         )
-        monkeypatch.setattr(reductions, "_DETECTORS", crippled)
+        monkeypatch.setattr(reductions, "_REGISTRY", crippled)
         assert detect_configuration(g) is None  # the coverage gap appears
 
 
