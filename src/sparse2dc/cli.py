@@ -1,8 +1,8 @@
 """Command-line surface: exact sparse-graph 2-distance coloring toolkit.
 
 JSON reports go to stdout, human-readable summaries to stderr.  Exit
-codes: 0 success / nothing found, 1 violation found, 2 input error,
-3 budget exhausted.
+codes: 0 success / nothing found, 1 violation found or internal failure,
+2 input error, 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .graph import Graph
 from .io import autodetect
 from .potential import PotentialParams, mad_exact, rho, rho_star
 from .reductions import (
+    ConstructiveFailure,
     DetectionRefused,
-    ForestOfStarsError,
+    ExtensionError,
     InternalContradiction,
     constructive_color,
     detect_configuration,
@@ -278,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, DetectionRefused, ForestOfStarsError) as exc:
+    except (ValueError, OSError, DetectionRefused) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except SearchBudgetExceeded as exc:
@@ -286,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         return BUDGET
     except InternalContradiction as exc:
         print(f"internal contradiction: {exc}", file=sys.stderr)
+        return VIOLATION
+    except (ExtensionError, ConstructiveFailure) as exc:
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return VIOLATION
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from .graph import Graph
 
+#: The most vertices graph6's four-byte size header can hold; edge-list
+#: headers are held to the same bound before anything is allocated.
+_MAX_N = 258047
+
 
 def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
     """Parse the ``"n m"`` header plus ``m`` lines of ``"u v"``.
@@ -15,12 +19,14 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
     if len(tokens) < 2:
         raise ValueError("edge list needs an 'n m' header")
     n, m = int(tokens[0]), int(tokens[1])
+    if n > _MAX_N:
+        raise ValueError(f"edge list declares {n} vertices; at most {_MAX_N} supported")
     body = tokens[2:]
     if len(body) != 2 * m:
         raise ValueError(f"expected {2 * m} endpoint tokens, got {len(body)}")
     raw = [(int(body[2 * i]), int(body[2 * i + 1])) for i in range(m)]
     seen = {x for e in raw for x in e}
-    if seen <= set(range(n)):
+    if all(0 <= x < n for x in seen):
         labels = list(range(n))
     else:
         # labels outside 0..n-1: renumber densely, unused ids pad the tail
@@ -43,9 +49,9 @@ def write_edge_list(g: Graph) -> str:
 def _g6_encode_n(n: int) -> bytes:
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= _MAX_N:
         return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    raise ValueError("graph6 supports at most 258047 vertices here")
+    raise ValueError(f"graph6 supports at most {_MAX_N} vertices here")
 
 
 def _g6_decode_n(data: bytes) -> tuple[int, int]:
@@ -57,7 +63,7 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
     if len(data) < 4:
         raise ValueError("truncated graph6 size header")
     if data[1] == 126:
-        raise ValueError("graph6 graphs beyond 258047 vertices unsupported")
+        raise ValueError(f"graph6 graphs beyond {_MAX_N} vertices unsupported")
     n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
     return n, 4
 

@@ -15,6 +15,7 @@ sponsor assignment) lives here too; the discharging engine consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .coloring import (
@@ -94,10 +95,13 @@ class Configuration:
 
 @dataclass
 class Reduction:
-    """The reduced graph plus everything needed to lift a coloring back."""
+    """The reduced graph plus everything needed to lift a coloring back.
+
+    ``removed`` lists the deleted vertices in ascending order (empty when
+    only edges were deleted); ``added`` the ids of spliced-in vertices.
+    """
 
     graph: Graph
-    g_to_h: dict[int, int]
     removed: tuple[int, ...]
     added: tuple[int, ...]
     tag: str
@@ -113,6 +117,7 @@ class _RunIndex:
     """Degree-2 runs of a graph, addressable by (anchor, first internal)."""
 
     def __init__(self, g: Graph):
+        self.g = g
         self.runs, self.cycles = degree_two_runs(g)
         self.from_edge: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         for r in self.runs:
@@ -133,6 +138,11 @@ class _RunIndex:
         """Internals ordered away from ``anchor``, plus the far endpoint."""
         return self.from_edge[(anchor, first)]
 
+    @cached_property
+    def ds(self) -> list[int]:
+        """d*(v) for every vertex, computed on first use."""
+        return [d_star(self.g, v) for v in self.g.vertices()]
+
 
 def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
     """Classify each edge at ``u``: (neighbor, run internals or None, far)."""
@@ -150,14 +160,14 @@ def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
 # detectors (their dispatch order is the order of _REGISTRY)
 
 
-def _detect_degree_one(g: Graph, idx, ds) -> Configuration | None:
+def _detect_degree_one(g: Graph, idx: _RunIndex) -> Configuration | None:
     for v in g.vertices():
         if g.degree(v) == 1:
             return Configuration("DegreeOne", {"v": v, "u": g.adjacency[v][0]})
     return None
 
 
-def _detect_four_plus_path(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_four_plus_path(g: Graph, idx: _RunIndex) -> Configuration | None:
     for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
         if r.length >= 4:
             chain = (r.endpoints[0], *r.internal, r.endpoints[1])
@@ -165,7 +175,7 @@ def _detect_four_plus_path(g: Graph, idx: _RunIndex, ds) -> Configuration | None
     return None
 
 
-def _detect_three_path_bad_end(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_three_path_bad_end(g: Graph, idx: _RunIndex) -> Configuration | None:
     for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
         if r.length != 3:
             continue
@@ -180,7 +190,7 @@ def _detect_three_path_bad_end(g: Graph, idx: _RunIndex, ds) -> Configuration | 
     return None
 
 
-def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex) -> Configuration | None:
     for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
         if r.length != 2:
             continue
@@ -196,7 +206,7 @@ def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex, ds) -> Configuration | N
     return None
 
 
-def _detect_two_path_chord(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_two_path_chord(g: Graph, idx: _RunIndex) -> Configuration | None:
     for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
         if r.length != 2 or r.closed:
             continue
@@ -211,7 +221,7 @@ def _detect_two_path_chord(g: Graph, idx: _RunIndex, ds) -> Configuration | None
     return None
 
 
-def _detect_three_path_cycle(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_three_path_cycle(g: Graph, idx: _RunIndex) -> Configuration | None:
     """A cycle in the multigraph whose edges are the open 3-runs.
 
     Returns anchors (a_0..a_{m-1}) and runs (r_0..r_{m-1}) with r_i joining
@@ -261,16 +271,16 @@ def _detect_three_path_cycle(g: Graph, idx: _RunIndex, ds) -> Configuration | No
     return None
 
 
-def _detect_small_vertex(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_small_vertex(g: Graph, idx: _RunIndex) -> Configuration | None:
     for v in g.vertices():
         if not 3 <= g.degree(v) <= (ANCHOR + 1) // 2:
             continue
         if any(g.degree(w) != 2 for w in g.adjacency[v]):
             continue
-        if ds[v] > ANCHOR + 1:
+        if idx.ds[v] > ANCHOR + 1:
             continue
         for w in g.adjacency[v]:
-            if ds[w] <= ANCHOR:
+            if idx.ds[w] <= ANCHOR:
                 a, b = g.adjacency[w]
                 other = b if a == v else a
                 if g.degree(other) == 2:
@@ -278,10 +288,11 @@ def _detect_small_vertex(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
     return None
 
 
-def _detect_counting_pair(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_counting_pair(g: Graph, idx: _RunIndex) -> Configuration | None:
     # components that are pure cycles of 2-vertices are a base case for
     # the solver, not a configuration
     skip = {v for cyc in idx.cycles for v in cyc}
+    ds = idx.ds
     for w in g.vertices():
         if w in skip:
             continue
@@ -307,7 +318,7 @@ def _weird_seven_slots(g: Graph, idx: _RunIndex, u: int):
     return low2, other
 
 
-def _detect_weird_seven(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_weird_seven(g: Graph, idx: _RunIndex) -> Configuration | None:
     for u in g.vertices():
         if g.degree(u) != 7:
             continue
@@ -322,24 +333,21 @@ def _detect_weird_seven(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
             )
         (w, ints, far) = other[0]
         if ints is not None and len(ints) == 3 and far != u:
-            return Configuration(
-                "WeirdSeven",
-                {"u": u, "case": "three-path", "six": tuple(low2), "extra": other[0]},
-            )
-        if ints is not None and len(ints) == 2 and far != u and g.degree(far) <= 6:
-            return Configuration(
-                "WeirdSeven",
-                {"u": u, "case": "two-path", "six": tuple(low2), "extra": other[0]},
-            )
-        if ints is None and vertex_signature(g, w).matches((2, 2, 0)):
-            return Configuration(
-                "WeirdSeven",
-                {"u": u, "case": "deg-three", "six": tuple(low2), "extra": other[0]},
-            )
+            case = "three-path"
+        elif ints is not None and len(ints) == 2 and far != u and g.degree(far) <= 6:
+            case = "two-path"
+        elif ints is None and vertex_signature(g, w).matches((2, 2, 0)):
+            case = "deg-three"
+        else:
+            continue
+        return Configuration(
+            "WeirdSeven",
+            {"u": u, "case": case, "six": tuple(low2), "extra": other[0]},
+        )
     return None
 
 
-def _detect_weird_six(g: Graph, idx: _RunIndex, ds) -> Configuration | None:
+def _detect_weird_six(g: Graph, idx: _RunIndex) -> Configuration | None:
     for u in g.vertices():
         if g.degree(u) != 6:
             continue
@@ -360,13 +368,13 @@ def _open_three_runs_at(g: Graph, idx: _RunIndex, u: int):
     return out
 
 
-def _potential_without(g: Graph, dropped, query, params) -> int:
+def _potential_without(g: Graph, dropped, query) -> int:
     h, remap = remove_vertices(g, dropped)
-    return rho_star(h, frozenset(remap[v] for v in query), params).value
+    return rho_star(h, frozenset(remap[v] for v in query)).value
 
 
 def _detect_two_consecutive_three_paths(
-    g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
+    g: Graph, idx: _RunIndex
 ) -> Configuration | None:
     for v in g.vertices():
         if g.degree(v) < 3:
@@ -381,7 +389,7 @@ def _detect_two_consecutive_three_paths(
                 if u == w:
                     continue  # a 2-cycle of 3-runs: earlier detector's job
                 dropped = set(ints_a) | set(ints_b)
-                value = _potential_without(g, dropped, {u, w}, params)
+                value = _potential_without(g, dropped, {u, w})
                 if value >= 1:
                     return Configuration(
                         "TwoConsecutiveThreePaths",
@@ -398,7 +406,7 @@ def _detect_two_consecutive_three_paths(
 
 
 def _detect_three_consecutive_three_paths(
-    g: Graph, idx: _RunIndex, ds
+    g: Graph, idx: _RunIndex
 ) -> Configuration | None:
     runs3, adj = idx.runs3, idx.three_adj
     for v in sorted(adj):
@@ -427,9 +435,7 @@ def _oriented_from(run: PathDescriptor, anchor: int) -> tuple[int, ...]:
     return tuple(reversed(run.internal))
 
 
-def _detect_seven_seven(
-    g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
-) -> Configuration | None:
+def _detect_seven_seven(g: Graph, idx: _RunIndex) -> Configuration | None:
     for u in g.vertices():
         if g.degree(u) != 7:
             continue
@@ -443,8 +449,8 @@ def _detect_seven_seven(
         if len(low) != 6 or len(high) != 1:
             continue
         _, p_ints, v = high[0]
-        pot_u = _potential_without(g, set(p_ints), {u}, params)
-        pot_v = _potential_without(g, set(p_ints), {v}, params)
+        pot_u = _potential_without(g, set(p_ints), {u})
+        pot_v = _potential_without(g, set(p_ints), {v})
         if pot_u > pot_v:
             continue
         return Configuration(
@@ -455,7 +461,7 @@ def _detect_seven_seven(
     return None
 
 
-def _oriented_sponsors(g: Graph, idx: _RunIndex, params):
+def _oriented_sponsors(g: Graph, idx: _RunIndex):
     """Each 7-vertex ``u`` with a unique open 3-run whose potential
     orientation makes ``u`` the constrained endpoint, as
     (u, internals from u, far end, potential at u, potential at far end)."""
@@ -466,16 +472,14 @@ def _oriented_sponsors(g: Graph, idx: _RunIndex, params):
         if len(runs_here) != 1:
             continue
         ints, v = runs_here[0]
-        pot_u = _potential_without(g, set(ints), {u}, params)
-        pot_v = _potential_without(g, set(ints), {v}, params)
+        pot_u = _potential_without(g, set(ints), {u})
+        pot_v = _potential_without(g, set(ints), {v})
         if pot_u <= pot_v:
             yield u, ints, v, pot_u, pot_v
 
 
-def _detect_sponsor_many_bridges(
-    g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
-) -> Configuration | None:
-    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx, params):
+def _detect_sponsor_many_bridges(g: Graph, idx: _RunIndex) -> Configuration | None:
+    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
         low2 = [
             s
             for s in _slot_kinds(g, idx, u)
@@ -506,10 +510,8 @@ def _sponsor_neighbor_split(g: Graph, idx: _RunIndex, u: int, p_first: int):
     return qpaths, wvertices, rest
 
 
-def _detect_sponsor_all_bad(
-    g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
-) -> Configuration | None:
-    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx, params):
+def _detect_sponsor_all_bad(g: Graph, idx: _RunIndex) -> Configuration | None:
+    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
         qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
         if rest:
             continue
@@ -527,12 +529,10 @@ def _detect_sponsor_all_bad(
     return None
 
 
-def _detect_sponsor_small_x(
-    g: Graph, idx: _RunIndex, ds, params=DEFAULT_PARAMS
-) -> Configuration | None:
-    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx, params):
+def _detect_sponsor_small_x(g: Graph, idx: _RunIndex) -> Configuration | None:
+    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
         qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
-        if len(rest) != 1 or ds[rest[0]] > 12:
+        if len(rest) != 1 or idx.ds[rest[0]] > 12:
             continue
         low = [q for q in qpaths if g.degree(q[2]) <= 5]
         if not low:
@@ -550,7 +550,7 @@ def _detect_sponsor_small_x(
                 "wvertices": tuple(wvertices),
                 "x": rest[0],
             },
-            {"center": pot_u, "far": pot_v, "x_reach": ds[rest[0]]},
+            {"center": pot_u, "far": pot_v, "x_reach": idx.ds[rest[0]]},
         )
     return None
 
@@ -563,9 +563,8 @@ def detect_configuration(
     if not params.is_default:
         raise DetectionRefused("configuration detectors require coefficients (9, 7)")
     idx = _RunIndex(g)
-    ds = [d_star(g, v) for v in g.vertices()]
     for kind in _REGISTRY:
-        cfg = kind.detect(g, idx, ds)
+        cfg = kind.detect(g, idx)
         if cfg is not None:
             return cfg
     return None
@@ -583,14 +582,12 @@ class ConstructiveFailure(Exception):
 
 def _edge_removal(g: Graph, edges, tag: str, detail: dict) -> Reduction:
     h = remove_edges(g, edges)
-    return Reduction(
-        h, {v: v for v in g.vertices()}, (), (), tag, {"removed_edges": tuple(edges)}, detail
-    )
+    return Reduction(h, (), (), tag, {"removed_edges": tuple(edges)}, detail)
 
 
 def _vertex_removal(g: Graph, dropped, tag: str, detail: dict) -> Reduction:
-    h, remap = remove_vertices(g, dropped)
-    return Reduction(h, remap, tuple(sorted(dropped)), (), tag, {}, detail)
+    h, _ = remove_vertices(g, dropped)
+    return Reduction(h, tuple(sorted(dropped)), (), tag, {}, detail)
 
 
 def _surgery(
@@ -599,7 +596,6 @@ def _surgery(
     paths: list[tuple[int, int, int]],
     tag: str,
     detail: dict,
-    params: PotentialParams,
 ) -> Reduction:
     """Remove ``dropped`` and splice in the given (u, v, k) paths in order.
 
@@ -618,7 +614,7 @@ def _surgery(
             recorded["splices"].append({"k": 0, "pre_existing": True})
             continue
         need = 7 - 2 * k
-        have = rho_star(cur, {u, v}, params).value
+        have = rho_star(cur, {u, v}).value
         if have < need:
             raise InternalContradiction(
                 f"{tag}: potential {have} below required {need} for a k={k} splice"
@@ -627,24 +623,22 @@ def _surgery(
         base = cur.n
         cur = add_path(cur, u, v, k)
         added.extend(range(base, base + k))
-    return Reduction(
-        cur, remap, tuple(sorted(dropped)), tuple(added), tag, recorded, detail
-    )
+    return Reduction(cur, tuple(sorted(dropped)), tuple(added), tag, recorded, detail)
 
 
-def _apply_degree_one(g, cfg, params):
+def _apply_degree_one(g, cfg):
     v, u = cfg.data["v"], cfg.data["u"]
     return _edge_removal(g, [(v, u)], "greedy", {"order": (v,)})
 
 
-def _apply_four_plus_path(g, cfg, params):
+def _apply_four_plus_path(g, cfg):
     chain = cfg.data["chain"]
     return _edge_removal(
         g, [(chain[2], chain[3])], "greedy", {"order": (chain[3], chain[2])}
     )
 
 
-def _apply_three_path_bad_end(g, cfg, params):
+def _apply_three_path_bad_end(g, cfg):
     r: PathDescriptor = cfg.data["run"]
     if cfg.data["case"] == "closed":
         i0, i1, i2 = r.internal
@@ -658,7 +652,7 @@ def _apply_three_path_bad_end(g, cfg, params):
     )
 
 
-def _apply_two_path_bad_ends(g, cfg, params):
+def _apply_two_path_bad_ends(g, cfg):
     r: PathDescriptor = cfg.data["run"]
     if cfg.data["case"] == "closed":
         return _vertex_removal(g, set(r.internal), "greedy", {"order": r.internal})
@@ -670,25 +664,25 @@ def _apply_two_path_bad_ends(g, cfg, params):
     )
 
 
-def _apply_two_path_chord(g, cfg, params):
+def _apply_two_path_chord(g, cfg):
     r: PathDescriptor = cfg.data["run"]
     ints = _oriented_from(r, cfg.data["seven"])
     return _vertex_removal(g, set(r.internal), "greedy", {"order": ints})
 
 
-def _apply_small_vertex(g, cfg, params):
+def _apply_small_vertex(g, cfg):
     v, w = cfg.data["v"], cfg.data["w"]
     return _edge_removal(g, [(v, w)], "greedy", {"order": (v, w)})
 
 
-def _apply_counting_pair(g, cfg, params):
+def _apply_counting_pair(g, cfg):
     w = cfg.data["w"]
     removed = cfg.data["removed_neighbors"]
     order = (w,) + tuple(reversed(removed))
     return _edge_removal(g, [(w, u) for u in removed], "greedy", {"order": order})
 
 
-def _apply_three_path_cycle(g, cfg, params):
+def _apply_three_path_cycle(g, cfg):
     anchors = cfg.data["anchors"]
     runs = cfg.data["runs"]
     dropped = set()
@@ -711,16 +705,16 @@ def _w_triples(g: Graph, wvertices):
     return out
 
 
-def _first_splice_far(h0: Graph, remap, v: int, fars, params) -> int | None:
+def _first_splice_far(h0: Graph, remap, v: int, fars) -> int | None:
     """Position of the first far end other than ``v`` whose potential
     together with ``v`` in ``h0`` leaves room for a k=2 splice (>= 3)."""
     for pos, far in enumerate(fars):
-        if far != v and rho_star(h0, {remap[v], remap[far]}, params).value >= 3:
+        if far != v and rho_star(h0, {remap[v], remap[far]}).value >= 3:
             return pos
     return None
 
 
-def _apply_weird_seven(g, cfg, params):
+def _apply_weird_seven(g, cfg):
     u = cfg.data["u"]
     six = cfg.data["six"]
     case = cfg.data["case"]
@@ -741,7 +735,7 @@ def _apply_weird_seven(g, cfg, params):
     return _vertex_removal(g, dropped, "weird-seven", detail)
 
 
-def _apply_weird_six(g, cfg, params):
+def _apply_weird_six(g, cfg):
     u = cfg.data["u"]
     paths = cfg.data["paths"]
     dropped = {u}
@@ -751,39 +745,29 @@ def _apply_weird_six(g, cfg, params):
     return _vertex_removal(g, dropped, "weird-six", {"u": u, "paths": triples})
 
 
-def _apply_two_consecutive(g, cfg, params):
+def _apply_two_consecutive(g, cfg):
     u, v, w = cfg.data["u"], cfg.data["v"], cfg.data["w"]
     pu, pw = cfg.data["pu"], cfg.data["pw"]
     dropped = set(pu) | set(pw)
     detail = {"u": u, "v": v, "w": w, "pu": pu, "pw": pw}
-    return _surgery(g, dropped, [(u, w, 3)], "two-consecutive", detail, params)
+    return _surgery(g, dropped, [(u, w, 3)], "two-consecutive", detail)
 
 
-def _apply_three_consecutive(g, cfg, params):
+def _apply_three_consecutive(g, cfg):
     a, b, c, d = cfg.data["anchors"]
     r1, r2, r3 = cfg.data["runs"]
     for (u, v, w), (ru, rw) in (((a, b, c), (r1, r2)), ((b, c, d), (r2, r3))):
         dropped = set(ru.internal) | set(rw.internal)
-        value = _potential_without(g, dropped, {u, w}, params)
-        if value >= 1:
-            sub = Configuration(
-                "TwoConsecutiveThreePaths",
-                {
-                    "u": u,
-                    "v": v,
-                    "w": w,
-                    "pu": _oriented_from(ru, u),
-                    "pw": _oriented_from(rw, w),
-                },
-                {"bridge": value},
-            )
-            return _apply_two_consecutive(g, sub, params)
+        if _potential_without(g, dropped, {u, w}) >= 1:
+            pu, pw = _oriented_from(ru, u), _oriented_from(rw, w)
+            detail = {"u": u, "v": v, "w": w, "pu": pu, "pw": pw}
+            return _surgery(g, dropped, [(u, w, 3)], "two-consecutive", detail)
     raise InternalContradiction(
         "both bridge splices unavailable on three consecutive 3-paths"
     )
 
 
-def _apply_seven_seven(g, cfg, params):
+def _apply_seven_seven(g, cfg):
     u, v = cfg.data["u"], cfg.data["v"]
     p = cfg.data["p"]
     six = cfg.data["six"]
@@ -791,7 +775,7 @@ def _apply_seven_seven(g, cfg, params):
     for _, ints, _ in six:
         dropped.update(ints)
     h0, remap = remove_vertices(g, dropped)
-    chosen = _first_splice_far(h0, remap, v, [f for _, _, f in six], params)
+    chosen = _first_splice_far(h0, remap, v, [f for _, _, f in six])
     if chosen is None:
         raise InternalContradiction("no splice endpoint for the capped 7-vertex")
     far = six[chosen][2]
@@ -802,10 +786,10 @@ def _apply_seven_seven(g, cfg, params):
         "six": tuple((ints[0], ints[1], f) for _, ints, f in six),
         "chosen": chosen,
     }
-    return _surgery(g, dropped, [(v, far, 2)], "seven-seven", detail, params)
+    return _surgery(g, dropped, [(v, far, 2)], "seven-seven", detail)
 
 
-def _apply_sponsor_bridges(g, cfg, params):
+def _apply_sponsor_bridges(g, cfg):
     u, v = cfg.data["u"], cfg.data["v"]
     p = cfg.data["p"]
     qpaths = cfg.data["qpaths"]
@@ -815,18 +799,18 @@ def _apply_sponsor_bridges(g, cfg, params):
     h0, remap = remove_vertices(g, dropped)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": triples}
-    pos = _first_splice_far(h0, remap, v, [f for _, _, f in triples], params)
+    pos = _first_splice_far(h0, remap, v, [f for _, _, f in triples])
     if pos is not None:
         detail["chosen"] = pos
         return _surgery(
-            g, dropped, [(v, triples[pos][2], 2)], "sponsor-bridges-a", detail, params
+            g, dropped, [(v, triples[pos][2], 2)], "sponsor-bridges-a", detail
         )
-    if g.has_edge(u, v) or rho_star(h0, {remap[u], remap[v]}, params).value >= 7:
-        return _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail, params)
+    if g.has_edge(u, v) or rho_star(h0, {remap[u], remap[v]}).value >= 7:
+        return _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
     raise InternalContradiction("no splice available at the bridged sponsor")
 
 
-def _apply_sponsor_all_bad(g, cfg, params):
+def _apply_sponsor_all_bad(g, cfg):
     u, v = cfg.data["u"], cfg.data["v"]
     p = cfg.data["p"]
     qpaths = cfg.data["qpaths"]
@@ -844,7 +828,7 @@ def _apply_sponsor_all_bad(g, cfg, params):
     if k == 1:
         dropped = {u, *p, qtriples[0][0], qtriples[0][1]} | w_local
         return _surgery(
-            g, dropped, [(v, qtriples[0][2], 3)], "sponsor-allbad-k1", detail, params
+            g, dropped, [(v, qtriples[0][2], 3)], "sponsor-allbad-k1", detail
         )
 
     dropped = {u, *p}
@@ -854,7 +838,7 @@ def _apply_sponsor_all_bad(g, cfg, params):
     far = [t[2] for t in qtriples]
 
     def pot(graph, a, b):
-        return rho_star(graph, {remap[a], remap[b]}, params).value
+        return rho_star(graph, {remap[a], remap[b]}).value
 
     def with_splice(a, b, kk):
         if kk == 0 and h0.has_edge(remap[a], remap[b]):
@@ -884,7 +868,6 @@ def _apply_sponsor_all_bad(g, cfg, params):
                                 [(far[i], far[ip], 2), (v, w, 0)],
                                 "sponsor-allbad-claim2",
                                 detail2,
-                                params,
                             )
     # template: two direct edges into distinct w's
     if l >= 2:
@@ -904,7 +887,6 @@ def _apply_sponsor_all_bad(g, cfg, params):
                             [(v, wjp, 0), (far[i], wj, 0)],
                             "sponsor-allbad-claim3",
                             detail2,
-                            params,
                         )
     # template: two capped-path splices
     if k >= 3:
@@ -925,7 +907,6 @@ def _apply_sponsor_all_bad(g, cfg, params):
                                 [(far[i], far[ip], 2), (v, far[ipp], 2)],
                                 "sponsor-allbad-claim4",
                                 detail2,
-                                params,
                             )
     # template: one capped-path splice at v plus a far-to-w edge
     if l >= 1:
@@ -948,12 +929,11 @@ def _apply_sponsor_all_bad(g, cfg, params):
                                 [(v, far[ip], 2), (far[i], wj, 0)],
                                 "sponsor-allbad-claim5",
                                 detail2,
-                                params,
                             )
     raise InternalContradiction("no splice template fits the saturated sponsor")
 
 
-def _apply_sponsor_small_x(g, cfg, params):
+def _apply_sponsor_small_x(g, cfg):
     u, v, x = cfg.data["u"], cfg.data["v"], cfg.data["x"]
     p = cfg.data["p"]
     qpaths = cfg.data["qpaths"]
@@ -965,21 +945,21 @@ def _apply_sponsor_small_x(g, cfg, params):
         dropped.update((q1, q2))
     h0, remap = remove_vertices(g, dropped)
     detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": tuple(wtriples)}
-    pos = _first_splice_far(h0, remap, v, [f for _, _, f in qtriples], params)
+    pos = _first_splice_far(h0, remap, v, [f for _, _, f in qtriples])
     if pos is not None:
         detail2 = dict(detail, chosen=pos)
         return _surgery(
-            g, dropped, [(v, qtriples[pos][2], 2)], "sponsor-smallx-a", detail2, params
+            g, dropped, [(v, qtriples[pos][2], 2)], "sponsor-smallx-a", detail2
         )
     for z in sorted(set(ws) | {x}):
         if z == v:
             continue
         if h0.has_edge(remap[v], remap[z]) or rho_star(
-            h0, {remap[v], remap[z]}, params
+            h0, {remap[v], remap[z]}
         ).value >= 7:
             detail2 = dict(detail, z=z)
             return _surgery(
-                g, dropped, [(v, z, 0)], "sponsor-smallx-b", detail2, params
+                g, dropped, [(v, z, 0)], "sponsor-smallx-b", detail2
             )
     raise InternalContradiction("no splice available at the small-reach sponsor")
 
@@ -993,7 +973,7 @@ def apply_reduction(
     if not params.is_default:
         raise DetectionRefused("reductions require coefficients (9, 7)")
     cfg.validate(g)
-    red = _BY_KIND[cfg.kind].apply(g, cfg, params)
+    red = _BY_KIND[cfg.kind].apply(g, cfg)
     if red.graph.n + red.graph.m >= g.n + g.m:
         raise AssertionError(f"{cfg.kind}: reduction failed to shrink the graph")
     if red.recorded.get("splices"):
@@ -1010,11 +990,15 @@ def apply_reduction(
 # coloring extensions
 
 
-def _lift(red: Reduction, ch: Coloring) -> Coloring:
-    phi = Coloring(PALETTE)
-    for v, h in red.g_to_h.items():
-        phi.set(v, ch.get(h))
-    return phi
+def _lift(g: Graph, red: Reduction, ch: Coloring) -> Coloring:
+    """The colors of ``ch`` on the vertices of ``g`` the reduction kept.
+
+    ``remove_vertices`` numbers the kept vertices 0.. in ascending order,
+    so ``red.removed`` implies the id map; no removal means the identity.
+    """
+    gone = set(red.removed)
+    kept = [v for v in g.vertices() if v not in gone]
+    return Coloring(PALETTE, {v: ch.get(h) for h, v in enumerate(kept)})
 
 
 def _added_color(red: Reduction, ch: Coloring, pos: int) -> int:
@@ -1040,7 +1024,7 @@ def _sdr_seq(g: Graph, phi: Coloring, targets, tag: str) -> None:
         phi.set(t, match[i])
 
 
-def _extend_greedy(g, cfg, red, ch, phi):
+def _extend_greedy(g, red, ch, phi):
     order = red.detail["order"]
     for v in order:
         phi.unset(v)
@@ -1082,7 +1066,7 @@ def _list_color_cycle(lists: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _extend_cycle_threepaths(g, cfg, red, ch, phi):
+def _extend_cycle_threepaths(g, red, ch, phi):
     triples = red.detail["triples"]
     ring: list[int] = []
     for x, y, z in triples:
@@ -1099,7 +1083,7 @@ def _extend_cycle_threepaths(g, cfg, red, ch, phi):
     _greedy_seq(g, phi, [y for _, y, _ in triples], red.tag)
 
 
-def _extend_weird_seven(g, cfg, red, ch, phi):
+def _extend_weird_seven(g, red, ch, phi):
     d = red.detail
     u = d["u"]
     firsts = [slot[1][0] for slot in d["six"]]
@@ -1128,7 +1112,7 @@ def _extend_weird_seven(g, cfg, red, ch, phi):
         _greedy_seq(g, phi, sorted(firsts) + [u] + sorted(seconds) + [t2], red.tag)
 
 
-def _extend_weird_six(g, cfg, red, ch, phi):
+def _extend_weird_six(g, red, ch, phi):
     paths = red.detail["paths"]
     u = red.detail["u"]
     (p1_1, p2_1, _v1), (p1_2, _p2_2, _v2) = paths[0], paths[1]
@@ -1145,7 +1129,7 @@ def _extend_weird_six(g, cfg, red, ch, phi):
     _greedy_seq(g, phi, [p1_1], red.tag)
 
 
-def _extend_two_consecutive(g, cfg, red, ch, phi):
+def _extend_two_consecutive(g, red, ch, phi):
     d = red.detail
     pu, pw = d["pu"], d["pw"]
     phi.set(pu[0], _added_color(red, ch, 0))
@@ -1154,7 +1138,7 @@ def _extend_two_consecutive(g, cfg, red, ch, phi):
     _greedy_seq(g, phi, [pu[1], pw[1]], red.tag)
 
 
-def _extend_seven_seven(g, cfg, red, ch, phi):
+def _extend_seven_seven(g, red, ch, phi):
     d = red.detail
     u, p, six = d["u"], d["p"], d["six"]
     phi.unset(u)
@@ -1163,7 +1147,7 @@ def _extend_seven_seven(g, cfg, red, ch, phi):
     _greedy_seq(g, phi, [q2 for _, q2, _ in six], red.tag)
 
 
-def _extend_sponsor_bridges_a(g, cfg, red, ch, phi):
+def _extend_sponsor_bridges_a(g, red, ch, phi):
     d = red.detail
     p, q = d["p"], d["q"]
     phi.set(p[2], _added_color(red, ch, 0))
@@ -1171,7 +1155,7 @@ def _extend_sponsor_bridges_a(g, cfg, red, ch, phi):
     _greedy_seq(g, phi, [p[1]] + [q2 for _, q2, _ in q], red.tag)
 
 
-def _extend_sponsor_bridges_b(g, cfg, red, ch, phi):
+def _extend_sponsor_bridges_b(g, red, ch, phi):
     d = red.detail
     u, p, q = d["u"], d["p"], d["q"]
     phi.set(p[2], phi.get(u))
@@ -1187,7 +1171,7 @@ def _sponsor_tail(g, red, phi, p, q_last, wtriples):
     _greedy_seq(g, phi, order, red.tag)
 
 
-def _extend_sponsor_allbad_k0(g, cfg, red, ch, phi):
+def _extend_sponsor_allbad_k0(g, red, ch, phi):
     d = red.detail
     u, p, wtriples = d["u"], d["p"], d["w"]
     _greedy_seq(g, phi, [w for w, _, _ in wtriples], red.tag)
@@ -1195,7 +1179,7 @@ def _extend_sponsor_allbad_k0(g, cfg, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wtriples)
 
 
-def _extend_sponsor_allbad_k1(g, cfg, red, ch, phi):
+def _extend_sponsor_allbad_k1(g, red, ch, phi):
     d = red.detail
     u, p, q, wtriples = d["u"], d["p"], d["q"], d["w"]
     phi.set(p[2], _added_color(red, ch, 0))
@@ -1214,7 +1198,7 @@ def _unset_sponsor_locals(phi, wtriples, extra=()):
         phi.unset(v)
 
 
-def _extend_sponsor_allbad_claim2(g, cfg, red, ch, phi):
+def _extend_sponsor_allbad_claim2(g, red, ch, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, ip, j = d["i"], d["ip"], d["j"]
@@ -1235,7 +1219,7 @@ def _extend_sponsor_allbad_claim2(g, cfg, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_allbad_claim3(g, cfg, red, ch, phi):
+def _extend_sponsor_allbad_claim3(g, red, ch, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, j, jp = d["i"], d["j"], d["jp"]
@@ -1246,6 +1230,13 @@ def _extend_sponsor_allbad_claim3(g, cfg, red, ch, phi):
     phi.set(wjp, keep_wjp)
     phi.set(p[2], keep_wjp)
     phi.set(q[i][1], keep_wj)
+    if keep_wj == keep_wjp:
+        # nothing in the reduced graph parts w_j from w_j', two neighbors
+        # of u: recolor w_j, which sees at most 3 colors here (w_j' and the
+        # second vertices of its two capped runs); p[2] and q_i[1] still
+        # repeat the color of w_j' at p[0] and q_i[0]
+        phi.unset(wj)
+        _greedy_seq(g, phi, [wj], red.tag)
     _greedy_seq(g, phi, [q[t][1] for t in range(len(q)) if t != i], red.tag)
     _greedy_seq(g, phi, [u], red.tag)
     mids = [wt[t][0] for t in range(len(wt)) if t not in (j, jp)]
@@ -1255,7 +1246,7 @@ def _extend_sponsor_allbad_claim3(g, cfg, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_allbad_claim4(g, cfg, red, ch, phi):
+def _extend_sponsor_allbad_claim4(g, red, ch, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, ip, ipp = d["i"], d["ip"], d["ipp"]
@@ -1272,7 +1263,7 @@ def _extend_sponsor_allbad_claim4(g, cfg, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_allbad_claim5(g, cfg, red, ch, phi):
+def _extend_sponsor_allbad_claim5(g, red, ch, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, ip, j = d["i"], d["ip"], d["j"]
@@ -1290,7 +1281,7 @@ def _extend_sponsor_allbad_claim5(g, cfg, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_smallx_a(g, cfg, red, ch, phi):
+def _extend_sponsor_smallx_a(g, red, ch, phi):
     d = red.detail
     u, x, p, q, wt = d["u"], d["x"], d["p"], d["q"], d["w"]
     i0 = d["chosen"]
@@ -1306,7 +1297,7 @@ def _extend_sponsor_smallx_a(g, cfg, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [q[0][1]], wt)
 
 
-def _extend_sponsor_smallx_b(g, cfg, red, ch, phi):
+def _extend_sponsor_smallx_b(g, red, ch, phi):
     d = red.detail
     u, x, p, q, wt = d["u"], d["x"], d["p"], d["q"], d["w"]
     z = d["z"]
@@ -1354,8 +1345,8 @@ def extend_coloring(g: Graph, cfg: Configuration, red: Reduction, ch: Coloring) 
         raise ValueError("reduced-graph coloring must be total")
     if ch.k != PALETTE:
         raise ValueError(f"palette must be {PALETTE}")
-    phi = _lift(red, ch)
-    _EXTENDERS[red.tag](g, cfg, red, ch, phi)
+    phi = _lift(g, red, ch)
+    _EXTENDERS[red.tag](g, red, ch, phi)
     ok, violation = is_valid_2distance(g, phi)
     if not ok:
         raise ExtensionError(red.tag, violation, {"stage": "final-validation"})
@@ -1394,10 +1385,10 @@ def classify_vertices(
     for r in idx.runs:
         if r.length == 3 and r.closed:
             raise ForestOfStarsError("a 3-path closes on its own anchor", r)
-    cyc = _detect_three_path_cycle(g, idx, None)
+    cyc = _detect_three_path_cycle(g, idx)
     if cyc is not None:
         raise ForestOfStarsError("the 3-paths contain a cycle", cyc.data)
-    chain = _detect_three_consecutive_three_paths(g, idx, None)
+    chain = _detect_three_consecutive_three_paths(g, idx)
     if chain is not None:
         raise ForestOfStarsError("three consecutive 3-paths", chain.data)
 
@@ -1439,9 +1430,9 @@ def classify_vertices(
         a, b = r.endpoints
         if a in roots or b in roots:
             continue
-        pa = _potential_without(g, set(r.internal), {a}, params)
-        pb = _potential_without(g, set(r.internal), {b}, params)
-        root = a if (pa > pb or pa == pb) else b
+        pa = _potential_without(g, set(r.internal), {a})
+        pb = _potential_without(g, set(r.internal), {b})
+        root = a if pa >= pb else b
         other = b if root == a else a
         roots.add(root)
         sponsors[other] = r.internal[1]
@@ -1530,10 +1521,10 @@ def constructive_color(
     chain: list[tuple[Graph, Configuration, Reduction]] = []
     cur = g
     while cur.n + cur.m > BASE_THRESHOLD:
-        cfg = detect_configuration(cur, params)
+        cfg = detect_configuration(cur)
         if cfg is None:
             break
-        red = apply_reduction(cur, cfg, params)
+        red = apply_reduction(cur, cfg)
         chain.append((cur, cfg, red))
         cur = red.graph
     phi = _base_color(cur)
@@ -1554,11 +1545,10 @@ def _require(cond: bool, kind: str, message: str) -> None:
         raise ValueError(f"{kind} witness invalid: {message}")
 
 
-def _validate_run(g, cfg, key="run", length=None):
-    r: PathDescriptor = cfg.data[key]
+def _validate_run(g, cfg, length):
+    r: PathDescriptor = cfg.data["run"]
     r.validate(g)
-    if length is not None:
-        _require(r.length == length, cfg.kind, f"run length {r.length} != {length}")
+    _require(r.length == length, cfg.kind, f"run length {r.length} != {length}")
     return r
 
 
@@ -1576,7 +1566,7 @@ def _validate_four_plus(g, cfg):
 
 
 def _validate_three_bad_end(g, cfg):
-    r = _validate_run(g, cfg, length=3)
+    r = _validate_run(g, cfg, 3)
     if cfg.data["case"] == "closed":
         _require(r.closed, cfg.kind, "run is open")
     else:
@@ -1585,7 +1575,7 @@ def _validate_three_bad_end(g, cfg):
 
 
 def _validate_two_bad_ends(g, cfg):
-    r = _validate_run(g, cfg, length=2)
+    r = _validate_run(g, cfg, 2)
     if cfg.data["case"] == "closed":
         _require(r.closed, cfg.kind, "run is open")
     else:
@@ -1595,7 +1585,7 @@ def _validate_two_bad_ends(g, cfg):
 
 
 def _validate_two_chord(g, cfg):
-    r = _validate_run(g, cfg, length=2)
+    r = _validate_run(g, cfg, 2)
     seven, other = cfg.data["seven"], cfg.data["other"]
     _require(set(r.endpoints) == {seven, other}, cfg.kind, "endpoints mismatch")
     _require(g.has_edge(seven, other), cfg.kind, "chord missing")
@@ -1659,7 +1649,7 @@ def _validate_weird_six(g, cfg):
         _require(len(ints) == 2 and far != u and g.degree(far) == 6, cfg.kind, "slots")
 
 
-def _validate_two_consecutive(g, cfg, params=DEFAULT_PARAMS):
+def _validate_two_consecutive(g, cfg):
     u, v, w = cfg.data["u"], cfg.data["v"], cfg.data["w"]
     pu, pw = cfg.data["pu"], cfg.data["pw"]
     _require(len({u, v, w}) == 3, cfg.kind, "anchors not distinct")
@@ -1668,7 +1658,7 @@ def _validate_two_consecutive(g, cfg, params=DEFAULT_PARAMS):
             _require(g.has_edge(a, b), cfg.kind, f"missing edge ({a},{b})")
         for x in chain[1:-1]:
             _require(g.degree(x) == 2, cfg.kind, "interior degree")
-    value = _potential_without(g, set(pu) | set(pw), {u, w}, params)
+    value = _potential_without(g, set(pu) | set(pw), {u, w})
     _require(value == cfg.potentials["bridge"], cfg.kind, "potential drifted")
     _require(value >= 1, cfg.kind, "splice precondition")
 
@@ -1684,14 +1674,14 @@ def _validate_three_consecutive(g, cfg):
         )
 
 
-def _validate_oriented_sponsor(g, cfg, params=DEFAULT_PARAMS):
+def _validate_oriented_sponsor(g, cfg):
     u, v, p = cfg.data["u"], cfg.data["v"], cfg.data["p"]
     _require(g.degree(u) == 7, cfg.kind, "center degree")
     chain = (u, *p, v)
     for a, b in zip(chain, chain[1:]):
         _require(g.has_edge(a, b), cfg.kind, f"missing edge ({a},{b})")
-    pot_u = _potential_without(g, set(p), {u}, params)
-    pot_v = _potential_without(g, set(p), {v}, params)
+    pot_u = _potential_without(g, set(p), {u})
+    pot_v = _potential_without(g, set(p), {v})
     _require(pot_u == cfg.potentials["center"], cfg.kind, "center potential drifted")
     _require(pot_v == cfg.potentials["far"], cfg.kind, "far potential drifted")
     _require(pot_u <= pot_v, cfg.kind, "orientation flipped")
@@ -1728,8 +1718,6 @@ def _validate_sponsor_small_x(g, cfg):
     _require(
         len(cfg.data["qpaths"]) + len(cfg.data["wvertices"]) == 5, cfg.kind, "arity"
     )
-
-
 
 
 # ---------------------------------------------------------------------------

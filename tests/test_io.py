@@ -43,6 +43,12 @@ def test_edge_list_rejects_bad_counts():
         parse_edge_list("2 2\n0 1\n")
 
 
+def test_edge_list_rejects_oversized_header():
+    # refused before anything of size n is allocated
+    with pytest.raises(ValueError, match="at most 258047"):
+        autodetect("1000000000 0")
+
+
 def test_known_graph6_values():
     # K4 and the consecutively-labeled 5-cycle
     assert to_graph6(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])) == "C~"

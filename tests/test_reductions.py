@@ -1,5 +1,7 @@
 """Configuration detectors, reduction surgeries, extensions, and the solver."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import fixture_graphs as fx
 from sparse2dc.coloring import color_2distance, is_valid_2distance
 from sparse2dc.families import cycle, petersen, spider, star
-from sparse2dc.graph import Graph, d_star, subdivide
+from sparse2dc.graph import Graph, remove_vertices, subdivide
 from sparse2dc.potential import DENSITY_BOUND, PotentialParams, mad_exact, rho_star
 from sparse2dc.reductions import (
     DetectionRefused,
@@ -46,9 +48,7 @@ def run_pipeline(g, cfg, budget=10_000_000):
 
 
 def detect_with(g, detector):
-    idx = _RunIndex(g)
-    ds = [d_star(g, v) for v in g.vertices()]
-    return detector(g, idx, ds)
+    return detector(g, _RunIndex(g))
 
 
 class TestDispatchKinds:
@@ -172,9 +172,7 @@ class TestLocalKinds:
         for q1, q2, _ in qtr:
             dropped.update((q1, q2))
         detail = {"u": u, "v": v, "p": p, "q": tuple(qtr)}
-        red = _surgery(
-            g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail, cfg_params()
-        )
+        red = _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
         ch = color_2distance(red.graph, 8, budget=10_000_000)
         phi = extend_coloring(g, cfg, red, ch)
         assert is_valid_2distance(g, phi)[0]
@@ -203,6 +201,21 @@ class TestLocalKinds:
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-allbad-claim3"
 
+    def test_sponsor_all_bad_two_edge_template_same_w_colors(self):
+        # the reduced graph does not part w_j from w_j' (both neighbors of
+        # u); the solver's own coloring of it gives them one color
+        g = fx.sponsor_all_bad_same_far(4)
+        cfg = detect_with(g, _detect_sponsor_all_bad)
+        red = apply_reduction(g, cfg)
+        assert red.tag == "sponsor-allbad-claim3"
+        ch = constructive_color(red.graph)
+        _, remap = remove_vertices(g, red.removed)
+        d = red.detail
+        wj, wjp = d["w"][d["j"]][0], d["w"][d["jp"]][0]
+        assert ch.get(remap[wj]) == ch.get(remap[wjp])
+        phi = extend_coloring(g, cfg, red, ch)
+        assert is_valid_2distance(g, phi)[0]
+
     def test_sponsor_all_bad_mixed_template_direct(self):
         # the path-plus-edge splice is unreachable through the search on
         # leaf fixtures; build its reduction directly and run the recipe
@@ -228,7 +241,6 @@ class TestLocalKinds:
             [(v, qtr[1][2], 2), (qtr[0][2], wtr[0][0], 0)],
             "sponsor-allbad-claim5",
             detail,
-            cfg_params(),
         )
         ch = color_2distance(red.graph, 8, budget=10_000_000)
         phi = extend_coloring(g, cfg, red, ch)
@@ -258,16 +270,10 @@ class TestLocalKinds:
             "u": u, "v": v, "x": x, "p": p,
             "q": tuple(qtr), "w": tuple(wtr), "z": x,
         }
-        red = _surgery(
-            g, dropped, [(v, x, 0)], "sponsor-smallx-b", detail, cfg_params()
-        )
+        red = _surgery(g, dropped, [(v, x, 0)], "sponsor-smallx-b", detail)
         ch = color_2distance(red.graph, 8, budget=10_000_000)
         phi = extend_coloring(g, cfg, red, ch)
         assert is_valid_2distance(g, phi)[0]
-
-
-def cfg_params():
-    return PotentialParams()
 
 
 class TestConfigurationContracts:
@@ -339,8 +345,6 @@ class TestClassification:
         assert small == runs3[0].internal[1]
         root = next(iter(classes.roots))
         P = set(runs3[0].internal)
-        from sparse2dc.graph import remove_vertices
-
         h, remap = remove_vertices(g, P)
         pr = rho_star(h, {remap[root]}).value
         ps = rho_star(h, {remap[sponsor]}).value
@@ -661,7 +665,9 @@ class TestRelabeling:
     def test_relabeling_keeps_density_potential_kind_and_validity(self):
         """A random vertex permutation keeps the exact density, the
         potential of a mapped pair, the first firing kind, and the validity
-        of the solver's coloring."""
+        of the solver's coloring.  Shuffling the edge list and swapping
+        endpoints gives an equal graph, the same first kind and the very
+        same coloring."""
         from sparse2dc.verify import (
             GenerationError,
             random_capped_instance,
@@ -674,6 +680,7 @@ class TestRelabeling:
             return None if cfg is None else cfg.kind
 
         rng = random.Random(31)
+        shuffle_rng = random.Random(32)
         makers = (random_capped_instance, random_tree_instance, random_hub_instance)
         checked = 0
         for i in range(60):
@@ -693,5 +700,80 @@ class TestRelabeling:
             assert first_kind(h) == first_kind(g)
             phi = constructive_color(h, verify_preconditions=False)
             assert is_valid_2distance(h, phi)[0]
+            edges = [
+                (v, u) if shuffle_rng.random() < 0.5 else (u, v) for u, v in g.edges()
+            ]
+            shuffle_rng.shuffle(edges)
+            s = Graph(g.n, edges)
+            assert s == g
+            assert first_kind(s) == first_kind(g)
+            coloring = constructive_color(g, verify_preconditions=False).colors
+            assert constructive_color(s, verify_preconditions=False).colors == coloring
             checked += 1
         assert checked >= 40
+
+
+class TestOutputIdentity:
+    """The reduction chain is pinned byte for byte: a refactor that changes
+    a fired kind, a surgery tag, a splice certificate or a color anywhere
+    in this corpus changes the digest."""
+
+    PINNED = "8ce9a8e018c9"
+
+    FIXTURES = (
+        "four_plus_path", "three_path_low_end", "three_path_closed",
+        "two_path_low_ends", "two_path_closed", "two_path_chord", "small_vertex",
+        "counting_pair", "three_path_cycle", "two_consecutive_three_paths",
+        "weird_seven_dispatch", "weird_six_local", "seven_seven_local",
+        "sponsor_bridges_local", "sponsor_all_bad_same_far", "sponsor_small_x_local",
+    )
+
+    def corpus(self):
+        from sparse2dc.verify import (
+            GenerationError,
+            random_capped_instance,
+            random_hub_instance,
+            random_tree_instance,
+        )
+
+        for name in self.FIXTURES:
+            yield name, getattr(fx, name)()
+        for case in ("two-path", "three-path", "deg-three"):
+            yield f"weird_seven_local({case})", fx.weird_seven_local(case)
+        for k in range(7):
+            yield f"sponsor_all_bad_local({k})", fx.sponsor_all_bad_local(k)
+        rng = random.Random(2103)
+        makers = (random_capped_instance, random_tree_instance, random_hub_instance)
+        for i in range(42):
+            maker = makers[i % 3]
+            try:
+                g, _ = maker(rng)
+            except GenerationError:
+                continue
+            yield f"{maker.__name__}#{i}", g
+
+    def test_chain_and_coloring_digest(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        steps: list = []
+        original = module.apply_reduction
+
+        def recording(g, cfg, *args, **kwargs):
+            red = original(g, cfg, *args, **kwargs)
+            steps.append([cfg.kind, red.tag, red.recorded])
+            return red
+
+        monkeypatch.setattr(module, "apply_reduction", recording)
+        records = []
+        for name, g in self.corpus():
+            steps.clear()
+            try:
+                phi = constructive_color(g)
+            except ValueError:  # outside the hypotheses: degree or density
+                records.append({"graph": name, "accepted": False})
+                continue
+            colors = [phi.get(v) for v in g.vertices()]
+            records.append({"graph": name, "steps": list(steps), "colors": colors})
+        assert sum("steps" in r for r in records) >= 60
+        blob = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED

@@ -6,9 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from sparse2dc.families import hoffman_singleton, petersen
 from sparse2dc.graph import girth, subdivide
 from sparse2dc.io import from_graph6, to_graph6, write_edge_list
+from sparse2dc.reductions import ConstructiveFailure, ExtensionError
 from sparse2dc.families import cycle, spider, star
 from sparse2dc.verify import (
     generate_corpus,
@@ -252,6 +255,26 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["violation"] == [0, 1, 1]
         assert payload["colors"] == [1] * 5
+
+    @pytest.mark.parametrize(
+        "failure",
+        [ExtensionError("greedy", 3, {0: [1, 2]}), ConstructiveFailure("no 8-coloring")],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_internal_failure_exit_1(self, failure, monkeypatch, capsys, tmp_path):
+        """A failed extension or base case is reported on one stderr line
+        with exit code 1, not as a traceback."""
+        from sparse2dc import cli
+
+        def failing(g):
+            raise failure
+
+        path = tmp_path / "c5.txt"
+        path.write_text(write_edge_list(cycle(5)))
+        monkeypatch.setattr(cli, "constructive_color", failing)
+        assert cli.main(["color", "--input", str(path), "--constructive"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"internal failure: {type(failure).__name__}: {failure}\n"
 
 
 class TestDetectorMutation:
