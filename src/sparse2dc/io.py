@@ -93,15 +93,18 @@ def from_graph6(line: str) -> Graph:
         line = line[len(">>graph6<<") :]
     data = line.encode("ascii")
     n, off = _g6_decode_n(data)
-    need = n * (n - 1) // 2
+    body = data[off:]
+    size = -(-n * (n - 1) // 12)  # n(n-1)/2 bits, six to a byte
+    if len(body) != size:
+        raise ValueError(
+            f"graph6 body has {len(body)} bytes; {n} vertices need exactly {size}"
+        )
     bits: list[int] = []
-    for byte in data[off:]:
+    for byte in body:
         val = byte - 63
         if not 0 <= val < 64:
             raise ValueError("invalid graph6 byte")
         bits.extend((val >> s) & 1 for s in range(5, -1, -1))
-    if len(bits) < need:
-        raise ValueError("truncated graph6 adjacency data")
     edges = []
     idx = 0
     for v in range(n):

@@ -14,6 +14,7 @@ sponsor assignment) lives here too; the discharging engine consumes it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -627,8 +628,35 @@ def _surgery(
 
 
 def _apply_degree_one(g, cfg):
+    """Peel the pendant edges that repeated DegreeOne steps would, at once.
+
+    After the configuration's own edge, the smallest degree-1 vertex drops
+    its edge next (the vertex ``_detect_degree_one`` would pick), until none
+    is left or the solver's loop would stop at ``BASE_THRESHOLD``.  Coloring
+    the peeled vertices back in reverse order gives the per-edge chain's
+    colors: the vertices peeled before one are unset when it is colored,
+    and every other vertex within distance 2 of it is colored alike.
+    """
     v, u = cfg.data["v"], cfg.data["u"]
-    return _edge_removal(g, [(v, u)], "greedy", {"order": (v,)})
+    deg = [g.degree(x) for x in g.vertices()]
+    pendants = [x for x in g.vertices() if deg[x] == 1]  # sorted: a heap
+    budget = g.n + g.m - BASE_THRESHOLD
+    dropped = []
+    while True:
+        dropped.append((v, u))
+        deg[v] -= 1
+        deg[u] -= 1
+        if deg[u] == 1:
+            heapq.heappush(pendants, u)
+        while pendants and deg[pendants[0]] != 1:
+            heapq.heappop(pendants)
+        if not pendants or len(dropped) >= budget:
+            break
+        v = heapq.heappop(pendants)
+        # v's neighbors of degree 0 were peeled, and took their edge to v
+        u = next(w for w in g.adjacency[v] if deg[w])
+    order = tuple(v for v, _ in reversed(dropped))
+    return _edge_removal(g, dropped, "greedy", {"order": order})
 
 
 def _apply_four_plus_path(g, cfg):

@@ -346,9 +346,10 @@ def hunt(
 
     Checks per instance: configuration coverage (something fires on any
     non-cycle with minimum degree 2), constructive 8-coloring validity,
-    and exact charge conservation.  Zero findings expected; any finding is
-    persisted under ``findings_dir`` with a replayable witness when a
-    directory is given.
+    and exact charge conservation.  Zero findings expected; when a
+    directory is given, finding i is persisted under ``findings_dir`` as
+    ``finding-NNN.json`` plus its witness ``finding-NNN.g6``, which
+    ``sparse2dc verify --input finding-NNN.g6`` replays.
     """
     rng = random.Random(seed)
     spec = spec or {"kind": "mixed"}
@@ -401,6 +402,7 @@ def hunt(
         path = Path(findings_dir)
         path.mkdir(parents=True, exist_ok=True)
         for i, finding in enumerate(report.findings):
+            (path / f"finding-{i:03d}.g6").write_text(finding["graph6"] + "\n")
             (path / f"finding-{i:03d}.json").write_text(
                 json.dumps(finding, indent=2) + "\n"
             )

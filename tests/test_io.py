@@ -85,3 +85,19 @@ def test_autodetect_rejects_several_graph6_lines():
 @pytest.mark.parametrize("text", ["Bw\n", ">>graph6<<Bw\n", "\n  Bw \n\n"])
 def test_autodetect_reads_one_graph6_line(text):
     assert autodetect(text) == from_graph6("Bw") == Graph(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["Bw??", "Bww", "D", "Dh", "Dhcc", "~?@~", "~?@~" + "?" * 1335],
+    ids=["n3+2", "n3+1", "n5-2", "n5-1", "n5+1", "n127-1334", "n127+1"],
+)
+def test_graph6_rejects_a_body_of_the_wrong_length(line):
+    # n = 3 needs exactly 1 body byte, n = 5 exactly 2, n = 127 exactly 1334
+    with pytest.raises(ValueError, match="need exactly"):
+        from_graph6(line)
+
+
+def test_autodetect_rejects_trailing_graph6_bytes():
+    with pytest.raises(ValueError, match="need exactly"):
+        autodetect("Bw??\n")

@@ -12,6 +12,7 @@ from sparse2dc.families import cycle, petersen, spider, star
 from sparse2dc.graph import Graph, remove_vertices, subdivide
 from sparse2dc.potential import DENSITY_BOUND, PotentialParams, mad_exact, rho_star
 from sparse2dc.reductions import (
+    BASE_THRESHOLD,
     DetectionRefused,
     ForestOfStarsError,
     _RunIndex,
@@ -21,6 +22,7 @@ from sparse2dc.reductions import (
     _detect_sponsor_small_x,
     _detect_weird_seven,
     _detect_weird_six,
+    _edge_removal,
     _surgery,
     apply_reduction,
     classify_vertices,
@@ -713,12 +715,45 @@ class TestRelabeling:
         assert checked >= 40
 
 
+def fold_degree_one(steps):
+    """Merge each run of consecutive DegreeOne records into one record with
+    the removed edges concatenated in order, so a chain that peels pendant
+    edges one at a time and one that peels them in batches read alike."""
+    out = []
+    for kind, tag, recorded in steps:
+        if kind == "DegreeOne" and out and out[-1][0] == "DegreeOne":
+            edges = out[-1][2]["removed_edges"] + recorded["removed_edges"]
+            out[-1] = [kind, tag, {"removed_edges": edges}]
+        else:
+            out.append([kind, tag, recorded])
+    return out
+
+
+def record_steps(monkeypatch):
+    """Wrap ``apply_reduction`` so each reduction appends its
+    ``[kind, tag, recorded]`` to the returned list."""
+    from sparse2dc import reductions as module
+
+    steps: list = []
+    original = module.apply_reduction
+
+    def recording(g, cfg, *args, **kwargs):
+        red = original(g, cfg, *args, **kwargs)
+        steps.append([cfg.kind, red.tag, red.recorded])
+        return red
+
+    monkeypatch.setattr(module, "apply_reduction", recording)
+    return steps
+
+
 class TestOutputIdentity:
     """The reduction chain is pinned byte for byte: a refactor that changes
-    a fired kind, a surgery tag, a splice certificate or a color anywhere
-    in this corpus changes the digest."""
+    a fired kind, a surgery tag, a splice certificate, the order of a
+    removed pendant edge or a color anywhere in this corpus changes the
+    digest.  Runs of DegreeOne steps are folded into one record, so the
+    digest does not depend on how many pendant edges one step peels."""
 
-    PINNED = "8ce9a8e018c9"
+    PINNED = "d813dad8e3ac"
 
     FIXTURES = (
         "four_plus_path", "three_path_low_end", "three_path_closed",
@@ -753,17 +788,7 @@ class TestOutputIdentity:
             yield f"{maker.__name__}#{i}", g
 
     def test_chain_and_coloring_digest(self, monkeypatch):
-        from sparse2dc import reductions as module
-
-        steps: list = []
-        original = module.apply_reduction
-
-        def recording(g, cfg, *args, **kwargs):
-            red = original(g, cfg, *args, **kwargs)
-            steps.append([cfg.kind, red.tag, red.recorded])
-            return red
-
-        monkeypatch.setattr(module, "apply_reduction", recording)
+        steps = record_steps(monkeypatch)
         records = []
         for name, g in self.corpus():
             steps.clear()
@@ -773,7 +798,92 @@ class TestOutputIdentity:
                 records.append({"graph": name, "accepted": False})
                 continue
             colors = [phi.get(v) for v in g.vertices()]
-            records.append({"graph": name, "steps": list(steps), "colors": colors})
+            records.append(
+                {"graph": name, "steps": fold_degree_one(steps), "colors": colors}
+            )
         assert sum("steps" in r for r in records) >= 60
         blob = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED
+
+
+def _apply_degree_one_per_edge(g, cfg):
+    """The single-edge DegreeOne surgery that batched peeling replaced."""
+    v, u = cfg.data["v"], cfg.data["u"]
+    return _edge_removal(g, [(v, u)], "greedy", {"order": (v,)})
+
+
+class TestBatchedPeeling:
+    """One DegreeOne step peels the pendant edges that one-edge steps would
+    peel one by one, and the solver's colorings stay the same."""
+
+    def corpus(self):
+        from sparse2dc.families import random_skeleton
+        from sparse2dc.verify import (
+            GenerationError,
+            random_capped_instance,
+            random_hub_instance,
+            random_tree_instance,
+        )
+
+        rng = random.Random(11687)
+        makers = (random_capped_instance, random_tree_instance, random_hub_instance)
+        for i in range(40):
+            try:
+                yield makers[i % 3](rng)[0]
+            except GenerationError:
+                continue
+        skel = random_skeleton(rng, 144, 7, 2)
+        while skel.max_degree() != 7:
+            skel = random_skeleton(rng, 144, 7, 2)
+        yield subdivide(skel, 2)
+        yield self.tree()
+
+    def tree(self):
+        tree = random_sparse_graph(random.Random(4), 20, extra=0)
+        assert tree.n + tree.m == 39 and tree.max_degree() <= 7
+        return tree
+
+    def solve(self, g, monkeypatch):
+        with monkeypatch.context() as patch:
+            steps = record_steps(patch)
+            try:
+                phi = constructive_color(g)
+            except ValueError:  # outside the hypotheses: degree or density
+                return None
+        return steps, [phi.get(v) for v in g.vertices()]
+
+    def test_same_chain_and_coloring_as_per_edge_surgery(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        batched = [self.solve(g, monkeypatch) for g in self.corpus()]
+        per_edge = module._BY_KIND["DegreeOne"]._replace(
+            apply=_apply_degree_one_per_edge
+        )
+        monkeypatch.setattr(module, "_REGISTRY", tuple(
+            per_edge if k.name == "DegreeOne" else k for k in module._REGISTRY
+        ))
+        monkeypatch.setitem(module._BY_KIND, "DegreeOne", per_edge)
+        single = [self.solve(g, monkeypatch) for g in self.corpus()]
+
+        assert sum(r is not None for r in batched) >= 35
+        assert max(len(r[1]) for r in batched if r) >= 500
+        assert [r is None for r in batched] == [r is None for r in single]
+        batches = 0
+        for ours, theirs in zip(batched, single):
+            if ours is None:
+                continue
+            (steps, colors), (one_by_one, their_colors) = ours, theirs
+            assert colors == their_colors
+            assert fold_degree_one(one_by_one) == steps
+            kinds = [kind for kind, _, _ in steps]
+            assert ("DegreeOne", "DegreeOne") not in zip(kinds, kinds[1:])
+            batches += len(one_by_one) > len(steps)
+        assert batches >= 10
+
+    def test_batch_stops_at_the_base_threshold(self):
+        tree = self.tree()
+        cfg = detect_configuration(tree)
+        assert cfg.kind == "DegreeOne"
+        red = apply_reduction(tree, cfg)
+        assert red.graph.n + red.graph.m == BASE_THRESHOLD == 24
+        assert len(red.recorded["removed_edges"]) == 15

@@ -140,6 +140,26 @@ class TestHunt:
         assert proc.returncode != 2, proc.stderr
         assert json.loads(proc.stdout)["constructive_valid"] is True
 
+    def test_finding_witness_file_replays_through_the_cli(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """Each finding's witness is written as ``finding-NNN.g6`` next to
+        its JSON, and ``verify --input finding-NNN.g6`` replays the finding."""
+        from sparse2dc import cli
+
+        self.block_solver(monkeypatch)
+        report = hunt(seed=1, budget=3, findings_dir=tmp_path)
+        assert len(report.findings) >= 2
+        for i, finding in enumerate(report.findings):
+            witness = tmp_path / f"finding-{i:03d}.g6"
+            assert witness.read_text() == finding["graph6"] + "\n"
+            saved = json.loads((tmp_path / f"finding-{i:03d}.json").read_text())
+            assert saved == finding
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(tmp_path / "finding-000.g6")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"internal failure: {report.findings[0]['detail']}\n"
+
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -238,6 +258,14 @@ class TestCli:
         proc = run_cli(["mad", "--input", "-"], stdin="Bw\nDQc\n")
         assert proc.returncode == 2, proc.stderr
         assert "expected one graph" in proc.stderr
+
+    def test_trailing_graph6_bytes_exit_2(self, capsys, tmp_path):
+        from sparse2dc import cli
+
+        path = tmp_path / "long.g6"
+        path.write_text("Bw??\n")
+        assert cli.main(["mad", "--input", str(path)]) == 2
+        assert "need exactly 1" in capsys.readouterr().err
 
     def test_color_reports_an_invalid_coloring(self, monkeypatch, capsys, tmp_path):
         """The validity check survives ``python -O``: a coloring that breaks
