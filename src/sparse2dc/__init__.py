@@ -13,7 +13,6 @@ from .coloring import (
     color_2distance,
     hall_check,
     is_valid_2distance,
-    list_extend,
 )
 from .discharging import (
     ChargeLedger,

@@ -19,8 +19,8 @@ from .io import autodetect
 from .potential import PotentialParams, mad_exact, rho, rho_star
 from .reductions import (
     ConstructiveFailure,
-    DetectionRefused,
     ExtensionError,
+    ForestOfStarsError,
     InternalContradiction,
     constructive_color,
     detect_configuration,
@@ -196,7 +196,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    report = hunt(args.seed, args.budget or 50, findings_dir=args.out)
+    report = hunt(args.seed, args.budget, findings_dir=args.out)
     _emit(
         report.to_json(),
         f"{report.instances} instances, {len(report.findings)} findings",
@@ -211,12 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget_default=None):
+    def common(p, budget=False):
         p.add_argument("--input", default="-", help="edge list or graph6 file, - for stdin")
-        p.add_argument("--budget", type=int, default=budget_default,
-                       help="search budget in decision nodes")
-        p.add_argument("--json", action="store_true",
-                       help="accepted for compatibility; output is always JSON")
+        if budget:
+            p.add_argument("--budget", type=int, default=5_000_000,
+                           help="search budget in decision nodes")
 
     p = sub.add_parser("mad", help="exact maximum average degree")
     common(p)
@@ -231,11 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("chi2", help="exact 2-distance chromatic number")
-    common(p, budget_default=5_000_000)
+    common(p, budget=True)
     p.set_defaults(func=_cmd_chi2)
 
     p = sub.add_parser("color", help="find a 2-distance coloring")
-    common(p, budget_default=5_000_000)
+    common(p, budget=True)
     p.add_argument("--k", type=int, help="palette size for exact search")
     p.add_argument("--constructive", action="store_true",
                    help="use the reduction-based 8-coloring solver")
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_discharge)
 
     p = sub.add_parser("verify", help="end-to-end theorem check")
-    common(p, budget_default=5_000_000)
+    common(p, budget=True)
     p.add_argument("--assert-planar", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -279,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, DetectionRefused) as exc:
+    except (ValueError, OSError, ForestOfStarsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except SearchBudgetExceeded as exc:

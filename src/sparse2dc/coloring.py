@@ -1,4 +1,4 @@
-"""2-distance colorings: validity, exact chromatic search, list extension.
+"""2-distance colorings: validity, exact chromatic search, Hall checks.
 
 Colors are integers ``1..k``.  A total coloring is valid when no two
 vertices at distance at most 2 share a color, i.e. when it properly colors
@@ -7,11 +7,10 @@ the square graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Graph, square, two_distance_neighborhood
-from .matching import has_distinct_representatives, maximum_bipartite_matching
+from .matching import has_distinct_representatives
 
 
 class SearchBudgetExceeded(Exception):
@@ -47,14 +46,8 @@ class Coloring:
     def unset(self, v: int) -> None:
         self.colors.pop(v, None)
 
-    def copy(self) -> "Coloring":
-        return Coloring(self.k, self.colors)
-
     def is_total(self, g: Graph) -> bool:
         return all(v in self.colors for v in g.vertices())
-
-    def as_list(self, g: Graph) -> list[int | None]:
-        return [self.colors.get(v) for v in g.vertices()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Coloring):
@@ -63,22 +56,6 @@ class Coloring:
 
     def __repr__(self) -> str:
         return f"Coloring(k={self.k}, assigned={len(self.colors)})"
-
-
-@dataclass(frozen=True)
-class ExtendFailure:
-    """Falsy result of a failed list extension.
-
-    Carries the first vertex whose available list emptied, together with
-    the colors it sees at distance at most 2.
-    """
-
-    vertex: int
-    seen: dict[int, int]
-    palette: int
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def is_valid_2distance(g: Graph, c: Coloring):
@@ -274,38 +251,3 @@ def hall_check(lists: Sequence[Iterable[int]]) -> bool:
     """Whether pairwise-conflicting vertices with these color lists can be
     simultaneously colored (system of distinct representatives)."""
     return has_distinct_representatives([tuple(l) for l in lists])
-
-
-def list_extend(
-    g: Graph,
-    partial: Coloring,
-    targets: Sequence[int],
-    simultaneous: bool = False,
-):
-    """Extend a valid partial coloring onto ``targets``.
-
-    Greedy mode colors the targets in the given order with the smallest
-    available color.  Simultaneous mode solves the distinct-representatives
-    matching over all targets at once (callers guarantee the targets are
-    pairwise within distance 2).  Failure returns a falsy
-    :class:`ExtendFailure` naming the blocking vertex.
-    """
-    for t in targets:
-        if partial.get(t) is not None:
-            raise ValueError(f"target {t} is already colored")
-    work = partial.copy()
-    if simultaneous:
-        lists = [tuple(available_colors(g, work, t)) for t in targets]
-        match = maximum_bipartite_matching(lists)
-        if len(match) != len(targets):
-            blocked = next(i for i in range(len(targets)) if i not in match)
-            return ExtendFailure(targets[blocked], seen_colors(g, work, targets[blocked]), work.k)
-        for i, t in enumerate(targets):
-            work.set(t, match[i])
-        return work
-    for t in targets:
-        avail = available_colors(g, work, t)
-        if not avail:
-            return ExtendFailure(t, seen_colors(g, work, t), work.k)
-        work.set(t, avail[0])
-    return work

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, degree_two_runs, vertex_signature
-from .potential import DENSITY_BOUND, DEFAULT_PARAMS, PotentialParams, mad_exact
-from .reductions import VertexClasses, classify_vertices, detect_configuration
+from .potential import DENSITY_BOUND, mad_exact
+from .reductions import classify_vertices, detect_configuration
 
 #: Transfer amounts in half-units, keyed by rule slot.  R0(i) and R1(iii)
 #: each carry two distinct amounts, so they get two slots.
@@ -80,12 +80,7 @@ def _rule_slot(rule: str) -> str:
             "R1iii-one-paths": "R1iii", "R1iii-two-path": "R1iii"}.get(rule, rule)
 
 
-def run_discharge(
-    g: Graph,
-    params: PotentialParams = DEFAULT_PARAMS,
-    amounts: dict[str, int] | None = None,
-    classes: VertexClasses | None = None,
-) -> ChargeLedger:
+def run_discharge(g: Graph, amounts: dict[str, int] | None = None) -> ChargeLedger:
     """Assign charges and apply every transfer rule.
 
     Preconditions: maximum degree at most 7, minimum degree at least 2, and
@@ -103,8 +98,7 @@ def run_discharge(
         if unknown:
             raise ValueError(f"unknown rule slots: {sorted(unknown)}")
         amt.update(amounts)
-    if classes is None:
-        classes = classify_vertices(g, params)
+    classes = classify_vertices(g)
 
     transfers: list[Transfer] = []
 
@@ -206,9 +200,7 @@ class LedgerReport:
         }
 
 
-def verify_ledger(
-    g: Graph, ledger: ChargeLedger, params: PotentialParams = DEFAULT_PARAMS
-) -> LedgerReport:
+def verify_ledger(g: Graph, ledger: ChargeLedger) -> LedgerReport:
     """Audit a ledger: conservation, the exact total, and per-vertex signs.
 
     The total always equals 14m - 18n; it is nonpositive whenever the exact
@@ -240,7 +232,7 @@ def verify_ledger(
     positives = annotate([v for v in g.vertices() if ledger.final[v] > 0])
     implies = None
     if negatives:
-        implies = detect_configuration(g, params) is not None
+        implies = detect_configuration(g) is not None
     return LedgerReport(
         conserved and ledger.total_initial() == expected,
         ledger.total_final(),

@@ -62,9 +62,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
@@ -374,11 +371,6 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
         if u not in gone and v not in gone
     ]
     return Graph(len(keep), edges), remap
-
-
-def add_edges(g: Graph, extra: Iterable[tuple[int, int]]) -> Graph:
-    """Copy of ``g`` with the given edges added (must not already exist)."""
-    return Graph(g.n, list(g.edges()) + list(extra))
 
 
 def check_girth_mad_bound(mad: Fraction, g: int) -> bool:

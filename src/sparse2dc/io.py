@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .graph import Graph
 
 #: The most vertices graph6's four-byte size header can hold; edge-list
 #: headers are held to the same bound before anything is allocated.
 _MAX_N = 258047
+
+#: The bytes a graph6 body may hold, each carrying six bits as ``byte - 63``.
+_G6_BYTES = bytes(range(63, 127))
+#: A body byte other than ``?`` (all six bits clear) holds at least one edge.
+_G6_NONZERO = re.compile(rb"[^?]")
 
 
 def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
@@ -99,19 +107,23 @@ def from_graph6(line: str) -> Graph:
         raise ValueError(
             f"graph6 body has {len(body)} bytes; {n} vertices need exactly {size}"
         )
-    bits: list[int] = []
-    for byte in body:
-        val = byte - 63
-        if not 0 <= val < 64:
-            raise ValueError("invalid graph6 byte")
-        bits.extend((val >> s) & 1 for s in range(5, -1, -1))
+    if body.translate(None, _G6_BYTES):
+        raise ValueError("invalid graph6 byte")
+    # Bit k of the body, most significant bit of each byte first, is the
+    # pair (u, v) with v(v-1)/2 + u = k and u < v; bits from n(n-1)/2 on
+    # pad the last byte and are ignored.
+    total = n * (n - 1) // 2
     edges = []
-    idx = 0
-    for v in range(n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    for hit in _G6_NONZERO.finditer(body):
+        i = hit.start()
+        val = body[i] - 63
+        for s in range(5, -1, -1):
+            if val >> s & 1:
+                k = 6 * i + 5 - s
+                if k >= total:
+                    break
+                v = (1 + isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
     return Graph(n, edges)
 
 

@@ -32,10 +32,6 @@ class PotentialParams:
         if self.a <= 0 or self.b <= 0:
             raise ValueError("potential coefficients must be positive")
 
-    @property
-    def is_default(self) -> bool:
-        return (self.a, self.b) == (9, 7)
-
 
 DEFAULT_PARAMS = PotentialParams()
 

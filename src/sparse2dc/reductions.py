@@ -36,14 +36,7 @@ from .graph import (
     remove_vertices,
     vertex_signature,
 )
-from .potential import (
-    DENSITY_BOUND,
-    DEFAULT_PARAMS,
-    PotentialParams,
-    add_path,
-    mad_exact,
-    rho_star,
-)
+from .potential import DENSITY_BOUND, add_path, mad_exact, rho_star
 
 PALETTE = 8
 #: Color-budget anchor: a vertex can always be colored while it sees at
@@ -53,12 +46,9 @@ ANCHOR = PALETTE - 1
 BASE_THRESHOLD = 24
 
 
-class DetectionRefused(Exception):
-    """Input violates a precondition of detection/classification."""
-
-
-class ForestOfStarsError(DetectionRefused):
-    """The 3-paths do not form a forest of stars; carries the witness."""
+class ForestOfStarsError(Exception):
+    """The 3-paths do not form a forest of stars, a precondition of
+    classification; carries the witness."""
 
     def __init__(self, message: str, witness):
         super().__init__(message)
@@ -140,6 +130,12 @@ class _RunIndex:
         return self.from_edge[(anchor, first)]
 
     @cached_property
+    def sorted_runs(self) -> list[PathDescriptor]:
+        """The runs by (endpoints, internals), the order the run detectors
+        scan; ``runs`` keeps its own order, which ``three_adj`` indexes."""
+        return sorted(self.runs, key=lambda r: (r.endpoints, r.internal))
+
+    @cached_property
     def ds(self) -> list[int]:
         """d*(v) for every vertex, computed on first use."""
         return [d_star(self.g, v) for v in self.g.vertices()]
@@ -169,7 +165,7 @@ def _detect_degree_one(g: Graph, idx: _RunIndex) -> Configuration | None:
 
 
 def _detect_four_plus_path(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
+    for r in idx.sorted_runs:
         if r.length >= 4:
             chain = (r.endpoints[0], *r.internal, r.endpoints[1])
             return Configuration("FourPlusPath", {"chain": chain[:6], "run": r})
@@ -177,7 +173,7 @@ def _detect_four_plus_path(g: Graph, idx: _RunIndex) -> Configuration | None:
 
 
 def _detect_three_path_bad_end(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
+    for r in idx.sorted_runs:
         if r.length != 3:
             continue
         u, v = r.endpoints
@@ -192,7 +188,7 @@ def _detect_three_path_bad_end(g: Graph, idx: _RunIndex) -> Configuration | None
 
 
 def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
+    for r in idx.sorted_runs:
         if r.length != 2:
             continue
         u, v = r.endpoints
@@ -208,7 +204,7 @@ def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex) -> Configuration | None:
 
 
 def _detect_two_path_chord(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in sorted(idx.runs, key=lambda r: (r.endpoints, r.internal)):
+    for r in idx.sorted_runs:
         if r.length != 2 or r.closed:
             continue
         u, v = r.endpoints
@@ -556,13 +552,9 @@ def _detect_sponsor_small_x(g: Graph, idx: _RunIndex) -> Configuration | None:
     return None
 
 
-def detect_configuration(
-    g: Graph, params: PotentialParams = DEFAULT_PARAMS
-) -> Configuration | None:
+def detect_configuration(g: Graph) -> Configuration | None:
     """First firing configuration in dispatch order (that of ``KINDS``),
     or None."""
-    if not params.is_default:
-        raise DetectionRefused("configuration detectors require coefficients (9, 7)")
     idx = _RunIndex(g)
     for kind in _REGISTRY:
         cfg = kind.detect(g, idx)
@@ -992,14 +984,10 @@ def _apply_sponsor_small_x(g, cfg):
     raise InternalContradiction("no splice available at the small-reach sponsor")
 
 
-def apply_reduction(
-    g: Graph, cfg: Configuration, params: PotentialParams = DEFAULT_PARAMS
-) -> Reduction:
+def apply_reduction(g: Graph, cfg: Configuration) -> Reduction:
     """Perform the configuration's surgery; the result is strictly smaller
     and any spliced path's density precondition is re-verified, followed by
     an independent exact density check of the reduced graph."""
-    if not params.is_default:
-        raise DetectionRefused("reductions require coefficients (9, 7)")
     cfg.validate(g)
     red = _BY_KIND[cfg.kind].apply(g, cfg)
     if red.graph.n + red.graph.m >= g.n + g.m:
@@ -1396,9 +1384,7 @@ class VertexClasses:
     roots: frozenset[int]
 
 
-def classify_vertices(
-    g: Graph, params: PotentialParams = DEFAULT_PARAMS
-) -> VertexClasses:
+def classify_vertices(g: Graph) -> VertexClasses:
     """Label 2-vertices small/medium/large, find bridge structures, and
     assign sponsors.
 
@@ -1407,8 +1393,6 @@ def classify_vertices(
     removed (smaller id on ties); star centers root their stars; every
     non-root 3-path endpoint sponsors the path's middle vertex.
     """
-    if not params.is_default:
-        raise DetectionRefused("classification requires coefficients (9, 7)")
     idx = _RunIndex(g)
     for r in idx.runs:
         if r.length == 3 and r.closed:
@@ -1526,11 +1510,7 @@ def _base_color(g: Graph) -> Coloring:
     return phi
 
 
-def constructive_color(
-    g: Graph,
-    params: PotentialParams = DEFAULT_PARAMS,
-    verify_preconditions: bool = True,
-) -> Coloring:
+def constructive_color(g: Graph, verify_preconditions: bool = True) -> Coloring:
     """Exact 2-distance 8-coloring via chained configuration reductions.
 
     Preconditions (verified by default): maximum degree at most 7 and exact
@@ -1538,8 +1518,6 @@ def constructive_color(
     on a non-base max-degree-7 instance, which the underlying result rules
     out.
     """
-    if not params.is_default:
-        raise DetectionRefused("the solver requires coefficients (9, 7)")
     if g.max_degree() > 7:
         raise ValueError("constructive coloring requires maximum degree <= 7")
     if verify_preconditions and g.m:

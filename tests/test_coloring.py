@@ -13,10 +13,10 @@ from sparse2dc.coloring import (
     color_2distance,
     hall_check,
     is_valid_2distance,
-    list_extend,
 )
 from sparse2dc.families import cycle, path, petersen, star
 from sparse2dc.graph import Graph
+from sparse2dc.reductions import ExtensionError, _greedy_seq, _sdr_seq
 
 from conftest import bfs_distances, random_graph
 
@@ -173,32 +173,43 @@ class TestHall:
 
 
 class TestListExtend:
+    """The solver's two list extensions: ``_greedy_seq`` colors vertices in
+    order with the smallest free color, ``_sdr_seq`` colors a set of
+    pairwise conflicting vertices at once through a matching."""
+
     def test_lone_vertex_with_room(self):
         g = star(7)
-        partial = Coloring(8, {v: v for v in range(1, 8)})
-        out = list_extend(g, partial, [0])
-        assert out and out.get(0) == 8
+        out = Coloring(8, {v: v for v in range(1, 8)})
+        _greedy_seq(g, out, [0], "greedy")
+        assert out.get(0) == 8
 
     def test_blocking_vertex_reported(self):
         g = star(7)
         partial = Coloring(7, {v: v for v in range(1, 8)})
-        out = list_extend(g, partial, [0])
-        assert not out
-        assert out.vertex == 0
-        assert set(out.seen.values()) == set(range(1, 8))
+        with pytest.raises(ExtensionError) as info:
+            _greedy_seq(g, partial, [0], "greedy")
+        assert info.value.vertex == 0
+        assert set(info.value.state.values()) == set(range(1, 8))
+        assert partial.get(0) is None
 
     def test_simultaneous_mode_uses_matching(self):
         # two conflicting vertices whose lists force a swap
         g = path(3)  # 0-1-2, all within distance 2
-        partial = Coloring(3, {1: 3})
-        out = list_extend(g, partial, [0, 2], simultaneous=True)
-        assert out
+        out = Coloring(3, {1: 3})
+        _sdr_seq(g, out, [0, 2], "sdr")
+        assert out.get(0) is not None and out.get(2) is not None
         assert out.get(0) != out.get(2)
         assert is_valid_2distance(g, out)[0]
 
-    def test_already_colored_target_rejected(self):
-        with pytest.raises(ValueError):
-            list_extend(path(3), Coloring(3, {0: 1}), [0])
+    def test_simultaneous_mode_reports_the_blocked_vertex(self):
+        # both ends see color 2 in the middle, so only color 1 is free
+        g = path(3)
+        partial = Coloring(2, {1: 2})
+        with pytest.raises(ExtensionError) as info:
+            _sdr_seq(g, partial, [0, 2], "sdr")
+        assert info.value.vertex in (0, 2)
+        assert info.value.state == {0: (1,), 2: (1,)}
+        assert partial.get(0) is None and partial.get(2) is None
 
 
 def test_parallel_calls_are_pure():

@@ -101,3 +101,71 @@ def test_graph6_rejects_a_body_of_the_wrong_length(line):
 def test_autodetect_rejects_trailing_graph6_bytes():
     with pytest.raises(ValueError, match="need exactly"):
         autodetect("Bw??\n")
+
+
+def _from_graph6_by_bit_list(line: str) -> Graph:
+    """The former decoder, kept as an oracle: it spells out every bit of
+    the body as a list and walks all vertex pairs."""
+    from sparse2dc.io import _g6_decode_n
+
+    line = line.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<") :]
+    data = line.encode("ascii")
+    n, off = _g6_decode_n(data)
+    body = data[off:]
+    size = -(-n * (n - 1) // 12)
+    if len(body) != size:
+        raise ValueError(
+            f"graph6 body has {len(body)} bytes; {n} vertices need exactly {size}"
+        )
+    bits: list[int] = []
+    for byte in body:
+        val = byte - 63
+        if not 0 <= val < 64:
+            raise ValueError("invalid graph6 byte")
+        bits.extend((val >> s) & 1 for s in range(5, -1, -1))
+    edges = []
+    idx = 0
+    for v in range(n):
+        for u in range(v):
+            if bits[idx]:
+                edges.append((u, v))
+            idx += 1
+    return Graph(n, edges)
+
+
+def _outcome(decode, line):
+    try:
+        return decode(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_graph6_decoder_matches_the_bit_list_oracle_on_random_graphs():
+    rng = random.Random(6)
+    for p in (0.0, 0.01, 0.05, 0.3, 0.7, 1.0):
+        for _ in range(6):
+            line = to_graph6(random_graph(rng, rng.randint(0, 200), p))
+            assert from_graph6(line) == _from_graph6_by_bit_list(line)
+
+
+def test_graph6_decoder_matches_the_bit_list_oracle_on_random_bodies():
+    # arbitrary body bytes, so the padding bits of the last byte are set too
+    rng = random.Random(7)
+    for n in [*range(0, 20), 62, 63, 64, 130, 200]:
+        size = -(-n * (n - 1) // 12)
+        header = to_graph6(Graph(n, []))[: -size or None]
+        for _ in range(3):
+            line = header + "".join(chr(rng.randrange(63, 127)) for _ in range(size))
+            assert from_graph6(line) == _from_graph6_by_bit_list(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["Bw??", "Bww", "D", "Dh", "Dhcc", "~?@~", "~?@~" + "?" * 1335,
+     "", "~", "~?@", "~~??????", "B!", "Dh ", "Bx", "D~~", "0", "0" + "?" * 20,
+     "0" + "~" * 20, ">>graph6<<Dhc", "?", "@", "A_", "A`"],
+)
+def test_graph6_decoder_matches_the_bit_list_oracle_on_odd_lines(line):
+    assert _outcome(from_graph6, line) == _outcome(_from_graph6_by_bit_list, line)

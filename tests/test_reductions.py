@@ -10,10 +10,9 @@ import fixture_graphs as fx
 from sparse2dc.coloring import color_2distance, is_valid_2distance
 from sparse2dc.families import cycle, petersen, spider, star
 from sparse2dc.graph import Graph, remove_vertices, subdivide
-from sparse2dc.potential import DENSITY_BOUND, PotentialParams, mad_exact, rho_star
+from sparse2dc.potential import DENSITY_BOUND, mad_exact, rho_star
 from sparse2dc.reductions import (
     BASE_THRESHOLD,
-    DetectionRefused,
     ForestOfStarsError,
     _RunIndex,
     _detect_seven_seven,
@@ -131,10 +130,6 @@ class TestDispatchKinds:
 
     def test_pure_cycle_detects_nothing(self):
         assert detect_configuration(cycle(9)) is None
-
-    def test_nonstandard_params_refused(self):
-        with pytest.raises(DetectionRefused):
-            detect_configuration(cycle(9), PotentialParams(5, 3))
 
 
 class TestLocalKinds:

@@ -267,6 +267,39 @@ class TestCli:
         assert cli.main(["mad", "--input", str(path)]) == 2
         assert "need exactly 1" in capsys.readouterr().err
 
+    def test_hunt_budget_zero_runs_no_instance(self, capsys):
+        from sparse2dc import cli
+
+        assert cli.main(["hunt", "--seed", "0", "--budget", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["instances"] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["mad", "--budget", "5"], ["chi2", "--json"]], ids=" ".join
+    )
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        from sparse2dc import cli
+
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_chi2_budget_still_parses(self):
+        from sparse2dc import cli
+
+        assert cli.build_parser().parse_args(["chi2", "--budget", "5"]).budget == 5
+
+    def test_three_path_cycle_discharge_exit_2(self, capsys, tmp_path):
+        """Charge rules need the 3-paths to form a forest of stars; an
+        input that breaks this is an input error, not a crash."""
+        import fixture_graphs as fx
+        from sparse2dc import cli
+
+        path = tmp_path / "cycle.txt"
+        path.write_text(write_edge_list(fx.three_path_cycle()))
+        assert cli.main(["discharge", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: the 3-paths contain a cycle\n"
+
     def test_color_reports_an_invalid_coloring(self, monkeypatch, capsys, tmp_path):
         """The validity check survives ``python -O``: a coloring that breaks
         the distance-2 condition is reported with exit code 1."""
