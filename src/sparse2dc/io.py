@@ -13,6 +13,8 @@ _MAX_N = 258047
 
 #: The bytes a graph6 body may hold, each carrying six bits as ``byte - 63``.
 _G6_BYTES = bytes(range(63, 127))
+#: A ``bytes.translate`` table from six bits to their graph6 byte.
+_G6_SIX_TO_BYTE = _G6_BYTES.ljust(256, b"\0")
 #: A body byte other than ``?`` (all six bits clear) holds at least one edge.
 _G6_NONZERO = re.compile(rb"[^?]")
 
@@ -67,31 +69,31 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
     if not data:
         raise ValueError("empty graph6 line")
     if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) < 4:
+        size, off = data[:1], 1
+    elif len(data) < 4:
         raise ValueError("truncated graph6 size header")
-    if data[1] == 126:
+    elif data[1] == 126:
         raise ValueError(f"graph6 graphs beyond {_MAX_N} vertices unsupported")
-    n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-    return n, 4
+    else:
+        size, off = data[1:4], 4
+    if size.translate(None, _G6_BYTES):
+        raise ValueError("invalid graph6 byte")
+    n = 0
+    for byte in size:
+        n = n << 6 | byte - 63
+    return n, off
 
 
 def to_graph6(g: Graph) -> str:
     """Encode as a single graph6 line (no trailing newline)."""
-    bits: list[int] = []
-    for v in range(g.n):
-        adj = set(g.adjacency[v])
-        for u in range(v):
-            bits.append(1 if u in adj else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(_g6_encode_n(g.n))
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return out.decode("ascii")
+    header = _g6_encode_n(g.n)
+    # bit k = v(v-1)/2 + u of the body, most significant bit of each byte
+    # first, is the pair u < v; each byte holds its six bits plus 63
+    body = bytearray(-(-g.n * (g.n - 1) // 12))
+    for u, v in g.edges():
+        k = v * (v - 1) // 2 + u
+        body[k // 6] |= 32 >> k % 6
+    return (header + body.translate(_G6_SIX_TO_BYTE)).decode("ascii")
 
 
 def from_graph6(line: str) -> Graph:

@@ -15,7 +15,8 @@ sponsor assignment) lives here too; the discharging engine consumes it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -32,7 +33,6 @@ from .graph import (
     connected_components,
     d_star,
     degree_two_runs,
-    remove_edges,
     remove_vertices,
     vertex_signature,
 )
@@ -90,6 +90,9 @@ class Reduction:
 
     ``removed`` lists the deleted vertices in ascending order (empty when
     only edges were deleted); ``added`` the ids of spliced-in vertices.
+    ``graph`` numbers the kept vertices 0.. in ascending order and the
+    spliced ones after them; inside the solver it is the working graph
+    itself, edited in place, and every id is stable.
     """
 
     graph: Graph
@@ -98,6 +101,94 @@ class Reduction:
     tag: str
     recorded: dict
     detail: dict
+
+
+# ---------------------------------------------------------------------------
+# the working graph
+
+
+class _WorkGraph:
+    """The solver's one mutable graph, with the read API of ``Graph``.
+
+    Ids are stable: a deleted vertex is never renumbered and a spliced one
+    gets a fresh id above every id used so far, so the rank of a live id
+    is the id ``remove_vertices`` and ``add_path`` would have given it.
+    ``n`` bounds the ids (the graph functions size arrays and range-check
+    by it), while ``size`` counts what is live.  Each step opens an undo
+    record with ``begin``; an edit saves the touched vertices' adjacency
+    there first, and ``undo`` restores the graph the step started from.
+    """
+
+    __slots__ = ("n", "m", "adjacency", "_ids", "_log")
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.m = g.m
+        self.adjacency: list[tuple[int, ...]] = list(g.adjacency)
+        self._ids = list(range(g.n))  # the live ids, ascending
+        self._log: list[tuple] = []
+
+    def degree(self, v: int) -> int:
+        return len(self.adjacency[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.adjacency[u]
+
+    def vertices(self) -> list[int]:
+        return self._ids
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The live edges as (u, v) with u < v, sorted."""
+        return [(u, v) for u in self._ids for v in self.adjacency[u] if u < v]
+
+    def size(self) -> int:
+        """Live vertices plus edges, the measure every step shrinks."""
+        return len(self._ids) + self.m
+
+    def begin(self) -> None:
+        self._log.append((self.n, self.m, {}, []))
+
+    def _set(self, v: int, adj: tuple[int, ...]) -> None:
+        self._log[-1][2].setdefault(v, self.adjacency[v])
+        self.adjacency[v] = adj
+
+    def remove_edge(self, u: int, v: int) -> None:
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge {(u, v)} not present")
+        self._set(u, tuple(x for x in self.adjacency[u] if x != v))
+        self._set(v, tuple(x for x in self.adjacency[v] if x != u))
+        self.m -= 1
+
+    def remove_vertex(self, v: int) -> None:
+        for w in self.adjacency[v]:
+            self._set(w, tuple(x for x in self.adjacency[w] if x != v))
+        self.m -= self.degree(v)
+        self._set(v, ())
+        del self._ids[bisect_left(self._ids, v)]
+        self._log[-1][3].append(v)
+
+    def add_path(self, u: int, v: int, k: int) -> range:
+        """Join u and v by a path through k fresh vertices; their ids."""
+        fresh = range(self.n, self.n + k)
+        self.adjacency.extend(() for _ in fresh)
+        self._ids.extend(fresh)
+        self.n += k
+        chain = [u, *fresh, v]
+        for a, b in zip(chain, chain[1:]):
+            self._set(a, tuple(sorted((*self.adjacency[a], b))))
+            self._set(b, tuple(sorted((*self.adjacency[b], a))))
+        self.m += k + 1
+        return fresh
+
+    def undo(self) -> None:
+        n, m, saved, gone = self._log.pop()
+        for v, adj in saved.items():
+            self.adjacency[v] = adj
+        del self.adjacency[n:]
+        del self._ids[len(self._ids) - (self.n - n):]
+        for v in gone:
+            insort(self._ids, v)
+        self.n, self.m = n, m
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +227,9 @@ class _RunIndex:
         return sorted(self.runs, key=lambda r: (r.endpoints, r.internal))
 
     @cached_property
-    def ds(self) -> list[int]:
+    def ds(self) -> dict[int, int]:
         """d*(v) for every vertex, computed on first use."""
-        return [d_star(self.g, v) for v in self.g.vertices()]
+        return {v: d_star(self.g, v) for v in self.g.vertices()}
 
 
 def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
@@ -573,18 +664,21 @@ class ConstructiveFailure(Exception):
     """The exhaustive fallback could not produce an 8-coloring."""
 
 
-def _edge_removal(g: Graph, edges, tag: str, detail: dict) -> Reduction:
-    h = remove_edges(g, edges)
-    return Reduction(h, (), (), tag, {"removed_edges": tuple(edges)}, detail)
+def _edge_removal(g: _WorkGraph, edges, tag: str, detail: dict) -> Reduction:
+    for u, v in edges:
+        g.remove_edge(u, v)
+    return Reduction(g, (), (), tag, {"removed_edges": tuple(edges)}, detail)
 
 
-def _vertex_removal(g: Graph, dropped, tag: str, detail: dict) -> Reduction:
-    h, _ = remove_vertices(g, dropped)
-    return Reduction(h, tuple(sorted(dropped)), (), tag, {}, detail)
+def _vertex_removal(g: _WorkGraph, dropped, tag: str, detail: dict) -> Reduction:
+    removed = tuple(sorted(dropped))
+    for v in removed:
+        g.remove_vertex(v)
+    return Reduction(g, removed, (), tag, {}, detail)
 
 
 def _surgery(
-    g: Graph,
+    g: _WorkGraph,
     dropped,
     paths: list[tuple[int, int, int]],
     tag: str,
@@ -597,26 +691,24 @@ def _surgery(
     skipped, since the adjacency already enforces the constraint the edge
     would add.
     """
-    h, remap = remove_vertices(g, dropped)
-    recorded: dict = {"splices": []}
-    cur = h
+    red = _vertex_removal(g, dropped, tag, detail)
+    red.recorded["splices"] = []
     added: list[int] = []
-    for gu, gv, k in paths:
-        u, v = remap[gu], remap[gv]
-        if k == 0 and cur.has_edge(u, v):
-            recorded["splices"].append({"k": 0, "pre_existing": True})
+    for u, v, k in paths:
+        if k == 0 and g.has_edge(u, v):
+            red.recorded["splices"].append({"k": 0, "pre_existing": True})
             continue
         need = 7 - 2 * k
-        have = rho_star(cur, {u, v}).value
+        h, remap = remove_vertices(g, ())
+        have = rho_star(h, {remap[u], remap[v]}).value
         if have < need:
             raise InternalContradiction(
                 f"{tag}: potential {have} below required {need} for a k={k} splice"
             )
-        recorded["splices"].append({"k": k, "need": need, "have": have})
-        base = cur.n
-        cur = add_path(cur, u, v, k)
-        added.extend(range(base, base + k))
-    return Reduction(cur, tuple(sorted(dropped)), tuple(added), tag, recorded, detail)
+        red.recorded["splices"].append({"k": k, "need": need, "have": have})
+        added.extend(g.add_path(u, v, k))
+    red.added = tuple(added)
+    return red
 
 
 def _apply_degree_one(g, cfg):
@@ -630,25 +722,22 @@ def _apply_degree_one(g, cfg):
     and every other vertex within distance 2 of it is colored alike.
     """
     v, u = cfg.data["v"], cfg.data["u"]
-    deg = [g.degree(x) for x in g.vertices()]
-    pendants = [x for x in g.vertices() if deg[x] == 1]  # sorted: a heap
-    budget = g.n + g.m - BASE_THRESHOLD
+    pendants = [x for x in g.vertices() if g.degree(x) == 1]  # sorted: a heap
     dropped = []
     while True:
+        g.remove_edge(v, u)
         dropped.append((v, u))
-        deg[v] -= 1
-        deg[u] -= 1
-        if deg[u] == 1:
+        if g.degree(u) == 1:
             heapq.heappush(pendants, u)
-        while pendants and deg[pendants[0]] != 1:
+        while pendants and g.degree(pendants[0]) != 1:
             heapq.heappop(pendants)
-        if not pendants or len(dropped) >= budget:
+        if not pendants or g.size() <= BASE_THRESHOLD:
             break
         v = heapq.heappop(pendants)
-        # v's neighbors of degree 0 were peeled, and took their edge to v
-        u = next(w for w in g.adjacency[v] if deg[w])
+        u = g.adjacency[v][0]
+    recorded = {"removed_edges": tuple(dropped)}
     order = tuple(v for v, _ in reversed(dropped))
-    return _edge_removal(g, dropped, "greedy", {"order": order})
+    return Reduction(g, (), (), "greedy", recorded, {"order": order})
 
 
 def _apply_four_plus_path(g, cfg):
@@ -987,38 +1076,38 @@ def _apply_sponsor_small_x(g, cfg):
 def apply_reduction(g: Graph, cfg: Configuration) -> Reduction:
     """Perform the configuration's surgery; the result is strictly smaller
     and any spliced path's density precondition is re-verified, followed by
-    an independent exact density check of the reduced graph."""
-    cfg.validate(g)
-    red = _BY_KIND[cfg.kind].apply(g, cfg)
-    if red.graph.n + red.graph.m >= g.n + g.m:
+    an independent exact density check of the reduced graph.
+
+    ``g`` is left as it is and the result holds the reduced ``Graph``;
+    the solver's working graph is edited in place instead, behind an undo
+    record.
+    """
+    wg = g if isinstance(g, _WorkGraph) else _WorkGraph(g)
+    cfg.validate(wg)
+    before = wg.size()
+    wg.begin()
+    red = _BY_KIND[cfg.kind].apply(wg, cfg)
+    if wg.size() >= before:
         raise AssertionError(f"{cfg.kind}: reduction failed to shrink the graph")
     if red.recorded.get("splices"):
-        value, _ = mad_exact(red.graph)
+        value, _ = mad_exact(remove_vertices(wg, ())[0])
         if value > DENSITY_BOUND:
             raise InternalContradiction(
                 f"{cfg.kind}: spliced graph exceeds density 18/7 ({value})"
             )
         red.recorded["density_after"] = str(value)
-    return red
+    return red if wg is g else _dense(red)
+
+
+def _dense(red: Reduction) -> Reduction:
+    """``red`` with its working graph replaced by a ``Graph`` snapshot,
+    numbered by rank, and ``added`` in the snapshot's ids."""
+    h, remap = remove_vertices(red.graph, ())
+    return replace(red, graph=h, added=tuple(remap[v] for v in red.added))
 
 
 # ---------------------------------------------------------------------------
 # coloring extensions
-
-
-def _lift(g: Graph, red: Reduction, ch: Coloring) -> Coloring:
-    """The colors of ``ch`` on the vertices of ``g`` the reduction kept.
-
-    ``remove_vertices`` numbers the kept vertices 0.. in ascending order,
-    so ``red.removed`` implies the id map; no removal means the identity.
-    """
-    gone = set(red.removed)
-    kept = [v for v in g.vertices() if v not in gone]
-    return Coloring(PALETTE, {v: ch.get(h) for h, v in enumerate(kept)})
-
-
-def _added_color(red: Reduction, ch: Coloring, pos: int) -> int:
-    return ch.get(red.added[pos])
 
 
 def _greedy_seq(g: Graph, phi: Coloring, order, tag: str) -> None:
@@ -1040,7 +1129,7 @@ def _sdr_seq(g: Graph, phi: Coloring, targets, tag: str) -> None:
         phi.set(t, match[i])
 
 
-def _extend_greedy(g, red, ch, phi):
+def _extend_greedy(g, red, phi):
     order = red.detail["order"]
     for v in order:
         phi.unset(v)
@@ -1082,7 +1171,7 @@ def _list_color_cycle(lists: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _extend_cycle_threepaths(g, red, ch, phi):
+def _extend_cycle_threepaths(g, red, phi):
     triples = red.detail["triples"]
     ring: list[int] = []
     for x, y, z in triples:
@@ -1099,7 +1188,7 @@ def _extend_cycle_threepaths(g, red, ch, phi):
     _greedy_seq(g, phi, [y for _, y, _ in triples], red.tag)
 
 
-def _extend_weird_seven(g, red, ch, phi):
+def _extend_weird_seven(g, red, phi):
     d = red.detail
     u = d["u"]
     firsts = [slot[1][0] for slot in d["six"]]
@@ -1128,7 +1217,7 @@ def _extend_weird_seven(g, red, ch, phi):
         _greedy_seq(g, phi, sorted(firsts) + [u] + sorted(seconds) + [t2], red.tag)
 
 
-def _extend_weird_six(g, red, ch, phi):
+def _extend_weird_six(g, red, phi):
     paths = red.detail["paths"]
     u = red.detail["u"]
     (p1_1, p2_1, _v1), (p1_2, _p2_2, _v2) = paths[0], paths[1]
@@ -1145,33 +1234,33 @@ def _extend_weird_six(g, red, ch, phi):
     _greedy_seq(g, phi, [p1_1], red.tag)
 
 
-def _extend_two_consecutive(g, red, ch, phi):
+def _extend_two_consecutive(g, red, phi):
     d = red.detail
     pu, pw = d["pu"], d["pw"]
-    phi.set(pu[0], _added_color(red, ch, 0))
-    phi.set(pw[0], _added_color(red, ch, 2))
+    phi.set(pu[0], phi.get(red.added[0]))
+    phi.set(pw[0], phi.get(red.added[2]))
     _sdr_seq(g, phi, [pu[2], pw[2]], red.tag)
     _greedy_seq(g, phi, [pu[1], pw[1]], red.tag)
 
 
-def _extend_seven_seven(g, red, ch, phi):
+def _extend_seven_seven(g, red, phi):
     d = red.detail
     u, p, six = d["u"], d["p"], d["six"]
     phi.unset(u)
-    phi.set(p[1], _added_color(red, ch, 0))
+    phi.set(p[1], phi.get(red.added[0]))
     _sdr_seq(g, phi, [p[0], u] + [q1 for q1, _, _ in six], red.tag)
     _greedy_seq(g, phi, [q2 for _, q2, _ in six], red.tag)
 
 
-def _extend_sponsor_bridges_a(g, red, ch, phi):
+def _extend_sponsor_bridges_a(g, red, phi):
     d = red.detail
     p, q = d["p"], d["q"]
-    phi.set(p[2], _added_color(red, ch, 0))
+    phi.set(p[2], phi.get(red.added[0]))
     _sdr_seq(g, phi, [p[0]] + [q1 for q1, _, _ in q], red.tag)
     _greedy_seq(g, phi, [p[1]] + [q2 for _, q2, _ in q], red.tag)
 
 
-def _extend_sponsor_bridges_b(g, red, ch, phi):
+def _extend_sponsor_bridges_b(g, red, phi):
     d = red.detail
     u, p, q = d["u"], d["p"], d["q"]
     phi.set(p[2], phi.get(u))
@@ -1187,7 +1276,7 @@ def _sponsor_tail(g, red, phi, p, q_last, wtriples):
     _greedy_seq(g, phi, order, red.tag)
 
 
-def _extend_sponsor_allbad_k0(g, red, ch, phi):
+def _extend_sponsor_allbad_k0(g, red, phi):
     d = red.detail
     u, p, wtriples = d["u"], d["p"], d["w"]
     _greedy_seq(g, phi, [w for w, _, _ in wtriples], red.tag)
@@ -1195,11 +1284,11 @@ def _extend_sponsor_allbad_k0(g, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wtriples)
 
 
-def _extend_sponsor_allbad_k1(g, red, ch, phi):
+def _extend_sponsor_allbad_k1(g, red, phi):
     d = red.detail
     u, p, q, wtriples = d["u"], d["p"], d["q"], d["w"]
-    phi.set(p[2], _added_color(red, ch, 0))
-    phi.set(q[0][1], _added_color(red, ch, 2))
+    phi.set(p[2], phi.get(red.added[0]))
+    phi.set(q[0][1], phi.get(red.added[2]))
     _greedy_seq(g, phi, [w for w, _, _ in wtriples] + [q[0][0]], red.tag)
     _sdr_seq(g, phi, [u, p[0]], red.tag)
     _sponsor_tail(g, red, phi, p, [], wtriples)
@@ -1214,7 +1303,7 @@ def _unset_sponsor_locals(phi, wtriples, extra=()):
         phi.unset(v)
 
 
-def _extend_sponsor_allbad_claim2(g, red, ch, phi):
+def _extend_sponsor_allbad_claim2(g, red, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, ip, j = d["i"], d["ip"], d["j"]
@@ -1223,8 +1312,8 @@ def _extend_sponsor_allbad_claim2(g, red, ch, phi):
     _unset_sponsor_locals(phi, wt)
     phi.set(wj, keep_wj)
     phi.set(p[2], keep_wj)
-    phi.set(q[i][1], _added_color(red, ch, 0))
-    phi.set(q[ip][1], _added_color(red, ch, 1))
+    phi.set(q[i][1], phi.get(red.added[0]))
+    phi.set(q[ip][1], phi.get(red.added[1]))
     _greedy_seq(g, phi, [q[t][1] for t in range(len(q)) if t not in (i, ip)], red.tag)
     _greedy_seq(g, phi, [u], red.tag)
     mids = [wt[t][0] for t in range(len(wt)) if t != j]
@@ -1235,7 +1324,7 @@ def _extend_sponsor_allbad_claim2(g, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_allbad_claim3(g, red, ch, phi):
+def _extend_sponsor_allbad_claim3(g, red, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, j, jp = d["i"], d["j"], d["jp"]
@@ -1262,15 +1351,15 @@ def _extend_sponsor_allbad_claim3(g, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_allbad_claim4(g, red, ch, phi):
+def _extend_sponsor_allbad_claim4(g, red, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, ip, ipp = d["i"], d["ip"], d["ipp"]
     _unset_sponsor_locals(phi, wt)
-    phi.set(p[2], _added_color(red, ch, 2))
-    phi.set(q[ipp][1], _added_color(red, ch, 3))
-    phi.set(q[i][1], _added_color(red, ch, 0))
-    phi.set(q[ip][1], _added_color(red, ch, 1))
+    phi.set(p[2], phi.get(red.added[2]))
+    phi.set(q[ipp][1], phi.get(red.added[3]))
+    phi.set(q[i][1], phi.get(red.added[0]))
+    phi.set(q[ip][1], phi.get(red.added[1]))
     _greedy_seq(
         g, phi, [q[t][1] for t in range(len(q)) if t not in (i, ip, ipp)], red.tag
     )
@@ -1279,7 +1368,7 @@ def _extend_sponsor_allbad_claim4(g, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_allbad_claim5(g, red, ch, phi):
+def _extend_sponsor_allbad_claim5(g, red, phi):
     d = red.detail
     u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
     i, ip, j = d["i"], d["ip"], d["j"]
@@ -1287,8 +1376,8 @@ def _extend_sponsor_allbad_claim5(g, red, ch, phi):
     keep_wj = phi.get(wj)
     _unset_sponsor_locals(phi, wt)
     phi.set(wj, keep_wj)
-    phi.set(p[2], _added_color(red, ch, 0))
-    phi.set(q[ip][1], _added_color(red, ch, 1))
+    phi.set(p[2], phi.get(red.added[0]))
+    phi.set(q[ip][1], phi.get(red.added[1]))
     phi.set(q[i][1], keep_wj)
     _greedy_seq(g, phi, [q[t][1] for t in range(len(q)) if t not in (i, ip)], red.tag)
     hall = [u, p[0]] + [wt[t][0] for t in range(len(wt)) if t != j]
@@ -1297,14 +1386,14 @@ def _extend_sponsor_allbad_claim5(g, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [], wt)
 
 
-def _extend_sponsor_smallx_a(g, red, ch, phi):
+def _extend_sponsor_smallx_a(g, red, phi):
     d = red.detail
     u, x, p, q, wt = d["u"], d["x"], d["p"], d["q"], d["w"]
     i0 = d["chosen"]
     _unset_sponsor_locals(phi, wt, extra=(x,))
-    phi.set(p[2], _added_color(red, ch, 0))
+    phi.set(p[2], phi.get(red.added[0]))
     if i0 != 0:
-        phi.set(q[i0][1], _added_color(red, ch, 1))
+        phi.set(q[i0][1], phi.get(red.added[1]))
     _greedy_seq(
         g, phi, [q[t][1] for t in range(len(q)) if t not in (0, i0)], red.tag
     )
@@ -1313,7 +1402,7 @@ def _extend_sponsor_smallx_a(g, red, ch, phi):
     _sponsor_tail(g, red, phi, p, [q[0][1]], wt)
 
 
-def _extend_sponsor_smallx_b(g, red, ch, phi):
+def _extend_sponsor_smallx_b(g, red, phi):
     d = red.detail
     u, x, p, q, wt = d["u"], d["x"], d["p"], d["q"], d["w"]
     z = d["z"]
@@ -1350,19 +1439,88 @@ _EXTENDERS: dict[str, Callable] = {
 }
 
 
+class _Tracked(Coloring):
+    """The solver's coloring, which also collects the vertices set or
+    unset on it: the vertices an extension step colored."""
+
+    __slots__ = ("touched",)
+
+    def __init__(self, k: int, colors: dict[int, int] | None = None):
+        super().__init__(k, colors)
+        self.touched: set[int] = set()
+
+    def set(self, v: int, c: int) -> None:
+        super().set(v, c)
+        self.touched.add(v)
+
+    def unset(self, v: int) -> None:
+        super().unset(v)
+        self.touched.add(v)
+
+
+def _local_violation(g, phi: Coloring, t) -> tuple[int, int, int] | None:
+    """A pair at distance at most 2 in ``g`` that shares a color, found in
+    the closed neighbourhood N[x] of some x in T or next to T, as (u, v, dist).
+
+    Let T hold the vertices a step colored, its removed vertices and both
+    ends of each removed edge.  When ``phi`` was valid on the reduced
+    graph, this finds every clash: a pair at distance at most 2 with no
+    end in T meets through a removed vertex or edge, so through a vertex
+    of T; a pair with an end in T lies in N[x] for that end or for the
+    vertex between them.
+    """
+    around = set(t)
+    for v in t:
+        around.update(g.adjacency[v])
+    for x in sorted(around):
+        first: dict[int, int] = {}
+        for y in (x, *g.adjacency[x]):
+            c = phi.get(y)
+            if c is None:
+                raise ValueError(f"coloring is partial (vertex {y} unassigned)")
+            if c in first:
+                u, v = sorted((first[c], y))
+                return u, v, 1 if g.has_edge(u, v) else 2
+            first[c] = y
+    return None
+
+
 def extend_coloring(g: Graph, cfg: Configuration, red: Reduction, ch: Coloring) -> Coloring:
     """Lift a total coloring of the reduced graph back onto ``g``.
 
-    The recipe is the configuration's own; a blocked step (impossible when
-    the detector's side conditions held) raises ExtensionError with the
-    full constraint state.  The result is re-validated before returning.
+    The recipe is the configuration's own and runs on ``g`` as it was
+    before the step; it may read the colors of the spliced vertices, which
+    are dropped after it.  A blocked step (impossible when the detector's
+    side conditions held) raises ExtensionError with the full constraint
+    state.  On a ``Graph``, ``ch`` colors ``red.graph`` and the whole
+    result is re-validated.  On the solver's working graph, the step is
+    undone, ``ch`` (keyed by stable id) is extended in place, and only the
+    neighbourhoods the step can reach are checked.
     """
+    if isinstance(g, _WorkGraph):
+        g.undo()
+        ch.touched.clear()
+        _EXTENDERS[red.tag](g, red, ch)
+        t = ch.touched.union(red.removed)
+        for e in red.recorded.get("removed_edges", ()):
+            t.update(e)
+        for v in red.added:
+            ch.unset(v)
+        violation = _local_violation(g, ch, t)
+        if violation is not None:
+            raise ExtensionError(red.tag, violation, {"stage": "local-validation"})
+        return ch
     if not ch.is_total(red.graph):
         raise ValueError("reduced-graph coloring must be total")
     if ch.k != PALETTE:
         raise ValueError(f"palette must be {PALETTE}")
-    phi = _lift(g, red, ch)
-    _EXTENDERS[red.tag](g, red, ch, phi)
+    gone = set(red.removed)
+    added = tuple(range(g.n, g.n + len(red.added)))
+    ids = [v for v in g.vertices() if v not in gone] + list(added)
+    phi = Coloring(PALETTE, {v: ch.get(i) for i, v in enumerate(ids)})
+    _EXTENDERS[red.tag](g, replace(red, added=added), phi)
+    for v in added:
+        phi.unset(v)
     ok, violation = is_valid_2distance(g, phi)
     if not ok:
         raise ExtensionError(red.tag, violation, {"stage": "final-validation"})
@@ -1514,28 +1672,29 @@ def constructive_color(g: Graph, verify_preconditions: bool = True) -> Coloring:
     """Exact 2-distance 8-coloring via chained configuration reductions.
 
     Preconditions (verified by default): maximum degree at most 7 and exact
-    density at most 18/7.  Emits InternalContradiction if no detector fires
+    density at most 18/7, which holds exactly when no vertex set has a
+    negative potential.  Emits InternalContradiction if no detector fires
     on a non-base max-degree-7 instance, which the underlying result rules
     out.
     """
     if g.max_degree() > 7:
         raise ValueError("constructive coloring requires maximum degree <= 7")
-    if verify_preconditions and g.m:
+    if verify_preconditions and g.m and rho_star(g, ()).value < 0:
         value, witness = mad_exact(g)
-        if value > DENSITY_BOUND:
-            raise ValueError(f"density {value} exceeds 18/7 (witness {sorted(witness)})")
-    chain: list[tuple[Graph, Configuration, Reduction]] = []
-    cur = g
-    while cur.n + cur.m > BASE_THRESHOLD:
-        cfg = detect_configuration(cur)
+        raise ValueError(f"density {value} exceeds 18/7 (witness {sorted(witness)})")
+    wg = _WorkGraph(g)
+    steps: list[tuple[Configuration, Reduction]] = []
+    while wg.size() > BASE_THRESHOLD:
+        cfg = detect_configuration(wg)
         if cfg is None:
             break
-        red = apply_reduction(cur, cfg)
-        chain.append((cur, cfg, red))
-        cur = red.graph
-    phi = _base_color(cur)
-    for gi, cfg, red in reversed(chain):
-        phi = extend_coloring(gi, cfg, red, phi)
+        steps.append((cfg, apply_reduction(wg, cfg)))
+    base, remap = remove_vertices(wg, ())
+    colors = _base_color(base).colors
+    phi = _Tracked(PALETTE, {v: colors[remap[v]] for v in wg.vertices()})
+    for cfg, red in reversed(steps):
+        phi = extend_coloring(wg, cfg, red, phi)
+    phi = Coloring(PALETTE, phi.colors)
     ok, violation = is_valid_2distance(g, phi)
     if not ok:
         raise ExtensionError("solver", violation, {"stage": "final"})

@@ -1,5 +1,6 @@
 """Edge-list and graph6 round trips."""
 
+import inspect
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from sparse2dc.io import (
     write_edge_list,
 )
 
+import fixture_graphs as fx
 from conftest import random_graph
 
 
@@ -98,6 +100,17 @@ def test_graph6_rejects_a_body_of_the_wrong_length(line):
         from_graph6(line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["0", "0" + "?" * 20, "~0??", "~?0?", "~??0" + "?" * 6, "\x7f"],
+    ids=["n-15", "n-15+20", "long-1", "long-2", "long-3", "del"],
+)
+def test_graph6_rejects_a_size_header_byte_outside_63_126(line):
+    # refused before n is computed: "0" once read as n = -15
+    with pytest.raises(ValueError, match="invalid graph6 byte"):
+        from_graph6(line)
+
+
 def test_autodetect_rejects_trailing_graph6_bytes():
     with pytest.raises(ValueError, match="need exactly"):
         autodetect("Bw??\n")
@@ -169,3 +182,51 @@ def test_graph6_decoder_matches_the_bit_list_oracle_on_random_bodies():
 )
 def test_graph6_decoder_matches_the_bit_list_oracle_on_odd_lines(line):
     assert _outcome(from_graph6, line) == _outcome(_from_graph6_by_bit_list, line)
+
+
+def _to_graph6_by_pair_loop(g: Graph) -> str:
+    """The former encoder, kept as an oracle: it walks every vertex pair."""
+    from sparse2dc.io import _g6_encode_n
+
+    bits: list[int] = []
+    for v in range(g.n):
+        adj = set(g.adjacency[v])
+        for u in range(v):
+            bits.append(1 if u in adj else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    out = bytearray(_g6_encode_n(g.n))
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        out.append(val + 63)
+    return out.decode("ascii")
+
+
+def _fixture_graphs():
+    """Every graph ``fixture_graphs`` makes, each function at every argument."""
+    for case in ("two-path", "three-path", "deg-three"):
+        yield fx.weird_seven_local(case)
+    for k in range(7):
+        yield fx.sponsor_all_bad_local(k)
+    for l in range(5):
+        yield fx.sponsor_all_bad_same_far(l)
+    for make in vars(fx).values():
+        if inspect.isfunction(make) and make.__module__ == fx.__name__:
+            params = inspect.signature(make).parameters.values()
+            if all(p.default is not p.empty for p in params):
+                yield make()
+
+
+def test_graph6_encoder_matches_the_pair_loop_oracle():
+    rng = random.Random(8)
+    graphs = [
+        random_graph(rng, rng.randint(0, 200), p)
+        for p in (0.0, 0.01, 0.05, 0.3, 0.7, 1.0)
+        for _ in range(6)
+    ]
+    fixtures = list(_fixture_graphs())
+    assert len(fixtures) == 31
+    for g in graphs + fixtures:
+        assert to_graph6(g) == _to_graph6_by_pair_loop(g)

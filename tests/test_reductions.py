@@ -3,18 +3,23 @@
 import hashlib
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
 import fixture_graphs as fx
-from sparse2dc.coloring import color_2distance, is_valid_2distance
+from sparse2dc.coloring import Coloring, color_2distance, is_valid_2distance
 from sparse2dc.families import cycle, petersen, spider, star
 from sparse2dc.graph import Graph, remove_vertices, subdivide
-from sparse2dc.potential import DENSITY_BOUND, mad_exact, rho_star
+from sparse2dc.potential import DENSITY_BOUND, mad_bruteforce, mad_exact, rho_star
 from sparse2dc.reductions import (
     BASE_THRESHOLD,
+    ExtensionError,
     ForestOfStarsError,
     _RunIndex,
+    _WorkGraph,
+    _dense,
     _detect_seven_seven,
     _detect_sponsor_all_bad,
     _detect_sponsor_many_bridges,
@@ -22,6 +27,7 @@ from sparse2dc.reductions import (
     _detect_weird_seven,
     _detect_weird_six,
     _edge_removal,
+    _local_violation,
     _surgery,
     apply_reduction,
     classify_vertices,
@@ -50,6 +56,14 @@ def run_pipeline(g, cfg, budget=10_000_000):
 
 def detect_with(g, detector):
     return detector(g, _RunIndex(g))
+
+
+def surgery(g, dropped, paths, tag, detail):
+    """``_surgery`` on a working copy of ``g``, in the form
+    ``apply_reduction`` returns for a ``Graph``."""
+    wg = _WorkGraph(g)
+    wg.begin()
+    return _dense(_surgery(wg, dropped, paths, tag, detail))
 
 
 class TestDispatchKinds:
@@ -169,7 +183,7 @@ class TestLocalKinds:
         for q1, q2, _ in qtr:
             dropped.update((q1, q2))
         detail = {"u": u, "v": v, "p": p, "q": tuple(qtr)}
-        red = _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
+        red = surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
         ch = color_2distance(red.graph, 8, budget=10_000_000)
         phi = extend_coloring(g, cfg, red, ch)
         assert is_valid_2distance(g, phi)[0]
@@ -232,7 +246,7 @@ class TestLocalKinds:
             "u": u, "v": v, "p": p, "q": tuple(qtr), "w": tuple(wtr),
             "i": 0, "ip": 1, "j": 0,
         }
-        red = _surgery(
+        red = surgery(
             g,
             dropped,
             [(v, qtr[1][2], 2), (qtr[0][2], wtr[0][0], 0)],
@@ -267,7 +281,7 @@ class TestLocalKinds:
             "u": u, "v": v, "x": x, "p": p,
             "q": tuple(qtr), "w": tuple(wtr), "z": x,
         }
-        red = _surgery(g, dropped, [(v, x, 0)], "sponsor-smallx-b", detail)
+        red = surgery(g, dropped, [(v, x, 0)], "sponsor-smallx-b", detail)
         ch = color_2distance(red.graph, 8, budget=10_000_000)
         phi = extend_coloring(g, cfg, red, ch)
         assert is_valid_2distance(g, phi)[0]
@@ -500,6 +514,83 @@ class TestDetectorKnockouts:
             assert red.graph.n + red.graph.m < g.n + g.m
 
 
+class TestLocalCheck:
+    """Inside the solver each extension step checks only the closed
+    neighbourhoods of T ∪ N(T), where T is what the step colored, removed
+    or cut; the public ``extend_coloring`` still checks the whole graph."""
+
+    def test_agrees_with_the_whole_graph_check(self):
+        # phi is valid on g minus the removed vertices and cut edges, and T
+        # (those vertices, the cut edges' ends, a few recolored vertices)
+        # gets random colors
+        rng = random.Random(41)
+        verdicts = Counter()
+        for _ in range(400):
+            g = random_sparse_graph(rng, rng.randint(2, 14), extra=rng.randint(0, 6))
+            removed = set(rng.sample(range(g.n), rng.randint(0, 2)))
+            kept = [e for e in g.edges() if not removed & set(e)]
+            cut = rng.sample(kept, rng.randint(0, min(2, len(kept))))
+            h = Graph(g.n, [e for e in kept if e not in cut])
+            phi = Coloring(g.n + 4, color_2distance(h, g.n).colors)
+            t = removed | set(rng.sample(range(g.n), rng.randint(0, 2)))
+            t.update(x for e in cut for x in e)
+            for v in t:
+                phi.set(v, rng.randint(1, g.n + 4))
+            local = _local_violation(g, phi, t) is None
+            assert local == is_valid_2distance(g, phi)[0]
+            verdicts[local] += 1
+        assert min(verdicts.values()) >= 100
+
+    def test_a_clash_in_the_chain_names_its_step(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        recipe = module._EXTENDERS["greedy"]
+
+        def clashing(g, red, phi):
+            recipe(g, red, phi)
+            v = red.detail["order"][-1]
+            phi.set(v, phi.get(g.adjacency[v][0]))
+
+        monkeypatch.setitem(module._EXTENDERS, "greedy", clashing)
+        with pytest.raises(ExtensionError) as info:
+            constructive_color(fx.four_plus_path(), verify_preconditions=False)
+        assert info.value.tag == "greedy"
+        assert info.value.state == {"stage": "local-validation"}
+
+    def test_public_extension_checks_the_whole_graph(self):
+        g = fx.four_plus_path()
+        cfg = detect_configuration(g)
+        red = apply_reduction(g, cfg)
+        assert red.recorded["removed_edges"] == ((9, 10),)
+        ch = color_2distance(red.graph, 8)
+        ch.set(5, ch.get(6))  # a K4 edge at distance 4 from the cut edge
+        with pytest.raises(ExtensionError) as info:
+            extend_coloring(g, cfg, red, ch)
+        assert info.value.vertex == (5, 6, 1)
+        assert info.value.state == {"stage": "final-validation"}
+
+
+class TestPrecondition:
+    def test_density_verdict_matches_the_bruteforce_mad(self):
+        # the solver refuses exactly the graphs with mad > 18/7, with the
+        # witness mad_exact gives
+        rng = random.Random(1812)
+        verdicts = Counter()
+        while min(verdicts[True], verdicts[False]) < 25:
+            g = random_sparse_graph(rng, rng.randint(2, 14), extra=rng.randint(0, 12))
+            if g.max_degree() > 7:
+                continue
+            dense = mad_bruteforce(g) > DENSITY_BOUND
+            if dense:
+                value, witness = mad_exact(g)
+                message = f"density {value} exceeds 18/7 (witness {sorted(witness)})"
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    constructive_color(g)
+            else:
+                assert is_valid_2distance(g, constructive_color(g))[0]
+            verdicts[dense] += 1
+
+
 class TestDegenerateInputs:
     def test_empty_graph(self):
         g = Graph(0, [])
@@ -726,15 +817,24 @@ def fold_degree_one(steps):
 
 def record_steps(monkeypatch):
     """Wrap ``apply_reduction`` so each reduction appends its
-    ``[kind, tag, recorded]`` to the returned list."""
+    ``[kind, tag, recorded]`` to the returned list.  The solver's working
+    graph keeps stable ids, so each id of a removed edge is recorded as its
+    rank among the live ids before the step: the id a graph renumbered
+    after every step would give it."""
     from sparse2dc import reductions as module
 
     steps: list = []
     original = module.apply_reduction
 
     def recording(g, cfg, *args, **kwargs):
+        rank = {v: i for i, v in enumerate(g.vertices())}
         red = original(g, cfg, *args, **kwargs)
-        steps.append([cfg.kind, red.tag, red.recorded])
+        recorded = dict(red.recorded)
+        if "removed_edges" in recorded:
+            recorded["removed_edges"] = tuple(
+                (rank[u], rank[v]) for u, v in recorded["removed_edges"]
+            )
+        steps.append([cfg.kind, red.tag, recorded])
         return red
 
     monkeypatch.setattr(module, "apply_reduction", recording)

@@ -267,6 +267,14 @@ class TestCli:
         assert cli.main(["mad", "--input", str(path)]) == 2
         assert "need exactly 1" in capsys.readouterr().err
 
+    def test_graph6_size_header_byte_out_of_range_exit_2(self, capsys, tmp_path):
+        from sparse2dc import cli
+
+        path = tmp_path / "bad.g6"
+        path.write_text("0" + "?" * 20 + "\n")
+        assert cli.main(["mad", "--input", str(path)]) == 2
+        assert "invalid graph6 byte" in capsys.readouterr().err
+
     def test_hunt_budget_zero_runs_no_instance(self, capsys):
         from sparse2dc import cli
 
