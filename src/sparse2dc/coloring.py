@@ -1,4 +1,5 @@
-"""2-distance colorings: validity, exact chromatic search, Hall checks.
+"""2-distance colorings: validity, exact chromatic search, Hall checks, and
+the cycle and list colorings and local check the reduction chain uses.
 
 Colors are integers ``1..k``.  A total coloring is valid when no two
 vertices at distance at most 2 share a color, i.e. when it properly colors
@@ -77,6 +78,102 @@ def is_valid_2distance(g: Graph, c: Coloring):
                 if not g.has_edge(a, b) and c.get(a) == c.get(b):
                     return False, ((a, b, 2) if a < b else (b, a, 2))
     return True, None
+
+
+def cycle_pattern(n: int) -> list[int]:
+    """A valid distance-2 coloring of the n-cycle in cyclic vertex order."""
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    if n % 3 == 0:
+        return [1, 2, 3] * (n // 3)
+    if n == 4:
+        return [1, 2, 3, 4]
+    if n == 5:
+        return [1, 2, 3, 4, 5]
+    k = n // 3
+    tail = [1, 2, 3, 4] if n % 3 == 1 else [1, 2, 3, 4, 5]
+    return [1, 2, 3] * (k - 1) + tail
+
+
+def _list_color_cycle(lists: list[list[int]]) -> list[int] | None:
+    """Proper coloring of a cycle from per-vertex lists, or None.
+
+    Always succeeds on even cycles whose lists all have size >= 2.
+    """
+    m = len(lists)
+    for c0 in lists[0]:
+        reach: list[set[int]] = [set() for _ in range(m)]
+        reach[0] = {c0}
+        for i in range(1, m):
+            allowed = set(lists[i])
+            if i == m - 1:
+                allowed.discard(c0)
+            prev = reach[i - 1]
+            if not prev:
+                break
+            # a color is reachable unless the sole predecessor equals it
+            reach[i] = allowed - {next(iter(prev))} if len(prev) == 1 else allowed
+        if m >= 2 and not reach[m - 1]:
+            continue
+        out: list[int | None] = [None] * m
+        out[0] = c0
+        out[m - 1] = min(reach[m - 1])
+        feasible = True
+        for i in range(m - 2, 0, -1):
+            options = [c for c in reach[i] if c != out[i + 1]]
+            if not options:
+                feasible = False
+                break
+            out[i] = min(options)
+        if feasible:
+            return out  # type: ignore[return-value]
+    return None
+
+
+class _Tracked(Coloring):
+    """The solver's coloring, which also collects the vertices set or
+    unset on it: the vertices an extension step colored."""
+
+    __slots__ = ("touched",)
+
+    def __init__(self, k: int, colors: dict[int, int] | None = None):
+        super().__init__(k, colors)
+        self.touched: set[int] = set()
+
+    def set(self, v: int, c: int) -> None:
+        super().set(v, c)
+        self.touched.add(v)
+
+    def unset(self, v: int) -> None:
+        super().unset(v)
+        self.touched.add(v)
+
+
+def _local_violation(g, phi: Coloring, t) -> tuple[int, int, int] | None:
+    """A pair at distance at most 2 in ``g`` that shares a color, found in
+    the closed neighbourhood N[x] of some x in T or next to T, as (u, v, dist).
+
+    Let T hold the vertices a step colored, its removed vertices and both
+    ends of each removed edge.  When ``phi`` was valid on the reduced
+    graph, this finds every clash: a pair at distance at most 2 with no
+    end in T meets through a removed vertex or edge, so through a vertex
+    of T; a pair with an end in T lies in N[x] for that end or for the
+    vertex between them.
+    """
+    around = set(t)
+    for v in t:
+        around.update(g.adjacency[v])
+    for x in sorted(around):
+        first: dict[int, int] = {}
+        for y in (x, *g.adjacency[x]):
+            c = phi.get(y)
+            if c is None:
+                raise ValueError(f"coloring is partial (vertex {y} unassigned)")
+            if c in first:
+                u, v = sorted((first[c], y))
+                return u, v, 1 if g.has_edge(u, v) else 2
+            first[c] = y
+    return None
 
 
 def seen_colors(g: Graph, c: Coloring, v: int) -> dict[int, int]:

@@ -240,37 +240,37 @@ def degree_two_runs(g: Graph) -> tuple[list[PathDescriptor], list[list[int]]]:
         for w in g.adjacency[u]:
             if g.degree(w) != 2 or used[w]:
                 continue
-            internal = [w]
-            used[w] = True
-            prev, cur = u, w
-            while True:
-                a, b = g.adjacency[cur]
-                nxt = b if a == prev else a
-                if g.degree(nxt) != 2:
-                    runs.append(_canonical_run(u, nxt, internal))
-                    break
-                if used[nxt]:
-                    # Only possible by re-entering this same run's start
-                    # from the far side of a closed walk; cannot happen for
-                    # simple graphs, guard anyway.
-                    raise AssertionError("run walk revisited a vertex")
-                internal.append(nxt)
-                used[nxt] = True
-                prev, cur = cur, nxt
+            internal, v = _walk_run(g, u, w)
+            for x in internal:
+                used[x] = True
+            runs.append(_canonical_run(u, v, internal))
     cycles: list[list[int]] = []
     for s in g.vertices():
         if g.degree(s) != 2 or used[s]:
             continue
-        cyc = [s]
-        used[s] = True
-        prev, cur = s, g.adjacency[s][0]
-        while cur != s:
-            cyc.append(cur)
-            used[cur] = True
-            a, b = g.adjacency[cur]
-            prev, cur = cur, (b if a == prev else a)
+        cyc, _ = _walk_run(g, g.adjacency[s][1], s)
+        for x in cyc:
+            used[x] = True
         cycles.append(cyc)
     return runs, cycles
+
+
+def _walk_run(g: Graph, u: int, w: int) -> tuple[list[int], int]:
+    """Walk from ``u`` into its neighbor ``w``, a 2-vertex, along 2-vertices.
+
+    Returns the 2-vertices passed, in order, and where the walk stopped:
+    the first vertex whose degree is not 2, or ``w`` again when the walk
+    went round a cycle of 2-vertices.
+    """
+    internal = [w]
+    prev, cur = u, w
+    while True:
+        a, b = g.adjacency[cur]
+        nxt = b if a == prev else a
+        if nxt == w or g.degree(nxt) != 2:
+            return internal, nxt
+        internal.append(nxt)
+        prev, cur = cur, nxt
 
 
 def _canonical_run(u: int, v: int, internal: list[int]) -> PathDescriptor:
@@ -310,25 +310,14 @@ def vertex_signature(g: Graph, v: int) -> VertexSignature:
         if g.degree(w) != 2:
             exact.append(0)
             continue
-        count = 1
-        prev, cur = v, w
-        looped = False
-        while True:
-            a, b = g.adjacency[cur]
-            nxt = b if a == prev else a
-            if nxt == v:
-                looped = True
-                break
-            if g.degree(nxt) != 2:
-                break
-            count += 1
-            prev, cur = cur, nxt
-        if looped:
+        internal, end = _walk_run(g, v, w)
+        # back at v: a loop (a 2-vertex v on a cycle is passed, up to w)
+        if end in (v, w):
             exact.append(-1)
             truncated = True
         else:
-            exact.append(count)
-            if count > RUN_CAP:
+            exact.append(len(internal))
+            if len(internal) > RUN_CAP:
                 truncated = True
     entries = tuple(
         sorted((min(e, RUN_CAP) if e >= 0 else RUN_CAP for e in exact), reverse=True)

@@ -22,14 +22,20 @@ from typing import Callable, NamedTuple
 
 from .coloring import (
     Coloring,
+    _list_color_cycle,
+    _local_violation,
+    _Tracked,
     available_colors,
     color_2distance,
+    cycle_pattern,
     is_valid_2distance,
     seen_colors,
 )
 from .graph import (
     Graph,
     PathDescriptor,
+    _canonical_run,
+    _walk_run,
     connected_components,
     d_star,
     degree_two_runs,
@@ -116,17 +122,20 @@ class _WorkGraph:
     ``n`` bounds the ids (the graph functions size arrays and range-check
     by it), while ``size`` counts what is live.  Each step opens an undo
     record with ``begin``; an edit saves the touched vertices' adjacency
-    there first, and ``undo`` restores the graph the step started from.
+    there first and marks them ``dirty`` for the run index, and ``undo``
+    restores the graph the step started from.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_ids", "_log")
+    __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index")
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.m = g.m
         self.adjacency: list[tuple[int, ...]] = list(g.adjacency)
+        self.dirty: set[int] = set()
         self._ids = list(range(g.n))  # the live ids, ascending
         self._log: list[tuple] = []
+        self._index: _RunIndex | None = None
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -145,12 +154,21 @@ class _WorkGraph:
         """Live vertices plus edges, the measure every step shrinks."""
         return len(self._ids) + self.m
 
+    def run_index(self) -> _RunIndex:
+        """The chain's run index, caught up with the edits since its last read."""
+        if self._index is None:
+            self.dirty.clear()
+            self._index = _RunIndex(self)
+        self._index.sync()
+        return self._index
+
     def begin(self) -> None:
         self._log.append((self.n, self.m, {}, []))
 
     def _set(self, v: int, adj: tuple[int, ...]) -> None:
         self._log[-1][2].setdefault(v, self.adjacency[v])
         self.adjacency[v] = adj
+        self.dirty.add(v)
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
@@ -181,6 +199,7 @@ class _WorkGraph:
         return fresh
 
     def undo(self) -> None:
+        """Restore the graph before the last step, and drop the run index."""
         n, m, saved, gone = self._log.pop()
         for v, adj in saved.items():
             self.adjacency[v] = adj
@@ -189,42 +208,128 @@ class _WorkGraph:
         for v in gone:
             insort(self._ids, v)
         self.n, self.m = n, m
+        self._index = None
 
 
 # ---------------------------------------------------------------------------
 # run bookkeeping
 
+#: The worklists, one per structural run detector, that runs of each
+#: length feed (4 stands for 4 or more).
+_WORKLISTS = {
+    2: ("TwoPathBadEnds", "TwoPathChord"), 3: ("ThreePathBadEnd",), 4: ("FourPlusPath",)
+}
+
 
 class _RunIndex:
-    """Degree-2 runs of a graph, addressable by (anchor, first internal)."""
+    """Degree-2 runs of a graph, addressable by (anchor, first internal).
+
+    On the working graph one index lives through the chain: ``sync`` walks
+    again, once each, the runs through or at the vertices edited since the
+    last step.  The structural detectors read lazily checked heaps:
+    ``pendants`` (the degree-1 vertices, shared with the DegreeOne batch)
+    and a worklist of runs per run detector, least (endpoints, internal)
+    first.  A run is pushed whenever it is walked, so a detector may drop a
+    run it does not fire on until an edit at the run or an anchor walks it
+    again.  ``runs``, ``cycles``, ``runs3``, ``three_adj`` and ``ds`` scan
+    the whole graph on first read in a step, for the later detectors.
+    """
 
     def __init__(self, g: Graph):
         self.g = g
-        self.runs, self.cycles = degree_two_runs(g)
+        # (anchor, first internal) -> (internals away from it, far anchor)
         self.from_edge: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        for r in self.runs:
-            u, v = r.endpoints
-            ints = r.internal
-            self.from_edge[(u, ints[0])] = (ints, v)
-            self.from_edge[(v, ints[-1])] = (tuple(reversed(ints)), u)
-        # the multigraph of the open 3-runs on their anchors:
-        # anchor -> [(other anchor, index into runs3)]
-        self.runs3 = [r for r in self.runs if r.length == 3 and not r.closed]
-        self.three_adj: dict[int, list[tuple[int, int]]] = {}
-        for i, r in enumerate(self.runs3):
-            u, v = r.endpoints
-            self.three_adj.setdefault(u, []).append((v, i))
-            self.three_adj.setdefault(v, []).append((u, i))
+        self.run_of: dict[int, PathDescriptor] = {}  # internal vertex -> run
+        self.pendants: list[int] = []
+        self.worklists = {name: [] for names in _WORKLISTS.values() for name in names}
+        self._walk(g.vertices())
 
-    def oriented(self, anchor: int, first: int) -> tuple[tuple[int, ...], int]:
-        """Internals ordered away from ``anchor``, plus the far endpoint."""
-        return self.from_edge[(anchor, first)]
+    def sync(self) -> None:
+        """Catch up with the working graph's edits since the last sync."""
+        g, dirty = self.g, self.g.dirty
+        if not dirty:
+            return
+        g.dirty = set()
+        for name in ("_whole", "ds"):
+            self.__dict__.pop(name, None)
+        # drop the runs through or at edited vertices (an edited anchor has
+        # the run's first internal next to it, or that was edited too); any
+        # run now through or at none of them is unchanged, so still indexed
+        for x in dirty:
+            for y in (x, *g.adjacency[x]):
+                r = self.run_of.get(y)
+                if r is not None:
+                    (u, v), ints = r.endpoints, r.internal
+                    del self.from_edge[(u, ints[0])], self.from_edge[(v, ints[-1])]
+                    for z in ints:
+                        del self.run_of[z]
+        self._walk(dirty)
+
+    def _walk(self, seeds) -> None:
+        """Index every run through or at a seed that is not indexed yet."""
+        g = self.g
+        around_cycle: set[int] = set()
+        for x in seeds:
+            if g.degree(x) != 2:
+                starts = g.adjacency[x]
+                if len(starts) == 1:
+                    heapq.heappush(self.pendants, x)
+            elif x in self.run_of or x in around_cycle:
+                continue
+            else:  # walk to an anchor of x's run and start from there
+                ints, x = _walk_run(g, g.adjacency[x][0], x)
+                if g.degree(x) == 2:  # back at x: a cycle of 2-vertices
+                    around_cycle.update(ints)
+                    continue
+                starts = (ints[-1],)
+            for w in starts:
+                if g.degree(w) == 2 and (x, w) not in self.from_edge:
+                    self._add(x, *_walk_run(g, x, w))
+
+    def _add(self, u: int, internal: list[int], v: int) -> None:
+        ints = tuple(internal)
+        self.from_edge[(u, ints[0])] = (ints, v)
+        self.from_edge[(v, ints[-1])] = (ints[::-1], u)
+        r = _canonical_run(u, v, internal)
+        for x in ints:
+            self.run_of[x] = r
+        for name in _WORKLISTS.get(min(len(ints), 4), ()):
+            heapq.heappush(self.worklists[name], (r.endpoints, r.internal))
+
+    def pendant(self) -> int | None:
+        """The smallest degree-1 vertex, or None."""
+        heap = self.pendants
+        while heap and self.g.degree(heap[0]) != 1:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def worklist(self, name: str):
+        """The named worklist's current runs, smallest first; each run the
+        caller passes over is dropped."""
+        heap = self.worklists[name]
+        while heap:
+            r = self.run_of.get(heap[0][1][0])
+            if r is not None and (r.endpoints, r.internal) == heap[0]:
+                yield r
+            heapq.heappop(heap)
 
     @cached_property
-    def sorted_runs(self) -> list[PathDescriptor]:
-        """The runs by (endpoints, internals), the order the run detectors
-        scan; ``runs`` keeps its own order, which ``three_adj`` indexes."""
-        return sorted(self.runs, key=lambda r: (r.endpoints, r.internal))
+    def _whole(self):
+        runs, cycles = degree_two_runs(self.g)
+        # the multigraph of the open 3-runs on their anchors:
+        # anchor -> [(other anchor, index into runs3)]
+        runs3 = [r for r in runs if r.length == 3 and not r.closed]
+        three_adj: dict[int, list[tuple[int, int]]] = {}
+        for i, r in enumerate(runs3):
+            u, v = r.endpoints
+            three_adj.setdefault(u, []).append((v, i))
+            three_adj.setdefault(v, []).append((u, i))
+        return runs, cycles, runs3, three_adj
+
+    runs = property(lambda self: self._whole[0])
+    cycles = property(lambda self: self._whole[1])
+    runs3 = property(lambda self: self._whole[2])
+    three_adj = property(lambda self: self._whole[3])
 
     @cached_property
     def ds(self) -> dict[int, int]:
@@ -237,7 +342,7 @@ def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
     out = []
     for w in g.adjacency[u]:
         if g.degree(w) == 2:
-            ints, far = idx.oriented(u, w)
+            ints, far = idx.from_edge[(u, w)]
             out.append((w, ints, far))
         else:
             out.append((w, None, w))
@@ -249,24 +354,21 @@ def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
 
 
 def _detect_degree_one(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for v in g.vertices():
-        if g.degree(v) == 1:
-            return Configuration("DegreeOne", {"v": v, "u": g.adjacency[v][0]})
-    return None
+    v = idx.pendant()
+    if v is None:
+        return None
+    return Configuration("DegreeOne", {"v": v, "u": g.adjacency[v][0]})
 
 
 def _detect_four_plus_path(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.sorted_runs:
-        if r.length >= 4:
-            chain = (r.endpoints[0], *r.internal, r.endpoints[1])
-            return Configuration("FourPlusPath", {"chain": chain[:6], "run": r})
+    for r in idx.worklist("FourPlusPath"):
+        chain = (r.endpoints[0], *r.internal, r.endpoints[1])
+        return Configuration("FourPlusPath", {"chain": chain[:6], "run": r})
     return None
 
 
 def _detect_three_path_bad_end(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.sorted_runs:
-        if r.length != 3:
-            continue
+    for r in idx.worklist("ThreePathBadEnd"):
         u, v = r.endpoints
         if r.closed:
             return Configuration("ThreePathBadEnd", {"case": "closed", "run": r})
@@ -279,9 +381,7 @@ def _detect_three_path_bad_end(g: Graph, idx: _RunIndex) -> Configuration | None
 
 
 def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.sorted_runs:
-        if r.length != 2:
-            continue
+    for r in idx.worklist("TwoPathBadEnds"):
         u, v = r.endpoints
         if r.closed:
             return Configuration("TwoPathBadEnds", {"case": "closed", "run": r})
@@ -295,11 +395,9 @@ def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex) -> Configuration | None:
 
 
 def _detect_two_path_chord(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.sorted_runs:
-        if r.length != 2 or r.closed:
-            continue
+    for r in idx.worklist("TwoPathChord"):
         u, v = r.endpoints
-        if not g.has_edge(u, v):
+        if r.closed or not g.has_edge(u, v):
             continue
         for hi, lo in ((u, v), (v, u)):
             if g.degree(hi) == 7 and g.degree(lo) <= 6:
@@ -646,7 +744,7 @@ def _detect_sponsor_small_x(g: Graph, idx: _RunIndex) -> Configuration | None:
 def detect_configuration(g: Graph) -> Configuration | None:
     """First firing configuration in dispatch order (that of ``KINDS``),
     or None."""
-    idx = _RunIndex(g)
+    idx = g.run_index() if isinstance(g, _WorkGraph) else _RunIndex(g)
     for kind in _REGISTRY:
         cfg = kind.detect(g, idx)
         if cfg is not None:
@@ -722,18 +820,16 @@ def _apply_degree_one(g, cfg):
     and every other vertex within distance 2 of it is colored alike.
     """
     v, u = cfg.data["v"], cfg.data["u"]
-    pendants = [x for x in g.vertices() if g.degree(x) == 1]  # sorted: a heap
+    idx = g.run_index()
     dropped = []
     while True:
         g.remove_edge(v, u)
         dropped.append((v, u))
         if g.degree(u) == 1:
-            heapq.heappush(pendants, u)
-        while pendants and g.degree(pendants[0]) != 1:
-            heapq.heappop(pendants)
-        if not pendants or g.size() <= BASE_THRESHOLD:
+            heapq.heappush(idx.pendants, u)
+        v = idx.pendant()
+        if v is None or g.size() <= BASE_THRESHOLD:
             break
-        v = heapq.heappop(pendants)
         u = g.adjacency[v][0]
     recorded = {"removed_edges": tuple(dropped)}
     order = tuple(v for v, _ in reversed(dropped))
@@ -1136,41 +1232,6 @@ def _extend_greedy(g, red, phi):
     _greedy_seq(g, phi, order, red.tag)
 
 
-def _list_color_cycle(lists: list[list[int]]) -> list[int] | None:
-    """Proper coloring of a cycle from per-vertex lists, or None.
-
-    Always succeeds on even cycles whose lists all have size >= 2.
-    """
-    m = len(lists)
-    for c0 in lists[0]:
-        reach: list[set[int]] = [set() for _ in range(m)]
-        reach[0] = {c0}
-        for i in range(1, m):
-            allowed = set(lists[i])
-            if i == m - 1:
-                allowed.discard(c0)
-            prev = reach[i - 1]
-            if not prev:
-                break
-            # a color is reachable unless the sole predecessor equals it
-            reach[i] = allowed - {next(iter(prev))} if len(prev) == 1 else allowed
-        if m >= 2 and not reach[m - 1]:
-            continue
-        out: list[int | None] = [None] * m
-        out[0] = c0
-        out[m - 1] = min(reach[m - 1])
-        feasible = True
-        for i in range(m - 2, 0, -1):
-            options = [c for c in reach[i] if c != out[i + 1]]
-            if not options:
-                feasible = False
-                break
-            out[i] = min(options)
-        if feasible:
-            return out  # type: ignore[return-value]
-    return None
-
-
 def _extend_cycle_threepaths(g, red, phi):
     triples = red.detail["triples"]
     ring: list[int] = []
@@ -1439,52 +1500,6 @@ _EXTENDERS: dict[str, Callable] = {
 }
 
 
-class _Tracked(Coloring):
-    """The solver's coloring, which also collects the vertices set or
-    unset on it: the vertices an extension step colored."""
-
-    __slots__ = ("touched",)
-
-    def __init__(self, k: int, colors: dict[int, int] | None = None):
-        super().__init__(k, colors)
-        self.touched: set[int] = set()
-
-    def set(self, v: int, c: int) -> None:
-        super().set(v, c)
-        self.touched.add(v)
-
-    def unset(self, v: int) -> None:
-        super().unset(v)
-        self.touched.add(v)
-
-
-def _local_violation(g, phi: Coloring, t) -> tuple[int, int, int] | None:
-    """A pair at distance at most 2 in ``g`` that shares a color, found in
-    the closed neighbourhood N[x] of some x in T or next to T, as (u, v, dist).
-
-    Let T hold the vertices a step colored, its removed vertices and both
-    ends of each removed edge.  When ``phi`` was valid on the reduced
-    graph, this finds every clash: a pair at distance at most 2 with no
-    end in T meets through a removed vertex or edge, so through a vertex
-    of T; a pair with an end in T lies in N[x] for that end or for the
-    vertex between them.
-    """
-    around = set(t)
-    for v in t:
-        around.update(g.adjacency[v])
-    for x in sorted(around):
-        first: dict[int, int] = {}
-        for y in (x, *g.adjacency[x]):
-            c = phi.get(y)
-            if c is None:
-                raise ValueError(f"coloring is partial (vertex {y} unassigned)")
-            if c in first:
-                u, v = sorted((first[c], y))
-                return u, v, 1 if g.has_edge(u, v) else 2
-            first[c] = y
-    return None
-
-
 def extend_coloring(g: Graph, cfg: Configuration, red: Reduction, ch: Coloring) -> Coloring:
     """Lift a total coloring of the reduced graph back onto ``g``.
 
@@ -1614,21 +1629,6 @@ def classify_vertices(g: Graph) -> VertexClasses:
 
 # ---------------------------------------------------------------------------
 # the constructive solver
-
-
-def cycle_pattern(n: int) -> list[int]:
-    """A valid distance-2 coloring of the n-cycle in cyclic vertex order."""
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    if n % 3 == 0:
-        return [1, 2, 3] * (n // 3)
-    if n == 4:
-        return [1, 2, 3, 4]
-    if n == 5:
-        return [1, 2, 3, 4, 5]
-    k = n // 3
-    tail = [1, 2, 3, 4] if n % 3 == 1 else [1, 2, 3, 4, 5]
-    return [1, 2, 3] * (k - 1) + tail
 
 
 def _base_color(g: Graph) -> Coloring:

@@ -29,7 +29,7 @@ from .families import (
 )
 from .graph import INFINITE_GIRTH, Graph, check_girth_mad_bound, girth, subdivide
 from .io import to_graph6
-from .potential import DENSITY_BOUND, mad_exact
+from .potential import DENSITY_BOUND, mad_exact, rho_star
 from .reductions import ForestOfStarsError, constructive_color, detect_configuration
 
 
@@ -127,8 +127,10 @@ def random_capped_instance(
         g = subdivide(skeleton, t)
         if g.max_degree() != hub_degree:
             continue
-        value, _ = mad_exact(g)
-        if value > DENSITY_BOUND or (strict and value == DENSITY_BOUND):
+        if strict:
+            if mad_exact(g)[0] >= DENSITY_BOUND:
+                continue
+        elif g.m and rho_star(g, ()).value < 0:  # mad > 18/7
             continue
         provenance = {
             "generator": "subdivided-skeleton",
@@ -161,8 +163,7 @@ def random_hub_instance(rng: random.Random, retries: int = 40) -> tuple[Graph, d
             continue
         if g.max_degree() != 7:
             continue
-        value, _ = mad_exact(g)
-        if value > DENSITY_BOUND:
+        if g.m and rho_star(g, ()).value < 0:  # mad > 18/7
             continue
         return g, {"generator": "hub-network", "hubs": hubs, "attempt": attempt}
     raise GenerationError("hub-network generator exhausted its retries")
@@ -368,8 +369,7 @@ def hunt(
         except GenerationError:
             continue
         report.instances += 1
-        value, _ = mad_exact(g)
-        if value > DENSITY_BOUND or g.max_degree() > 7:
+        if g.max_degree() > 7 or (g.m and rho_star(g, ()).value < 0):
             continue
         pure_cycle = g.n and all(g.degree(v) == 2 for v in g.vertices())
         if g.min_degree() >= 2 and not pure_cycle and g.max_degree() == 7:
@@ -396,7 +396,7 @@ def hunt(
             if ledger is not None:
                 if ledger.total_final() != 28 * g.m - 36 * g.n:
                     _record_finding(report, g, "conservation", "total drifted")
-                if value <= DENSITY_BOUND and ledger.total_final() > 0:
+                if ledger.total_final() > 0:
                     _record_finding(report, g, "conservation", "positive total")
     if findings_dir is not None and report.findings:
         path = Path(findings_dir)

@@ -11,10 +11,11 @@ import pytest
 import fixture_graphs as fx
 from sparse2dc.coloring import Coloring, color_2distance, is_valid_2distance
 from sparse2dc.families import cycle, petersen, spider, star
-from sparse2dc.graph import Graph, remove_vertices, subdivide
+from sparse2dc.graph import Graph, degree_two_runs, remove_vertices, subdivide
 from sparse2dc.potential import DENSITY_BOUND, mad_bruteforce, mad_exact, rho_star
 from sparse2dc.reductions import (
     BASE_THRESHOLD,
+    Configuration,
     ExtensionError,
     ForestOfStarsError,
     _RunIndex,
@@ -982,3 +983,275 @@ class TestBatchedPeeling:
         red = apply_reduction(tree, cfg)
         assert red.graph.n + red.graph.m == BASE_THRESHOLD == 24
         assert len(red.recorded["removed_edges"]) == 15
+
+
+def capped_skeleton(rng, size):
+    """A 2-subdivided skeleton built in O(size): a random tree with every
+    degree at most 3, vertex 0 topped up to degree 7, and its leaves
+    paired by extra edges."""
+    degree = [0] * size
+    edges = set()
+
+    def join(u, v):
+        edges.add((min(u, v), max(u, v)))
+        degree[u] += 1
+        degree[v] += 1
+
+    open_ = [0]  # the vertices a new vertex may hang from
+    for v in range(1, size):
+        i = rng.randrange(len(open_))
+        u = open_[i]
+        join(u, v)
+        if degree[u] == 3:
+            open_[i] = open_[-1]
+            open_.pop()
+        open_.append(v)
+    for v in rng.sample(range(1, size), size - 1):
+        if degree[0] == 7:
+            break
+        if degree[v] < 3 and (0, v) not in edges:
+            join(0, v)
+    leaves = [v for v in range(size) if degree[v] == 1]
+    for a, b in zip(leaves[::2], leaves[1::2]):
+        if (min(a, b), max(a, b)) not in edges:
+            join(a, b)
+    return subdivide(Graph(size, edges), 2)
+
+
+def scan_degree_one(g, runs):
+    for v in g.vertices():
+        if g.degree(v) == 1:
+            return Configuration("DegreeOne", {"v": v, "u": g.adjacency[v][0]})
+    return None
+
+
+def scan_four_plus_path(g, runs):
+    for r in runs:
+        if r.length >= 4:
+            chain = (r.endpoints[0], *r.internal, r.endpoints[1])
+            return Configuration("FourPlusPath", {"chain": chain[:6], "run": r})
+    return None
+
+
+def scan_three_path_bad_end(g, runs):
+    for r in runs:
+        if r.length != 3:
+            continue
+        u, v = r.endpoints
+        if r.closed:
+            return Configuration("ThreePathBadEnd", {"case": "closed", "run": r})
+        if g.degree(u) < 7 or g.degree(v) < 7:
+            low = min((g.degree(u), u), (g.degree(v), v))[1]
+            return Configuration(
+                "ThreePathBadEnd", {"case": "low-end", "run": r, "low": low}
+            )
+    return None
+
+
+def scan_two_path_bad_ends(g, runs):
+    for r in runs:
+        if r.length != 2:
+            continue
+        u, v = r.endpoints
+        if r.closed:
+            return Configuration("TwoPathBadEnds", {"case": "closed", "run": r})
+        lo, hi = sorted((g.degree(u), g.degree(v)))
+        if lo <= 5 and hi <= 6:
+            low = min((g.degree(u), u), (g.degree(v), v))[1]
+            return Configuration(
+                "TwoPathBadEnds", {"case": "low-ends", "run": r, "low": low}
+            )
+    return None
+
+
+def scan_two_path_chord(g, runs):
+    for r in runs:
+        if r.length != 2 or r.closed:
+            continue
+        u, v = r.endpoints
+        if not g.has_edge(u, v):
+            continue
+        for hi, lo in ((u, v), (v, u)):
+            if g.degree(hi) == 7 and g.degree(lo) <= 6:
+                return Configuration(
+                    "TwoPathChord", {"run": r, "seven": hi, "other": lo}
+                )
+    return None
+
+
+def with_ring(g):
+    """``g`` plus a disjoint 9-cycle, on which no configuration fires: it
+    lifts a small fixture above the base-case size."""
+    ring = [(g.n + i, g.n + (i + 1) % 9) for i in range(9)]
+    return Graph(g.n + 9, list(g.edges()) + ring)
+
+
+#: The five structural detectors as they were before the run index was kept
+#: up to date: scans of the whole graph and of every run in sorted order.
+SORTED_SCANS = {
+    "DegreeOne": scan_degree_one,
+    "FourPlusPath": scan_four_plus_path,
+    "ThreePathBadEnd": scan_three_path_bad_end,
+    "TwoPathBadEnds": scan_two_path_bad_ends,
+    "TwoPathChord": scan_two_path_chord,
+}
+
+
+class TestLiveRunIndex:
+    """The solver keeps one run index and updates it around the vertices
+    each step edits; after every step it matches a fresh scan."""
+
+    def corpus(self):
+        from sparse2dc.families import random_hub_network
+
+        for _, g in TestOutputIdentity().corpus():
+            yield g
+        yield from TestBatchedPeeling().corpus()
+        yield random_hub_network(random.Random(56), 56)
+
+    def check(self, wg, found):
+        from sparse2dc import reductions as module
+
+        idx = wg.run_index()
+        runs, _ = degree_two_runs(wg)
+        assert set(idx.run_of.values()) == set(runs)
+        from_edge = {}
+        for r in runs:
+            (u, v), ints = r.endpoints, r.internal
+            from_edge[(u, ints[0])] = (ints, v)
+            from_edge[(v, ints[-1])] = (ints[::-1], u)
+        assert idx.from_edge == from_edge
+        pendants = [v for v in wg.vertices() if wg.degree(v) == 1]
+        assert idx.pendant() == min(pendants, default=None)
+        runs.sort(key=lambda r: (r.endpoints, r.internal))
+        for kind, scan in SORTED_SCANS.items():
+            cfg = scan(wg, runs)
+            assert module._BY_KIND[kind].detect(wg, idx) == cfg
+            found[kind] += cfg is not None
+
+    def test_index_matches_a_fresh_scan_after_every_step(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        original = module.apply_reduction
+        steps = 0
+        found = Counter()  # steps at which each structural detector fires
+
+        def checked(g, cfg):
+            nonlocal steps
+            self.check(g, found)
+            red = original(g, cfg)
+            self.check(g, found)
+            steps += 1
+            return red
+
+        monkeypatch.setattr(module, "apply_reduction", checked)
+        solved = 0
+        largest = 0
+        for g in self.corpus():
+            try:
+                constructive_color(g)
+            except ValueError:  # outside the hypotheses: degree or density
+                continue
+            solved += 1
+            largest = max(largest, g.n)
+        # the corpus has no 2-run with a chord; that fixture carries a K4
+        constructive_color(with_ring(fx.two_path_chord()), verify_preconditions=False)
+        assert solved >= 90 and largest >= 500
+        assert min(found[kind] for kind in SORTED_SCANS) >= 1
+        assert steps >= 1000
+
+    def test_a_cut_run_is_walked_again_in_place(self):
+        wg = _WorkGraph(fx.four_plus_path())
+        idx = wg.run_index()
+        cfg = detect_configuration(wg)
+        run = cfg.data["run"]
+        assert cfg.kind == "FourPlusPath" and run in idx.run_of.values()
+        wg.begin()
+        wg.remove_edge(*cfg.data["chain"][2:4])
+        assert wg.run_index() is idx
+        assert run not in idx.run_of.values()
+        assert set(idx.run_of.values()) == set(degree_two_runs(wg)[0])
+
+
+    def test_a_changed_run_is_walked_once(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        walk = module._walk_run
+        walked = []
+
+        def counting(g, u, w):
+            internal, end = walk(g, u, w)
+            walked.append((g.degree(u), frozenset(internal)))
+            return internal, end
+
+        # hubs 0 and 1 joined by the 2-vertices 2 and 3
+        wg = _WorkGraph(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+        wg.run_index()
+        monkeypatch.setattr(module, "_walk_run", counting)
+        wg.begin()
+        wg.add_path(0, 1, 300)  # 300 edited 2-vertices in one run
+        idx = wg.run_index()
+        assert set(idx.run_of.values()) == set(degree_two_runs(wg)[0])
+        # each run is walked once from an anchor, after at most one walk
+        # from an edited 2-vertex to find that anchor
+        from_anchors = [ints for degree, ints in walked if degree != 2]
+        assert sorted(map(len, from_anchors)) == [1, 1, 300]
+        assert sum(len(ints) for _, ints in walked) <= 2 * 302
+
+
+class TestSolverWork:
+    STRUCTURAL = tuple(SORTED_SCANS)
+
+    @pytest.mark.parametrize("kind", STRUCTURAL)
+    def test_the_solver_reads_the_registry(self, kind, monkeypatch):
+        """Knocking a structural kind out of the registry changes what the
+        solver fires on its knockout fixture: it takes the fallback."""
+        from sparse2dc import reductions as module
+
+        g = with_ring(TestDetectorKnockouts().fixture_for(kind))
+
+        def fired():
+            with monkeypatch.context() as patch:
+                steps = record_steps(patch)
+                phi = constructive_color(g, verify_preconditions=False)
+            assert is_valid_2distance(g, phi)[0]
+            return [k for k, _, _ in steps]
+
+        assert fired()[0] == kind
+        monkeypatch.setattr(
+            module, "_REGISTRY", tuple(k for k in module._REGISTRY if k.name != kind)
+        )
+        after = fired()
+        assert kind not in after
+        assert after[0] == TestDetectorKnockouts.EXPECTED_FALLBACK[kind]
+
+    def test_whole_graph_run_scans_only_past_the_structural_detectors(
+        self, monkeypatch
+    ):
+        """``degree_two_runs`` runs at most once per step that reaches
+        ThreePathCycle, plus once for the base case."""
+        from sparse2dc import reductions as module
+
+        g = capped_skeleton(random.Random(7), 570)
+        assert 1900 <= g.n <= 2100 and g.max_degree() == 7
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        cycle_kind = module._BY_KIND["ThreePathCycle"]
+        monkeypatch.setattr(module, "_REGISTRY", tuple(
+            k._replace(detect=counted("reached", k.detect)) if k is cycle_kind else k
+            for k in module._REGISTRY
+        ))
+        monkeypatch.setattr(
+            module, "degree_two_runs", counted("runs", module.degree_two_runs)
+        )
+        steps = record_steps(monkeypatch)
+        phi = constructive_color(g, verify_preconditions=False)
+        assert is_valid_2distance(g, phi)[0]
+        assert len(steps) >= 200
+        assert calls["runs"] <= calls["reached"] + 1
