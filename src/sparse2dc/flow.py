@@ -6,8 +6,6 @@ Capacities stay in machine integers; callers emulate infinite arcs with
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class FlowNetwork:
     """Directed flow network over nodes 0..size-1."""
@@ -19,83 +17,83 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_arc(self, u: int, v: int, capacity: int) -> None:
-        if capacity < 0:
+    def add_arc(self, u: int, v: int, capacity: int, reverse: int = 0) -> None:
+        """Arc u -> v with ``capacity``, paired with v -> u of ``reverse``."""
+        if capacity < 0 or reverse < 0:
             raise ValueError("negative capacity")
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(capacity)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(reverse)
 
     def max_flow(self, s: int, t: int) -> int:
         """Exact max-flow value from s to t (Dinic's algorithm)."""
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
-            level = self._bfs_levels(s, t)
+            # BFS levels; nodes beyond t's level cannot lie on a shortest path
+            level = [-1] * self.size
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                next_level = level[u] + 1
+                for i in head[u]:
+                    v = to[i]
+                    if cap[i] and level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
+                if level[t] >= 0:
+                    break
             if level[t] < 0:
                 return flow
+            # blocking flow by depth-first search along the level graph;
+            # ``it[u]`` skips the arcs of u already found saturated or dead
             it = [0] * self.size
+            path: list[int] = []
+            u = s
             while True:
-                pushed = self._augment(s, t, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def _bfs_levels(self, s: int, t: int) -> list[int]:
-        level = [-1] * self.size
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one augmenting path along the level graph; 0 when blocked."""
-        stack = [s]
-        path: list[int] = []
-        while stack:
-            node = stack[-1]
-            if node == t:
-                pushed = min(self.cap[i] for i in path)
-                for i in path:
-                    self.cap[i] -= pushed
-                    self.cap[i ^ 1] += pushed
-                return pushed
-            advanced = False
-            while it[node] < len(self.head[node]):
-                i = self.head[node][it[node]]
-                v = self.to[i]
-                if self.cap[i] > 0 and level[v] == level[node] + 1:
-                    stack.append(v)
+                if u == t:
+                    pushed = min(cap[i] for i in path)
+                    for i in path:
+                        cap[i] -= pushed
+                        cap[i ^ 1] += pushed
+                    flow += pushed
+                    # retreat to the tail of the first saturated arc
+                    for k, i in enumerate(path):
+                        if not cap[i]:
+                            break
+                    del path[k:]
+                    u = to[i ^ 1]
+                    continue
+                arcs = head[u]
+                j = it[u]
+                next_level = level[u] + 1
+                while j < len(arcs):
+                    i = arcs[j]
+                    if cap[i] and level[to[i]] == next_level:
+                        break
+                    j += 1
+                it[u] = j
+                if j < len(arcs):
                     path.append(i)
-                    advanced = True
+                    u = to[i]
+                elif path:
+                    level[u] = -1  # dead end: no arc will enter u again
+                    u = to[path.pop() ^ 1]
+                else:
                     break
-                it[node] += 1
-            if not advanced:
-                level[node] = -1
-                stack.pop()
-                if path:
-                    path.pop()
-                if stack:
-                    it[stack[-1]] += 1
-        return 0
 
     def source_side(self, s: int) -> frozenset[int]:
         """Nodes reachable from s in the residual network (a min cut side)."""
+        head, to, cap = self.head, self.to, self.cap
         seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for i in self.head[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and v not in seen:
+        queue = [s]
+        for u in queue:
+            for i in head[u]:
+                v = to[i]
+                if cap[i] and v not in seen:
                     seen.add(v)
                     queue.append(v)
         return frozenset(seen)

@@ -3,8 +3,8 @@
 The potential of a vertex set A in G is ``rho(A) = a|A| - b|E(G[A])|``
 (default coefficients a=9, b=7, matching the density threshold
 ``mad <= 2a/b = 18/7``).  ``rho_star(A)`` minimizes rho over all supersets
-of A; it is computed exactly as a minimum cut of a closure network, never
-with floating point.
+of A; it is computed exactly, never with floating point, as a minimum cut
+of a closure network with one node per vertex (see ``_closure_minimum``).
 """
 
 from __future__ import annotations
@@ -65,42 +65,42 @@ def _closure_minimum(
 ) -> tuple[int, frozenset[int]]:
     """Minimize ``vertex_cost*|S| - edge_gain*|E(S)|`` over S containing ``forced``.
 
-    Closure construction: the source feeds one node per edge with capacity
-    ``edge_gain``; each edge node feeds its two endpoint nodes with
-    effectively infinite arcs; every vertex node drains to the sink with
-    capacity ``vertex_cost``; forced vertices get an effectively infinite
-    source arc.  The min-cut value minus ``edge_gain * m`` is the minimum,
-    and the source side names a minimizing S.
+    Vertex-only closure network on n + 2 nodes (Picard and Queyranne 1982,
+    Goldberg 1984): v has weight w = 2*vertex_cost - edge_gain*deg(v) and
+    drains w to the sink, or is fed -w from the source (C sums the feeds);
+    each edge is an arc pair of capacity edge_gain both ways; forced vertices
+    get an effectively infinite source arc.  A cut with source side S costs
+    C + 2*(vertex_cost*|S| - edge_gain*|E(S)|), so the minimum is
+    (cut - C) / 2, and the residual source side is the smallest minimizer.
     """
-    n, m = g.n, g.m
-    edges = g.edges()
-    infinite = 1 + edge_gain * m + vertex_cost * n
-    net = FlowNetwork(2 + n + m)
+    n = g.n
+    net = FlowNetwork(2 + n)
     source, sink = 0, 1
-
-    def vnode(v: int) -> int:
-        return 2 + v
-
-    for v in range(n):
-        net.add_arc(vnode(v), sink, vertex_cost)
-    for j, (u, v) in enumerate(edges):
-        enode = 2 + n + j
-        net.add_arc(source, enode, edge_gain)
-        net.add_arc(enode, vnode(u), infinite)
-        net.add_arc(enode, vnode(v), infinite)
+    feed = 0
+    infinite = 1 + edge_gain * g.m
+    for v, nbrs in enumerate(g.adjacency):
+        w = 2 * vertex_cost - edge_gain * len(nbrs)
+        if w > 0:
+            net.add_arc(2 + v, sink, w)
+        elif w < 0:
+            net.add_arc(source, 2 + v, -w)
+            feed -= w
+        infinite += abs(w)
+    for u, v in g.edges():
+        net.add_arc(2 + u, 2 + v, edge_gain, edge_gain)
     for v in forced:
-        net.add_arc(source, vnode(v), infinite)
+        net.add_arc(source, 2 + v, infinite)
 
     cut = net.max_flow(source, sink)
-    side = net.source_side(source)
-    witness = frozenset(v for v in range(n) if vnode(v) in side)
-    return cut - edge_gain * m, witness
+    witness = frozenset(x - 2 for x in net.source_side(source) if x != source)
+    return (cut - feed) // 2, witness
 
 
 def rho_star(
     g: Graph, a_set: Iterable[int], params: PotentialParams = DEFAULT_PARAMS
 ) -> PotentialResult:
-    """Exact minimum of rho over all supersets of A, with a witness set."""
+    """Exact minimum of rho over all supersets of A; the witness is the
+    smallest minimizer, contained in every superset attaining the minimum."""
     a = _check_subset(g, a_set)
     value, witness = _closure_minimum(g, a, params.a, params.b)
     if not a <= witness:

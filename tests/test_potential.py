@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparse2dc import potential
 from sparse2dc.families import cycle, path, petersen, star
+from sparse2dc.flow import FlowNetwork
 from sparse2dc.graph import Graph, subdivide
 from sparse2dc.potential import (
     DENSITY_BOUND,
     PotentialParams,
+    _closure_minimum,
+    _subset_edge_counts,
     add_path,
     mad_bruteforce,
     mad_exact,
@@ -104,6 +108,80 @@ class TestRhoStar:
         for _ in range(10):
             s = a | frozenset(v for v in range(10) if rng.random() < 0.4)
             assert value <= rho(g, s)
+
+
+def _edge_node_closure_minimum(g, forced, vertex_cost, edge_gain):
+    """The former closure network, kept as an oracle: one node per edge
+    fed ``edge_gain`` by the source, infinite arcs to both endpoints, and
+    ``vertex_cost`` from every vertex to the sink (n + m + 2 nodes)."""
+    n, m = g.n, g.m
+    infinite = 1 + edge_gain * m + vertex_cost * n
+    net = FlowNetwork(2 + n + m)
+    for v in range(n):
+        net.add_arc(2 + v, 1, vertex_cost)
+    for j, (u, v) in enumerate(g.edges()):
+        net.add_arc(0, 2 + n + j, edge_gain)
+        net.add_arc(2 + n + j, 2 + u, infinite)
+        net.add_arc(2 + n + j, 2 + v, infinite)
+    for v in forced:
+        net.add_arc(0, 2 + v, infinite)
+    cut = net.max_flow(0, 1)
+    side = net.source_side(0)
+    return cut - edge_gain * m, frozenset(v for v in range(n) if 2 + v in side)
+
+
+def _smallest_minimizer(g, forced, vertex_cost, edge_gain):
+    """Brute force: the minimum over supersets of ``forced`` and the
+    intersection of every set attaining it."""
+    counts = _subset_edge_counts(g)
+    forced_mask = sum(1 << v for v in forced)
+    values = {
+        mask: vertex_cost * bin(mask).count("1") - edge_gain * counts[mask]
+        for mask in range(1 << g.n)
+        if mask & forced_mask == forced_mask
+    }
+    best = min(values.values())
+    common = (1 << g.n) - 1
+    for mask, value in values.items():
+        if value == best:
+            common &= mask
+    return best, frozenset(v for v in range(g.n) if common >> v & 1)
+
+
+class TestClosureNetwork:
+    @given(st.integers(0, 2000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_edge_node_network(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 40)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.5))
+        forced = frozenset(v for v in range(n) if rng.random() < rng.choice([0, 0.1, 0.4]))
+        density = Fraction(2 * rng.randint(1, max(g.m, 1)), max(n, 1))
+        pairs = [
+            (9, 7),
+            (rng.randint(1, 40), rng.randint(1, 40)),
+            (density.numerator, 2 * density.denominator),
+        ]
+        for vertex_cost, edge_gain in pairs:
+            got = _closure_minimum(g, forced, vertex_cost, edge_gain)
+            assert got == _edge_node_closure_minimum(g, forced, vertex_cost, edge_gain)
+            if n <= 12:
+                assert got == _smallest_minimizer(g, forced, vertex_cost, edge_gain)
+
+    def test_network_has_one_node_per_vertex(self, monkeypatch):
+        built = []
+
+        class Recording(FlowNetwork):
+            def __init__(self, size):
+                super().__init__(size)
+                built.append(self)
+
+        monkeypatch.setattr(potential, "FlowNetwork", Recording)
+        g = petersen()
+        forced = frozenset({0, 5})
+        rho_star(g, forced)
+        assert [net.size for net in built] == [g.n + 2]
+        assert len(built[0].to) // 2 <= g.n + g.m + len(forced)
 
 
 class TestMad:
