@@ -4,7 +4,9 @@ The potential of a vertex set A in G is ``rho(A) = a|A| - b|E(G[A])|``
 (default coefficients a=9, b=7, matching the density threshold
 ``mad <= 2a/b = 18/7``).  ``rho_star(A)`` minimizes rho over all supersets
 of A; it is computed exactly, never with floating point, as a minimum cut
-of a closure network with one node per vertex (see ``_closure_minimum``).
+of a closure network.  When a >= b the network skips pendant trees and
+dissolves runs of 2-vertices into weighted edges, which keeps the answer
+(see ``_closure_minimum``).
 """
 
 from __future__ import annotations
@@ -65,35 +67,79 @@ def _closure_minimum(
 ) -> tuple[int, frozenset[int]]:
     """Minimize ``vertex_cost*|S| - edge_gain*|E(S)|`` over S containing ``forced``.
 
-    Vertex-only closure network on n + 2 nodes (Picard and Queyranne 1982,
-    Goldberg 1984): v has weight w = 2*vertex_cost - edge_gain*deg(v) and
-    drains w to the sink, or is fed -w from the source (C sums the feeds);
-    each edge is an arc pair of capacity edge_gain both ways; forced vertices
-    get an effectively infinite source arc.  A cut with source side S costs
-    C + 2*(vertex_cost*|S| - edge_gain*|E(S)|), so the minimum is
-    (cut - C) / 2, and the residual source side is the smallest minimizer.
+    If vertex_cost >= edge_gain, the graph shrinks first and keeps its
+    smallest minimizer (the intersection of all minimizers).  Unforced
+    vertices of degree <= 1 are peeled repeatedly, since dropping one from S
+    changes the objective by edge_gain*deg - vertex_cost <= 0.  Each maximal
+    run of k unforced 2-vertices between survivors x and z (the anchors)
+    becomes one edge, a loop if x = z, of gain (k+1)*edge_gain - k*vertex_cost,
+    kept only when positive: j vertices of a run short of the whole, or of a
+    cycle of 2-vertices with no anchor, cost at least j*(vertex_cost - edge_gain)
+    >= 0.  Otherwise every vertex is an anchor.
+
+    Vertex-only closure network on the anchors (Picard and Queyranne 1982,
+    Goldberg 1984): anchor v has weight w = 2*vertex_cost minus the gains of
+    its edges (a loop's twice) and drains w to the sink, or is fed -w from
+    the source (C sums the feeds); an edge is an arc pair of its gain both
+    ways; forced vertices get an effectively infinite source arc.  A cut with
+    source side S costs C + 2*objective(S), so the minimum is (cut - C) / 2;
+    the residual source side is the smallest minimizer, and the runs with
+    both ends in it complete the witness.
     """
-    n = g.n
-    net = FlowNetwork(2 + n)
+    adjacency = g.adjacency
+    degree = [len(nbrs) for nbrs in adjacency]
+    alive = [True] * g.n
+    shrink = vertex_cost >= edge_gain
+    peel = [v for v in g.vertices() if shrink and degree[v] <= 1 and v not in forced]
+    for v in peel:
+        alive[v] = False
+        for w in adjacency[v]:
+            degree[w] -= 1
+            if degree[w] == 1 and alive[w] and w not in forced:
+                peel.append(w)
+    inner = [shrink and alive[v] and degree[v] == 2 and v not in forced for v in g.vertices()]
+    anchors = [v for v in g.vertices() if alive[v] and not inner[v]]
+    node = {v: i for i, v in enumerate(anchors, 2)}
+    net = FlowNetwork(2 + len(anchors))
     source, sink = 0, 1
+    weight = [2 * vertex_cost] * g.n
+    runs = []
+    reverse = set()  # where the walk back along each run walked would start
+    for x in anchors:
+        for first in adjacency[x]:
+            if not alive[first] or (x, first) in reverse:
+                continue
+            prev, z, run = x, first, []
+            while inner[z]:
+                run.append(z)
+                nbrs = adjacency[z]
+                u, w = nbrs if len(nbrs) == 2 else [y for y in nbrs if alive[y]]
+                prev, z = z, w if u == prev else u
+            reverse.add((z, prev))
+            gain = (len(run) + 1) * edge_gain - len(run) * vertex_cost
+            if gain <= 0:
+                continue
+            weight[x] -= gain
+            weight[z] -= gain
+            runs.append((x, z, run))
+            if x != z:
+                net.add_arc(node[x], node[z], gain, gain)
     feed = 0
-    infinite = 1 + edge_gain * g.m
-    for v, nbrs in enumerate(g.adjacency):
-        w = 2 * vertex_cost - edge_gain * len(nbrs)
+    for v in anchors:
+        w = weight[v]
         if w > 0:
-            net.add_arc(2 + v, sink, w)
+            net.add_arc(node[v], sink, w)
         elif w < 0:
-            net.add_arc(source, 2 + v, -w)
+            net.add_arc(source, node[v], -w)
             feed -= w
-        infinite += abs(w)
-    for u, v in g.edges():
-        net.add_arc(2 + u, 2 + v, edge_gain, edge_gain)
+    infinite = 1 + 2 * vertex_cost * len(anchors)  # above the cut with all anchors in S
     for v in forced:
-        net.add_arc(source, 2 + v, infinite)
+        net.add_arc(source, node[v], infinite)
 
     cut = net.max_flow(source, sink)
-    witness = frozenset(x - 2 for x in net.source_side(source) if x != source)
-    return (cut - feed) // 2, witness
+    side = frozenset(anchors[i - 2] for i in net.source_side(source) if i != source)
+    inside = [run for x, z, run in runs if x in side and z in side]
+    return (cut - feed) // 2, side.union(*inside)
 
 
 def rho_star(

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse2dc import potential
-from sparse2dc.families import cycle, path, petersen, star
+from sparse2dc.families import (
+    cycle,
+    decorated_tree,
+    path,
+    petersen,
+    random_hub_network,
+    random_skeleton,
+    star,
+)
 from sparse2dc.flow import FlowNetwork
 from sparse2dc.graph import Graph, subdivide
 from sparse2dc.potential import (
@@ -148,6 +156,40 @@ def _smallest_minimizer(g, forced, vertex_cost, edge_gain):
     return best, frozenset(v for v in range(g.n) if common >> v & 1)
 
 
+def _hub_network(rng, hubs):
+    while True:
+        try:
+            return random_hub_network(rng, hubs)
+        except ValueError:
+            continue  # a bad shuffle of the leftover hub slots
+
+
+def _thread_heavy_graph(rng):
+    """Mostly runs of 2-vertices: subdivisions with runs of 1-4 vertices,
+    hub networks, decorated trees with pendant paths, or a small core with a
+    cycle hanging on one vertex beside an isolated cycle and path."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        core = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.7))
+        return subdivide(core, rng.randint(1, 4))
+    if kind == 1:
+        return _hub_network(rng, rng.choice((4, 6, 8)))
+    if kind == 2:
+        return decorated_tree(
+            rng, rng.randint(3, 8), rng.randint(3, 7), rng.randint(0, 3), rng.randint(0, 2)
+        )
+    core = random_graph(rng, rng.randint(1, 5), 0.5)
+    edges, n = list(core.edges()), core.n
+    loop = [0] + list(range(n, n + rng.randint(2, 5))) + [0]
+    n = loop[-2] + 1
+    ring = list(range(n, n + rng.randint(3, 6)))
+    tail = list(range(ring[-1] + 1, ring[-1] + 1 + rng.randint(1, 4)))
+    edges += zip(loop, loop[1:])
+    edges += zip(ring, ring[1:] + ring[:1])
+    edges += zip(tail, tail[1:])
+    return Graph(tail[-1] + 1, edges)
+
+
 class TestClosureNetwork:
     @given(st.integers(0, 2000))
     @settings(max_examples=150, deadline=None)
@@ -168,7 +210,25 @@ class TestClosureNetwork:
             if n <= 12:
                 assert got == _smallest_minimizer(g, forced, vertex_cost, edge_gain)
 
-    def test_network_has_one_node_per_vertex(self, monkeypatch):
+    @given(st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_edge_node_network_on_threads(self, seed):
+        rng = random.Random(seed)
+        g = _thread_heavy_graph(rng)
+        # forced vertices inside runs, on pendants and on cycles
+        low = [v for v in g.vertices() if g.degree(v) <= 2]
+        forced = frozenset(rng.sample(low, min(len(low), rng.randint(0, 3))))
+        big, small = sorted(rng.sample(range(1, 30), 2), reverse=True)
+        k, t = rng.randint(1, 4), rng.randint(1, 5)
+        zero = ((k + 1) * t, k * t)  # a run of k vertices gains exactly 0
+        for vertex_cost, edge_gain in [(9, 7), (big, small), zero, (big, big), (small, big)]:
+            got = _closure_minimum(g, forced, vertex_cost, edge_gain)
+            assert got == _edge_node_closure_minimum(g, forced, vertex_cost, edge_gain)
+            if g.n <= 14:
+                assert got == _smallest_minimizer(g, forced, vertex_cost, edge_gain)
+
+    @staticmethod
+    def record_networks(monkeypatch):
         built = []
 
         class Recording(FlowNetwork):
@@ -177,11 +237,50 @@ class TestClosureNetwork:
                 built.append(self)
 
         monkeypatch.setattr(potential, "FlowNetwork", Recording)
+        return built
+
+    def test_runs_dissolve_into_hub_edges(self, monkeypatch):
+        built = self.record_networks(monkeypatch)
+        hubs = 8
+        g = _hub_network(random.Random(8), hubs)
+        run_vertex = next(v for v in g.vertices() if g.degree(v) == 2)
+        rho_star(g, ())
+        rho_star(g, {run_vertex})
+        assert [net.size for net in built] == [hubs + 2, hubs + 3]
+
+    def test_network_has_one_node_per_vertex(self, monkeypatch):
+        built = self.record_networks(monkeypatch)
         g = petersen()
         forced = frozenset({0, 5})
         rho_star(g, forced)
         assert [net.size for net in built] == [g.n + 2]
         assert len(built[0].to) // 2 <= g.n + g.m + len(forced)
+
+
+class TestRelabeling:
+    """Relabelling the vertices and shuffling the edge order moves every
+    witness with the labels and leaves every value alone."""
+
+    @pytest.mark.parametrize("family", ["hub network", "subdivided skeleton"])
+    def test_rho_star_and_mad_follow_the_labels(self, family):
+        rng = random.Random(17)
+        if family == "hub network":
+            g = _hub_network(rng, 16)
+        else:
+            g = subdivide(random_skeleton(rng, 16, 7, 2), 2)
+        label = list(g.vertices())
+        rng.shuffle(label)
+        edges = [(label[u], label[v])[:: rng.choice((1, -1))] for u, v in g.edges()]
+        rng.shuffle(edges)
+        h = Graph(g.n, edges)
+        for _ in range(10):
+            a = rng.sample(range(g.n), rng.randint(0, 2))
+            want = rho_star(g, a)
+            got = rho_star(h, [label[v] for v in a])
+            assert got.value == want.value
+            assert got.witness == {label[v] for v in want.witness}
+        density, witness = mad_exact(g)
+        assert mad_exact(h) == (density, {label[v] for v in witness})
 
 
 class TestMad:
