@@ -64,18 +64,21 @@ def is_valid_2distance(g: Graph, c: Coloring):
 
     The violation, when present, is ``(u, v, dist)`` with dist 1 or 2.
     """
+    colors = c.colors
     if not c.is_total(g):
-        missing = next(v for v in g.vertices() if c.get(v) is None)
+        missing = next(v for v in g.vertices() if v not in colors)
         raise ValueError(f"coloring is partial (vertex {missing} unassigned)")
     for u, v in g.edges():
-        if c.get(u) == c.get(v):
+        if colors[u] == colors[v]:
             return False, (u, v, 1)
+    adjacency = g.adjacency
     for v in g.vertices():
-        nbrs = g.adjacency[v]
+        nbrs = adjacency[v]
         for i in range(len(nbrs)):
+            a = nbrs[i]
             for j in range(i + 1, len(nbrs)):
-                a, b = nbrs[i], nbrs[j]
-                if not g.has_edge(a, b) and c.get(a) == c.get(b):
+                b = nbrs[j]
+                if colors[a] == colors[b] and b not in adjacency[a]:
                     return False, ((a, b, 2) if a < b else (b, a, 2))
     return True, None
 
@@ -163,10 +166,11 @@ def _local_violation(g, phi: Coloring, t) -> tuple[int, int, int] | None:
     around = set(t)
     for v in t:
         around.update(g.adjacency[v])
+    colors = phi.colors
     for x in sorted(around):
         first: dict[int, int] = {}
         for y in (x, *g.adjacency[x]):
-            c = phi.get(y)
+            c = colors.get(y)
             if c is None:
                 raise ValueError(f"coloring is partial (vertex {y} unassigned)")
             if c in first:

@@ -95,13 +95,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class PathDescriptor:
     """A maximal run of degree-2 vertices between two anchor vertices.
 
     ``endpoints`` are the bordering vertices (equal when the run leaves and
     re-enters the same anchor).  ``internal`` lists the run's degree-2
-    vertices in path order from ``endpoints[0]`` to ``endpoints[1]``.
+    vertices in path order from ``endpoints[0]`` to ``endpoints[1]``.  Runs
+    order by (endpoints, internal).
     """
 
     endpoints: tuple[int, int]
@@ -262,12 +263,13 @@ def _walk_run(g: Graph, u: int, w: int) -> tuple[list[int], int]:
     the first vertex whose degree is not 2, or ``w`` again when the walk
     went round a cycle of 2-vertices.
     """
+    adj = g.adjacency
     internal = [w]
     prev, cur = u, w
     while True:
-        a, b = g.adjacency[cur]
+        a, b = adj[cur]
         nxt = b if a == prev else a
-        if nxt == w or g.degree(nxt) != 2:
+        if nxt == w or len(adj[nxt]) != 2:
             return internal, nxt
         internal.append(nxt)
         prev, cur = cur, nxt

@@ -31,6 +31,8 @@ def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
     n, m = int(tokens[0]), int(tokens[1])
     if n > _MAX_N:
         raise ValueError(f"edge list declares {n} vertices; at most {_MAX_N} supported")
+    if m < 0:
+        raise ValueError(f"edge list declares {m} edges; the count must be nonnegative")
     body = tokens[2:]
     if len(body) != 2 * m:
         raise ValueError(f"expected {2 * m} endpoint tokens, got {len(body)}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .coloring import (
@@ -224,15 +223,17 @@ _WORKLISTS = {
 class _RunIndex:
     """Degree-2 runs of a graph, addressable by (anchor, first internal).
 
-    On the working graph one index lives through the chain: ``sync`` walks
-    again, once each, the runs through or at the vertices edited since the
-    last step.  The structural detectors read lazily checked heaps:
-    ``pendants`` (the degree-1 vertices, shared with the DegreeOne batch)
-    and a worklist of runs per run detector, least (endpoints, internal)
-    first.  A run is pushed whenever it is walked, so a detector may drop a
-    run it does not fire on until an edit at the run or an anchor walks it
-    again.  ``runs``, ``cycles``, ``runs3``, ``three_adj`` and ``ds`` scan
-    the whole graph on first read in a step, for the later detectors.
+    On the working graph one index lives through the chain.  ``sync`` drops
+    the runs through a vertex edited since the last step, or at one that
+    now has degree 2, and walks the changed runs; a run kept at an edited
+    anchor is pushed back onto its worklists without a walk.  The
+    structural detectors read lazily checked heaps: ``pendants`` (the
+    degree-1 vertices, shared with the DegreeOne batch) and a worklist of
+    runs per run detector, least (endpoints, internal) first.  A run is
+    pushed whenever it is walked or an anchor of it is edited, so a
+    detector may drop a run it does not fire on.  The later detectors read
+    ``three_adj`` and ``cycle_of``, kept with the runs, and ``reach``, d*
+    memoized per vertex until an edit lands next to it.
     """
 
     def __init__(self, g: Graph):
@@ -240,6 +241,10 @@ class _RunIndex:
         # (anchor, first internal) -> (internals away from it, far anchor)
         self.from_edge: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self.run_of: dict[int, PathDescriptor] = {}  # internal vertex -> run
+        # the multigraph of the open 3-runs: anchor -> [(other anchor, run)]
+        self.three_adj: dict[int, list[tuple[int, PathDescriptor]]] = {}
+        self.cycle_of: dict[int, frozenset[int]] = {}  # the cycles of 2-vertices
+        self.ds: dict[int, int] = {}  # the d* values read so far
         self.pendants: list[int] = []
         self.worklists = {name: [] for names in _WORKLISTS.values() for name in names}
         self._walk(g.vertices())
@@ -250,40 +255,45 @@ class _RunIndex:
         if not dirty:
             return
         g.dirty = set()
-        for name in ("_whole", "ds"):
-            self.__dict__.pop(name, None)
-        # drop the runs through or at edited vertices (an edited anchor has
-        # the run's first internal next to it, or that was edited too); any
-        # run now through or at none of them is unchanged, so still indexed
+        run_of, ds = self.run_of, self.ds
         for x in dirty:
-            for y in (x, *g.adjacency[x]):
-                r = self.run_of.get(y)
-                if r is not None:
-                    (u, v), ints = r.endpoints, r.internal
-                    del self.from_edge[(u, ints[0])], self.from_edge[(v, ints[-1])]
-                    for z in ints:
-                        del self.run_of[z]
+            # an edit changes d* only at the vertices it touches and next to them
+            ds.pop(x, None)
+            for z in self.cycle_of.get(x, ()):
+                del self.cycle_of[z]
+            r = run_of.get(x)
+            if r is not None:
+                self._drop(r)
+            nbrs = g.adjacency[x]
+            for y in nbrs:
+                ds.pop(y, None)
+                r = run_of.get(y)
+                if r is None:
+                    continue
+                if len(nbrs) == 2:  # x was an anchor of r: its runs merge
+                    self._drop(r)
+                else:  # r is unchanged, but an anchor's degree may not be
+                    self._push(r)
         self._walk(dirty)
 
     def _walk(self, seeds) -> None:
-        """Index every run through or at a seed that is not indexed yet."""
-        g = self.g
-        around_cycle: set[int] = set()
+        """Index every run or cycle through or at a seed that is not indexed yet."""
+        g, adj = self.g, self.g.adjacency
         for x in seeds:
-            if g.degree(x) != 2:
-                starts = g.adjacency[x]
+            if len(adj[x]) != 2:
+                starts = adj[x]
                 if len(starts) == 1:
                     heapq.heappush(self.pendants, x)
-            elif x in self.run_of or x in around_cycle:
+            elif x in self.run_of or x in self.cycle_of:
                 continue
             else:  # walk to an anchor of x's run and start from there
-                ints, x = _walk_run(g, g.adjacency[x][0], x)
-                if g.degree(x) == 2:  # back at x: a cycle of 2-vertices
-                    around_cycle.update(ints)
+                ints, x = _walk_run(g, adj[x][0], x)
+                if len(adj[x]) == 2:  # back at x: a cycle of 2-vertices
+                    self.cycle_of.update(dict.fromkeys(ints, frozenset(ints)))
                     continue
                 starts = (ints[-1],)
             for w in starts:
-                if g.degree(w) == 2 and (x, w) not in self.from_edge:
+                if len(adj[w]) == 2 and (x, w) not in self.from_edge:
                     self._add(x, *_walk_run(g, x, w))
 
     def _add(self, u: int, internal: list[int], v: int) -> None:
@@ -293,13 +303,30 @@ class _RunIndex:
         r = _canonical_run(u, v, internal)
         for x in ints:
             self.run_of[x] = r
-        for name in _WORKLISTS.get(min(len(ints), 4), ()):
+        if len(ints) == 3 and u != v:
+            self.three_adj.setdefault(u, []).append((v, r))
+            self.three_adj.setdefault(v, []).append((u, r))
+        self._push(r)
+
+    def _drop(self, r: PathDescriptor) -> None:
+        (u, v), ints = r.endpoints, r.internal
+        del self.from_edge[(u, ints[0])], self.from_edge[(v, ints[-1])]
+        for x in ints:
+            del self.run_of[x]
+        if len(ints) == 3 and u != v:
+            for a, b in ((u, v), (v, u)):
+                self.three_adj[a].remove((b, r))
+                if not self.three_adj[a]:
+                    del self.three_adj[a]
+
+    def _push(self, r: PathDescriptor) -> None:
+        for name in _WORKLISTS.get(min(len(r.internal), 4), ()):
             heapq.heappush(self.worklists[name], (r.endpoints, r.internal))
 
     def pendant(self) -> int | None:
         """The smallest degree-1 vertex, or None."""
-        heap = self.pendants
-        while heap and self.g.degree(heap[0]) != 1:
+        heap, adj = self.pendants, self.g.adjacency
+        while heap and len(adj[heap[0]]) != 1:
             heapq.heappop(heap)
         return heap[0] if heap else None
 
@@ -313,28 +340,12 @@ class _RunIndex:
                 yield r
             heapq.heappop(heap)
 
-    @cached_property
-    def _whole(self):
-        runs, cycles = degree_two_runs(self.g)
-        # the multigraph of the open 3-runs on their anchors:
-        # anchor -> [(other anchor, index into runs3)]
-        runs3 = [r for r in runs if r.length == 3 and not r.closed]
-        three_adj: dict[int, list[tuple[int, int]]] = {}
-        for i, r in enumerate(runs3):
-            u, v = r.endpoints
-            three_adj.setdefault(u, []).append((v, i))
-            three_adj.setdefault(v, []).append((u, i))
-        return runs, cycles, runs3, three_adj
-
-    runs = property(lambda self: self._whole[0])
-    cycles = property(lambda self: self._whole[1])
-    runs3 = property(lambda self: self._whole[2])
-    three_adj = property(lambda self: self._whole[3])
-
-    @cached_property
-    def ds(self) -> dict[int, int]:
-        """d*(v) for every vertex, computed on first use."""
-        return {v: d_star(self.g, v) for v in self.g.vertices()}
+    def reach(self, v: int) -> int:
+        """d*(v), computed on first use after the last edit next to v."""
+        d = self.ds.get(v)
+        if d is None:
+            d = self.ds[v] = d_star(self.g, v)
+        return d
 
 
 def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
@@ -407,18 +418,16 @@ def _detect_two_path_chord(g: Graph, idx: _RunIndex) -> Configuration | None:
     return None
 
 
-def _detect_three_path_cycle(g: Graph, idx: _RunIndex) -> Configuration | None:
-    """A cycle in the multigraph whose edges are the open 3-runs.
+def _three_path_cycle(adj) -> Configuration | None:
+    """A cycle in the multigraph ``adj`` whose edges are the open 3-runs.
 
     Returns anchors (a_0..a_{m-1}) and runs (r_0..r_{m-1}) with r_i joining
     a_i to a_{i+1 mod m}.
     """
-    runs3, adj = idx.runs3, idx.three_adj
 
     def chain_to_root(parent, x):
-        out = [x]
-        links = []
-        while parent[x][0] != -1:
+        out, links = [x], []
+        while parent[x][0] is not None:
             links.append(parent[x][1])
             x = parent[x][0]
             out.append(x)
@@ -428,12 +437,12 @@ def _detect_three_path_cycle(g: Graph, idx: _RunIndex) -> Configuration | None:
     for start in sorted(adj):
         if start in visited:
             continue
-        parent: dict[int, tuple[int, int]] = {start: (-1, -1)}
-        stack = [(start, -1)]
+        parent: dict[int, tuple] = {start: (None, None)}
+        stack = [(start, None)]
         while stack:
             x, via = stack.pop()
-            for y, ridx in sorted(adj.get(x, ())):
-                if ridx == via:
+            for y, r in sorted(adj.get(x, ())):
+                if r is via:
                     continue
                 if y in parent:
                     vx, rx = chain_to_root(parent, x)
@@ -441,18 +450,15 @@ def _detect_three_path_cycle(g: Graph, idx: _RunIndex) -> Configuration | None:
                     pos = {v: i for i, v in enumerate(vx)}
                     j = next(i for i, v in enumerate(vy) if v in pos)
                     lca = vy[j]
-                    # cycle: y -> ... -> lca -> ... -> x -> (ridx) -> y
+                    # cycle: y -> ... -> lca -> ... -> x -> (r) -> y
                     anchors = list(reversed(vx[: pos[lca] + 1])) + vy[:j]
-                    runs = list(reversed(rx[: pos[lca]])) + [ridx] + ry[:j]
+                    runs = list(reversed(rx[: pos[lca]])) + [r] + ry[:j]
                     return Configuration(
                         "ThreePathCycle",
-                        {
-                            "anchors": tuple(anchors),
-                            "runs": tuple(runs3[i] for i in runs),
-                        },
+                        {"anchors": tuple(anchors), "runs": tuple(runs)},
                     )
-                parent[y] = (x, ridx)
-                stack.append((y, ridx))
+                parent[y] = (x, r)
+                stack.append((y, r))
         visited.update(parent)
     return None
 
@@ -463,10 +469,10 @@ def _detect_small_vertex(g: Graph, idx: _RunIndex) -> Configuration | None:
             continue
         if any(g.degree(w) != 2 for w in g.adjacency[v]):
             continue
-        if idx.ds[v] > ANCHOR + 1:
+        if idx.reach(v) > ANCHOR + 1:
             continue
         for w in g.adjacency[v]:
-            if idx.ds[w] <= ANCHOR:
+            if idx.reach(w) <= ANCHOR:
                 a, b = g.adjacency[w]
                 other = b if a == v else a
                 if g.degree(other) == 2:
@@ -477,16 +483,15 @@ def _detect_small_vertex(g: Graph, idx: _RunIndex) -> Configuration | None:
 def _detect_counting_pair(g: Graph, idx: _RunIndex) -> Configuration | None:
     # components that are pure cycles of 2-vertices are a base case for
     # the solver, not a configuration
-    skip = {v for cyc in idx.cycles for v in cyc}
-    ds = idx.ds
+    reach = idx.reach
     for w in g.vertices():
-        if w in skip:
+        if w in idx.cycle_of:
             continue
-        nbrs = sorted(g.adjacency[w], key=lambda u: (ds[u], u))
+        nbrs = sorted(g.adjacency[w], key=lambda u: (reach(u), u))
         for k in range(1, len(nbrs) + 1):
-            if ds[nbrs[k - 1]] > ANCHOR + k - 1:
+            if reach(nbrs[k - 1]) > ANCHOR + k - 1:
                 break
-            if ds[w] <= ANCHOR + k:
+            if reach(w) <= ANCHOR + k:
                 return Configuration(
                     "CountingPair", {"w": w, "removed_neighbors": tuple(nbrs[:k])}
                 )
@@ -546,14 +551,6 @@ def _detect_weird_six(g: Graph, idx: _RunIndex) -> Configuration | None:
     return None
 
 
-def _open_three_runs_at(g: Graph, idx: _RunIndex, u: int):
-    out = []
-    for w, ints, far in _slot_kinds(g, idx, u):
-        if ints is not None and len(ints) == 3 and far != u:
-            out.append((ints, far))
-    return out
-
-
 def _potential_without(g: Graph, dropped, query) -> int:
     h, remap = remove_vertices(g, dropped)
     return rho_star(h, frozenset(remap[v] for v in query)).value
@@ -562,12 +559,10 @@ def _potential_without(g: Graph, dropped, query) -> int:
 def _detect_two_consecutive_three_paths(
     g: Graph, idx: _RunIndex
 ) -> Configuration | None:
-    for v in g.vertices():
-        if g.degree(v) < 3:
-            continue
-        runs_here = _open_three_runs_at(g, idx, v)
-        if len(runs_here) < 2:
-            continue
+    for v in sorted(idx.three_adj):
+        # the open 3-runs at v, as (internals from v, far end), in the
+        # order of their first internals
+        runs_here = sorted((_oriented_from(r, v), far) for far, r in idx.three_adj[v])
         for ai in range(len(runs_here)):
             for bi in range(ai + 1, len(runs_here)):
                 ints_a, u = runs_here[ai]
@@ -591,26 +586,19 @@ def _detect_two_consecutive_three_paths(
     return None
 
 
-def _detect_three_consecutive_three_paths(
-    g: Graph, idx: _RunIndex
-) -> Configuration | None:
-    runs3, adj = idx.runs3, idx.three_adj
+def _three_consecutive_three_paths(adj) -> Configuration | None:
+    """Three open 3-runs chaining four distinct anchors in ``adj``."""
     for v in sorted(adj):
-        for w, i2 in sorted(adj[v]):
-            for u, i1 in sorted(adj[v]):
-                if i1 == i2:
+        for w, r2 in sorted(adj[v]):
+            for u, r1 in sorted(adj[v]):
+                if r1 is r2:
                     continue
-                for x, i3 in sorted(adj.get(w, ())):
-                    if i3 == i2:
-                        continue
-                    if len({u, v, w, x}) != 4:
+                for x, r3 in sorted(adj.get(w, ())):
+                    if r3 is r2 or len({u, v, w, x}) != 4:
                         continue
                     return Configuration(
                         "ThreeConsecutiveThreePaths",
-                        {
-                            "anchors": (u, v, w, x),
-                            "runs": (runs3[i1], runs3[i2], runs3[i3]),
-                        },
+                        {"anchors": (u, v, w, x), "runs": (r1, r2, r3)},
                     )
     return None
 
@@ -651,13 +639,11 @@ def _oriented_sponsors(g: Graph, idx: _RunIndex):
     """Each 7-vertex ``u`` with a unique open 3-run whose potential
     orientation makes ``u`` the constrained endpoint, as
     (u, internals from u, far end, potential at u, potential at far end)."""
-    for u in g.vertices():
-        if g.degree(u) != 7:
+    for u in sorted(idx.three_adj):
+        if g.degree(u) != 7 or len(idx.three_adj[u]) != 1:
             continue
-        runs_here = _open_three_runs_at(g, idx, u)
-        if len(runs_here) != 1:
-            continue
-        ints, v = runs_here[0]
+        [(v, r)] = idx.three_adj[u]
+        ints = _oriented_from(r, u)
         pot_u = _potential_without(g, set(ints), {u})
         pot_v = _potential_without(g, set(ints), {v})
         if pot_u <= pot_v:
@@ -718,7 +704,7 @@ def _detect_sponsor_all_bad(g: Graph, idx: _RunIndex) -> Configuration | None:
 def _detect_sponsor_small_x(g: Graph, idx: _RunIndex) -> Configuration | None:
     for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
         qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
-        if len(rest) != 1 or idx.ds[rest[0]] > 12:
+        if len(rest) != 1 or idx.reach(rest[0]) > 12:
             continue
         low = [q for q in qpaths if g.degree(q[2]) <= 5]
         if not low:
@@ -736,7 +722,7 @@ def _detect_sponsor_small_x(g: Graph, idx: _RunIndex) -> Configuration | None:
                 "wvertices": tuple(wvertices),
                 "x": rest[0],
             },
-            {"center": pot_u, "far": pot_v, "x_reach": idx.ds[rest[0]]},
+            {"center": pot_u, "far": pot_v, "x_reach": idx.reach(rest[0])},
         )
     return None
 
@@ -1566,14 +1552,20 @@ def classify_vertices(g: Graph) -> VertexClasses:
     removed (smaller id on ties); star centers root their stars; every
     non-root 3-path endpoint sponsors the path's middle vertex.
     """
-    idx = _RunIndex(g)
-    for r in idx.runs:
+    runs, _ = degree_two_runs(g)
+    runs3 = [r for r in runs if r.length == 3 and not r.closed]
+    three_adj: dict[int, list[tuple[int, PathDescriptor]]] = {}
+    for r in runs3:
+        u, v = r.endpoints
+        three_adj.setdefault(u, []).append((v, r))
+        three_adj.setdefault(v, []).append((u, r))
+    for r in runs:
         if r.length == 3 and r.closed:
             raise ForestOfStarsError("a 3-path closes on its own anchor", r)
-    cyc = _detect_three_path_cycle(g, idx)
+    cyc = _three_path_cycle(three_adj)
     if cyc is not None:
         raise ForestOfStarsError("the 3-paths contain a cycle", cyc.data)
-    chain = _detect_three_consecutive_three_paths(g, idx)
+    chain = _three_consecutive_three_paths(three_adj)
     if chain is not None:
         raise ForestOfStarsError("three consecutive 3-paths", chain.data)
 
@@ -1585,7 +1577,7 @@ def classify_vertices(g: Graph) -> VertexClasses:
 
     one_path: set[int] = set()
     pairs: list[dict] = []
-    for r in idx.runs:
+    for r in runs:
         a, b = r.endpoints
         if r.closed:
             continue
@@ -1606,12 +1598,12 @@ def classify_vertices(g: Graph) -> VertexClasses:
 
     sponsors: dict[int, int] = {}
     roots: set[int] = set()
-    for anchor in sorted(idx.three_adj):
-        if len(idx.three_adj[anchor]) >= 2:
+    for anchor in sorted(three_adj):
+        if len(three_adj[anchor]) >= 2:
             roots.add(anchor)
-            for other, i in idx.three_adj[anchor]:
-                sponsors[other] = idx.runs3[i].internal[1]
-    for r in idx.runs3:
+            for other, r in three_adj[anchor]:
+                sponsors[other] = r.internal[1]
+    for r in runs3:
         a, b = r.endpoints
         if a in roots or b in roots:
             continue
@@ -1913,7 +1905,7 @@ _REGISTRY: tuple[_Kind, ...] = (
           _apply_two_path_bad_ends, _validate_two_bad_ends),
     _Kind("TwoPathChord", _detect_two_path_chord,
           _apply_two_path_chord, _validate_two_chord),
-    _Kind("ThreePathCycle", _detect_three_path_cycle,
+    _Kind("ThreePathCycle", lambda g, idx: _three_path_cycle(idx.three_adj),
           _apply_three_path_cycle, _validate_three_cycle),
     _Kind("SmallVertex", _detect_small_vertex,
           _apply_small_vertex, _validate_small_vertex),
@@ -1925,7 +1917,8 @@ _REGISTRY: tuple[_Kind, ...] = (
           _apply_weird_six, _validate_weird_six),
     _Kind("TwoConsecutiveThreePaths", _detect_two_consecutive_three_paths,
           _apply_two_consecutive, _validate_two_consecutive),
-    _Kind("ThreeConsecutiveThreePaths", _detect_three_consecutive_three_paths,
+    _Kind("ThreeConsecutiveThreePaths",
+          lambda g, idx: _three_consecutive_three_paths(idx.three_adj),
           _apply_three_consecutive, _validate_three_consecutive),
     _Kind("SevenSevenTwoPaths", _detect_seven_seven,
           _apply_seven_seven, _validate_seven_seven),

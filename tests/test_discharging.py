@@ -13,8 +13,8 @@ from sparse2dc.discharging import (
     verify_ledger,
 )
 from sparse2dc.families import cycle, random_skeleton
-from sparse2dc.graph import Graph, subdivide
-from sparse2dc.reductions import ForestOfStarsError, _RunIndex
+from sparse2dc.graph import Graph, degree_two_runs, subdivide
+from sparse2dc.reductions import ForestOfStarsError
 
 
 class CaseFixture:
@@ -201,7 +201,7 @@ class TestCaseArithmetic:
         case = sponsor_case()
         g = case.graph
         ledger = run_discharge(g)
-        runs3 = [r for r in _RunIndex(g).runs if r.length == 3]
+        runs3 = [r for r in degree_two_runs(g)[0] if r.length == 3]
         u, v = runs3[0].endpoints
         from sparse2dc.reductions import classify_vertices
 

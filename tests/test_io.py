@@ -45,6 +45,17 @@ def test_edge_list_rejects_bad_counts():
         parse_edge_list("2 2\n0 1\n")
 
 
+def test_edge_list_rejects_a_negative_edge_count(capsys, tmp_path):
+    from sparse2dc import cli
+
+    with pytest.raises(ValueError, match="declares -1 edges; the count must be nonnegative"):
+        parse_edge_list("2 -1")
+    path = tmp_path / "negative.txt"
+    path.write_text("3 -2\n0 1\n")
+    assert cli.main(["mad", "--input", str(path)]) == 2
+    assert "declares -2 edges" in capsys.readouterr().err
+
+
 def test_edge_list_rejects_oversized_header():
     # refused before anything of size n is allocated
     with pytest.raises(ValueError, match="at most 258047"):

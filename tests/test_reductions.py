@@ -10,8 +10,16 @@ import pytest
 
 import fixture_graphs as fx
 from sparse2dc.coloring import Coloring, color_2distance, is_valid_2distance
+from sparse2dc.discharging import run_discharge
 from sparse2dc.families import cycle, petersen, spider, star
-from sparse2dc.graph import Graph, degree_two_runs, remove_vertices, subdivide
+from sparse2dc.graph import (
+    Graph,
+    _walk_run as walk_run,
+    d_star,
+    degree_two_runs,
+    remove_vertices,
+    subdivide,
+)
 from sparse2dc.potential import DENSITY_BOUND, mad_bruteforce, mad_exact, rho_star
 from sparse2dc.reductions import (
     BASE_THRESHOLD,
@@ -270,7 +278,6 @@ class TestLocalKinds:
         u, v, x = cfg.data["u"], cfg.data["v"], cfg.data["x"]
         p = cfg.data["p"]
         qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
-        idx = _RunIndex(g)
         wtr = []
         for w in cfg.data["wvertices"]:
             starts = [n for n in g.adjacency[w] if g.degree(n) == 2]
@@ -319,7 +326,7 @@ class TestClassification:
     def test_two_vertex_kinds(self):
         g = fx.three_path_low_end()
         classes = classify_vertices(g)
-        runs = [r for r in _RunIndex(g).runs if r.length == 3]
+        runs = [r for r in degree_two_runs(g)[0] if r.length == 3]
         mid = runs[0].internal[1]
         ends = {runs[0].internal[0], runs[0].internal[2]}
         assert classes.two_kind[mid] == "small"
@@ -353,7 +360,7 @@ class TestClassification:
         classes = classify_vertices(g)
         assert len(classes.sponsors) == 1
         sponsor, small = next(iter(classes.sponsors.items()))
-        runs3 = [r for r in _RunIndex(g).runs if r.length == 3]
+        runs3 = [r for r in degree_two_runs(g)[0] if r.length == 3]
         assert small == runs3[0].internal[1]
         root = next(iter(classes.roots))
         P = set(runs3[0].internal)
@@ -901,6 +908,32 @@ class TestOutputIdentity:
         blob = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED
 
+    #: ``classify_vertices`` and ``run_discharge`` on the same corpus; the
+    #: sponsors are kept in the order classification assigns them.
+    PINNED_CLASSES = "a8789dd2fb8d"
+
+    def test_classification_and_ledger_digest(self):
+        records = []
+        for name, g in self.corpus():
+            record = {"graph": name}
+            try:
+                c = classify_vertices(g)
+                record["classes"] = [
+                    sorted(c.two_kind.items()), sorted(c.one_path_bridges),
+                    c.bridge_pairs, list(c.sponsors.items()), sorted(c.roots),
+                ]
+                record["ledger"] = run_discharge(g).to_json()
+            except ForestOfStarsError as exc:
+                record["refused"] = [str(exc), repr(exc.witness)]
+            except ValueError as exc:  # discharging needs minimum degree 2
+                record["refused"] = str(exc)
+            records.append(record)
+        assert sum("classes" in r for r in records) >= 35
+        assert sum("ledger" in r for r in records) >= 15
+        assert sum(isinstance(r.get("refused"), list) for r in records) >= 1
+        blob = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_CLASSES
+
 
 def _apply_degree_one_per_edge(g, cfg):
     """The single-edge DegreeOne surgery that batched peeling replaced."""
@@ -1097,6 +1130,153 @@ SORTED_SCANS = {
 }
 
 
+def three_run_multigraph(runs):
+    """The open 3-runs of ``runs`` as anchor -> [(other anchor, index)],
+    each list in the order of ``runs``."""
+    runs3 = [r for r in runs if r.length == 3 and not r.closed]
+    adj = {}
+    for i, r in enumerate(runs3):
+        u, v = r.endpoints
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+    return runs3, adj
+
+
+def scan_three_path_cycle(g, runs, cycles):
+    runs3, adj = three_run_multigraph(runs)
+
+    def chain_to_root(parent, x):
+        out, links = [x], []
+        while parent[x][0] != -1:
+            links.append(parent[x][1])
+            x = parent[x][0]
+            out.append(x)
+        return out, links
+
+    visited = set()
+    for start in sorted(adj):
+        if start in visited:
+            continue
+        parent = {start: (-1, -1)}
+        stack = [(start, -1)]
+        while stack:
+            x, via = stack.pop()
+            for y, ridx in sorted(adj.get(x, ())):
+                if ridx == via:
+                    continue
+                if y in parent:
+                    vx, rx = chain_to_root(parent, x)
+                    vy, ry = chain_to_root(parent, y)
+                    pos = {v: i for i, v in enumerate(vx)}
+                    j = next(i for i, v in enumerate(vy) if v in pos)
+                    lca = vy[j]
+                    anchors = list(reversed(vx[: pos[lca] + 1])) + vy[:j]
+                    chain = list(reversed(rx[: pos[lca]])) + [ridx] + ry[:j]
+                    return Configuration("ThreePathCycle", {
+                        "anchors": tuple(anchors),
+                        "runs": tuple(runs3[i] for i in chain),
+                    })
+                parent[y] = (x, ridx)
+                stack.append((y, ridx))
+        visited.update(parent)
+    return None
+
+
+def scan_three_consecutive_three_paths(g, runs, cycles):
+    runs3, adj = three_run_multigraph(runs)
+    for v in sorted(adj):
+        for w, i2 in sorted(adj[v]):
+            for u, i1 in sorted(adj[v]):
+                if i1 == i2:
+                    continue
+                for x, i3 in sorted(adj.get(w, ())):
+                    if i3 != i2 and len({u, v, w, x}) == 4:
+                        return Configuration("ThreeConsecutiveThreePaths", {
+                            "anchors": (u, v, w, x),
+                            "runs": (runs3[i1], runs3[i2], runs3[i3]),
+                        })
+    return None
+
+
+def scan_counting_pair(g, runs, cycles):
+    skip = {v for cyc in cycles for v in cyc}
+    ds = {v: d_star(g, v) for v in g.vertices()}
+    for w in g.vertices():
+        if w in skip:
+            continue
+        nbrs = sorted(g.adjacency[w], key=lambda u: (ds[u], u))
+        for k in range(1, len(nbrs) + 1):
+            if ds[nbrs[k - 1]] > 7 + k - 1:
+                break
+            if ds[w] <= 7 + k:
+                return Configuration(
+                    "CountingPair", {"w": w, "removed_neighbors": tuple(nbrs[:k])}
+                )
+    return None
+
+
+def open_three_runs_at(g, v):
+    """(internals from v, far end) of each open 3-run at v, walked from the
+    edges at v in order."""
+    out = []
+    for w in g.adjacency[v]:
+        if g.degree(w) == 2:
+            ints, far = walk_run(g, v, w)
+            if len(ints) == 3 and far != v:
+                out.append((tuple(ints), far))
+    return out
+
+
+def scan_two_consecutive_three_paths(g):
+    from sparse2dc.reductions import _potential_without
+
+    for v in g.vertices():
+        if g.degree(v) < 3:
+            continue
+        runs_here = open_three_runs_at(g, v)
+        for ai in range(len(runs_here)):
+            for bi in range(ai + 1, len(runs_here)):
+                (ints_a, u), (ints_b, w) = runs_here[ai], runs_here[bi]
+                if u == w:
+                    continue
+                value = _potential_without(g, set(ints_a) | set(ints_b), {u, w})
+                if value >= 1:
+                    return Configuration(
+                        "TwoConsecutiveThreePaths",
+                        {"u": u, "v": v, "w": w, "pu": tuple(reversed(ints_a)),
+                         "pw": tuple(reversed(ints_b))},
+                        {"bridge": value},
+                    )
+    return None
+
+
+def scan_oriented_sponsors(g):
+    from sparse2dc.reductions import _potential_without
+
+    out = []
+    for u in g.vertices():
+        if g.degree(u) != 7:
+            continue
+        runs_here = open_three_runs_at(g, u)
+        if len(runs_here) != 1:
+            continue
+        [(ints, v)] = runs_here
+        pot_u = _potential_without(g, set(ints), {u})
+        pot_v = _potential_without(g, set(ints), {v})
+        if pot_u <= pot_v:
+            out.append((u, ints, v, pot_u, pot_v))
+    return out
+
+
+#: Detectors as they were while they read a whole-graph ``degree_two_runs``
+#: (in its order) and a d* table of every vertex, rebuilt at each step.
+WHOLE_SCANS = {
+    "ThreePathCycle": scan_three_path_cycle,
+    "CountingPair": scan_counting_pair,
+    "ThreeConsecutiveThreePaths": scan_three_consecutive_three_paths,
+}
+
+
 class TestLiveRunIndex:
     """The solver keeps one run index and updates it around the vertices
     each step edits; after every step it matches a fresh scan."""
@@ -1113,7 +1293,7 @@ class TestLiveRunIndex:
         from sparse2dc import reductions as module
 
         idx = wg.run_index()
-        runs, _ = degree_two_runs(wg)
+        runs, cycles = degree_two_runs(wg)
         assert set(idx.run_of.values()) == set(runs)
         from_edge = {}
         for r in runs:
@@ -1121,8 +1301,31 @@ class TestLiveRunIndex:
             from_edge[(u, ints[0])] = (ints, v)
             from_edge[(v, ints[-1])] = (ints[::-1], u)
         assert idx.from_edge == from_edge
+        runs3, adj = three_run_multigraph(runs)
+        assert {a: sorted(links) for a, links in idx.three_adj.items()} == {
+            a: sorted((b, runs3[i]) for b, i in links) for a, links in adj.items()
+        }
+        assert set(idx.cycle_of.values()) == {frozenset(c) for c in cycles}
+        assert set(idx.cycle_of) == {v for c in cycles for v in c}
+        assert {v: d_star(wg, v) for v in idx.ds} == idx.ds
+        found["memoized d*"] += len(idx.ds)
         pendants = [v for v in wg.vertices() if wg.degree(v) == 1]
         assert idx.pendant() == min(pendants, default=None)
+        for kind, scan in WHOLE_SCANS.items():
+            cfg = scan(wg, runs, cycles)
+            assert module._BY_KIND[kind].detect(wg, idx) == cfg
+            found[kind] += cfg is not None
+        # the open 3-runs the potential-backed kinds read, as they were
+        # walked from every vertex; with every potential 1 (the potentials
+        # do not depend on the index) each candidate shows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(module, "_potential_without", lambda g, dropped, query: 1)
+            cfg = scan_two_consecutive_three_paths(wg)
+            assert module._BY_KIND["TwoConsecutiveThreePaths"].detect(wg, idx) == cfg
+            found["TwoConsecutiveThreePaths"] += cfg is not None
+            sponsors = scan_oriented_sponsors(wg)
+            assert list(module._oriented_sponsors(wg, idx)) == sponsors
+            found["oriented sponsors"] += len(sponsors)
         runs.sort(key=lambda r: (r.endpoints, r.internal))
         for kind, scan in SORTED_SCANS.items():
             cfg = scan(wg, runs)
@@ -1134,7 +1337,7 @@ class TestLiveRunIndex:
 
         original = module.apply_reduction
         steps = 0
-        found = Counter()  # steps at which each structural detector fires
+        found = Counter()  # steps at which each detector fires, d* entries checked
 
         def checked(g, cfg):
             nonlocal steps
@@ -1157,7 +1360,9 @@ class TestLiveRunIndex:
         # the corpus has no 2-run with a chord; that fixture carries a K4
         constructive_color(with_ring(fx.two_path_chord()), verify_preconditions=False)
         assert solved >= 90 and largest >= 500
-        assert min(found[kind] for kind in SORTED_SCANS) >= 1
+        assert min(found[kind] for kind in (*SORTED_SCANS, *WHOLE_SCANS)) >= 1
+        assert found["TwoConsecutiveThreePaths"] >= 1 and found["oriented sponsors"] >= 1
+        assert found["memoized d*"] >= 10_000
         assert steps >= 1000
 
     def test_a_cut_run_is_walked_again_in_place(self):
@@ -1172,6 +1377,20 @@ class TestLiveRunIndex:
         assert run not in idx.run_of.values()
         assert set(idx.run_of.values()) == set(degree_two_runs(wg)[0])
 
+
+    def test_cycles_of_2_vertices_follow_the_edits(self):
+        # a 6-cycle, and a triangle with a pendant edge at vertex 6
+        ring = [(i, (i + 1) % 6) for i in range(6)]
+        g = Graph(10, ring + [(6, 7), (6, 8), (6, 9), (7, 8)])
+        wg = _WorkGraph(g)
+        idx = wg.run_index()
+        assert set(idx.cycle_of.values()) == {frozenset(range(6))}
+        wg.begin()
+        wg.remove_edge(0, 1)  # the 6-cycle opens into a run
+        wg.remove_edge(6, 9)  # the triangle closes into a cycle
+        self.check(wg, Counter())
+        assert wg.run_index() is idx
+        assert set(idx.cycle_of.values()) == {frozenset({6, 7, 8})}
 
     def test_a_changed_run_is_walked_once(self, monkeypatch):
         from sparse2dc import reductions as module
@@ -1192,10 +1411,11 @@ class TestLiveRunIndex:
         wg.add_path(0, 1, 300)  # 300 edited 2-vertices in one run
         idx = wg.run_index()
         assert set(idx.run_of.values()) == set(degree_two_runs(wg)[0])
-        # each run is walked once from an anchor, after at most one walk
-        # from an edited 2-vertex to find that anchor
+        # only the new run is walked from an anchor, after at most one walk
+        # from an edited 2-vertex to find that anchor; the runs 0-2-1 and
+        # 0-3-1 at the edited hubs are kept and not walked again
         from_anchors = [ints for degree, ints in walked if degree != 2]
-        assert sorted(map(len, from_anchors)) == [1, 1, 300]
+        assert sorted(map(len, from_anchors)) == [300]
         assert sum(len(ints) for _, ints in walked) <= 2 * 302
 
 
@@ -1228,8 +1448,9 @@ class TestSolverWork:
     def test_whole_graph_run_scans_only_past_the_structural_detectors(
         self, monkeypatch
     ):
-        """``degree_two_runs`` runs at most once per step that reaches
-        ThreePathCycle, plus once for the base case."""
+        """Detection reads the live run index alone: ``degree_two_runs``
+        runs at most once per solve, for the base case, however many steps
+        reach ThreePathCycle and the detectors after it."""
         from sparse2dc import reductions as module
 
         g = capped_skeleton(random.Random(7), 570)
@@ -1253,5 +1474,5 @@ class TestSolverWork:
         steps = record_steps(monkeypatch)
         phi = constructive_color(g, verify_preconditions=False)
         assert is_valid_2distance(g, phi)[0]
-        assert len(steps) >= 200
-        assert calls["runs"] <= calls["reached"] + 1
+        assert len(steps) >= 200 and calls["reached"] >= 1
+        assert calls["runs"] <= 1
