@@ -191,7 +191,14 @@ def seen_colors(g: Graph, c: Coloring, v: int) -> dict[int, int]:
 
 
 def available_colors(g: Graph, c: Coloring, v: int) -> list[int]:
-    used = set(seen_colors(g, c, v).values())
+    """The colors of 1..k that no vertex within distance 2 of v holds."""
+    colors, adjacency = c.colors, g.adjacency
+    used = set()
+    for w in adjacency[v]:
+        used.add(colors.get(w))
+        for x in adjacency[w]:
+            if x != v:
+                used.add(colors.get(x))
     return [col for col in range(1, c.k + 1) if col not in used]
 
 

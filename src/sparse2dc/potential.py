@@ -6,7 +6,11 @@ The potential of a vertex set A in G is ``rho(A) = a|A| - b|E(G[A])|``
 of A; it is computed exactly, never with floating point, as a minimum cut
 of a closure network.  When a >= b the network skips pendant trees and
 dissolves runs of 2-vertices into weighted edges, which keeps the answer
-(see ``_closure_minimum``).
+(see ``_closure_minimum``).  ``rho_star(g, A, without=D)`` answers in
+G - D with no copy of the graph and no renumbering, so ids stay those of
+``g``.  ``rho``, ``rho_star`` and ``mad_exact`` read only ``n``, ``m``,
+``adjacency``, ``vertices()`` and ``edge_count_inside``: they run on the
+reduction chain's working graph, whose ids may have gaps, as on a ``Graph``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .flow import FlowNetwork
-from .graph import Graph, remove_edges, remove_vertices
+from .graph import Graph, remove_edges
 
 #: Density threshold tied to the default coefficients: mad <= 18/7.
 DENSITY_BOUND = Fraction(18, 7)
@@ -64,10 +68,13 @@ def _closure_minimum(
     forced: frozenset[int],
     vertex_cost: int,
     edge_gain: int,
+    excluded: Iterable[int] = (),
 ) -> tuple[int, frozenset[int]]:
-    """Minimize ``vertex_cost*|S| - edge_gain*|E(S)|`` over S containing ``forced``.
+    """Minimize ``vertex_cost*|S| - edge_gain*|E(S)|`` over S containing
+    ``forced`` in G - ``excluded``.
 
-    If vertex_cost >= edge_gain, the graph shrinks first and keeps its
+    The excluded vertices start out dead, as peeled ones do.  If
+    vertex_cost >= edge_gain, the graph shrinks first and keeps its
     smallest minimizer (the intersection of all minimizers).  Unforced
     vertices of degree <= 1 are peeled repeatedly, since dropping one from S
     changes the objective by edge_gain*deg - vertex_cost <= 0.  Each maximal
@@ -89,15 +96,20 @@ def _closure_minimum(
     adjacency = g.adjacency
     degree = [len(nbrs) for nbrs in adjacency]
     alive = [True] * g.n
+    for x in excluded:
+        alive[x] = False
+        for w in adjacency[x]:
+            degree[w] -= 1
     shrink = vertex_cost >= edge_gain
-    peel = [v for v in g.vertices() if shrink and degree[v] <= 1 and v not in forced]
+    peel = [v for v in g.vertices()
+            if shrink and degree[v] <= 1 and alive[v] and v not in forced]
     for v in peel:
         alive[v] = False
         for w in adjacency[v]:
             degree[w] -= 1
             if degree[w] == 1 and alive[w] and w not in forced:
                 peel.append(w)
-    inner = [shrink and alive[v] and degree[v] == 2 and v not in forced for v in g.vertices()]
+    inner = [shrink and alive[v] and degree[v] == 2 and v not in forced for v in range(g.n)]
     anchors = [v for v in g.vertices() if alive[v] and not inner[v]]
     node = {v: i for i, v in enumerate(anchors, 2)}
     net = FlowNetwork(2 + len(anchors))
@@ -143,14 +155,24 @@ def _closure_minimum(
 
 
 def rho_star(
-    g: Graph, a_set: Iterable[int], params: PotentialParams = DEFAULT_PARAMS
+    g: Graph, a_set: Iterable[int], params: PotentialParams = DEFAULT_PARAMS,
+    *, without: Iterable[int] = (),
 ) -> PotentialResult:
     """Exact minimum of rho over all supersets of A; the witness is the
-    smallest minimizer, contained in every superset attaining the minimum."""
+    smallest minimizer, contained in every superset attaining the minimum.
+
+    With ``without=D`` the minimum is taken in G - D, over supersets of A
+    that avoid D, in the ids of ``g``; A must not meet D.
+    """
     a = _check_subset(g, a_set)
-    value, witness = _closure_minimum(g, a, params.a, params.b)
+    d = _check_subset(g, without)
+    if a & d:
+        raise ValueError(f"forced vertices {sorted(a & d)} are excluded")
+    value, witness = _closure_minimum(g, a, params.a, params.b, d)
     if not a <= witness:
         raise AssertionError("closure witness lost a forced vertex")
+    if witness & d:
+        raise AssertionError("closure witness holds an excluded vertex")
     if rho(g, witness, params) != value:
         raise AssertionError("closure value disagrees with direct recount")
     return PotentialResult(value, witness, params)
@@ -200,12 +222,13 @@ def mad_exact(g: Graph) -> tuple[Fraction, frozenset[int]]:
     Terminates because each round strictly increases the guess and only
     finitely many densities exist.
     """
-    if g.n == 0:
+    live = g.vertices()
+    if not live:
         raise ValueError("mad of the empty graph is undefined")
     if g.m == 0:
-        return Fraction(0), frozenset({0})
-    density = Fraction(2 * g.m, g.n)
-    witness = frozenset(g.vertices())
+        return Fraction(0), frozenset(live[:1])
+    density = Fraction(2 * g.m, len(live))
+    witness = frozenset(live)
     while True:
         p, q = density.numerator, density.denominator
         value, candidate = _closure_minimum(g, frozenset(), p, 2 * q)
@@ -326,10 +349,8 @@ def verify_potential_laws(
                 w for v in a for w in g.adjacency[v] if w not in a
             )
             s_cover = boundary | (_random_subset(rng, g.n) - a)
-            h, remap = remove_vertices(g, a)
             cross = sum(1 for u, v in g.edges() if (u in a) != (v in a) and (u in s_cover or v in s_cover))
-            mapped = frozenset(remap[v] for v in s_cover)
-            lhs = rho_star(h, mapped, params).value
+            lhs = rho_star(g, s_cover, params, without=a).value
             rhs = params.b * cross - rho(g, a, params)
             report.record(
                 "boundary",

@@ -41,7 +41,7 @@ from .graph import (
     remove_vertices,
     vertex_signature,
 )
-from .potential import DENSITY_BOUND, add_path, mad_exact, rho_star
+from .potential import DENSITY_BOUND, mad_exact, rho_star
 
 PALETTE = 8
 #: Color-budget anchor: a vertex can always be colored while it sees at
@@ -119,10 +119,11 @@ class _WorkGraph:
     gets a fresh id above every id used so far, so the rank of a live id
     is the id ``remove_vertices`` and ``add_path`` would have given it.
     ``n`` bounds the ids (the graph functions size arrays and range-check
-    by it), while ``size`` counts what is live.  Each step opens an undo
-    record with ``begin``; an edit saves the touched vertices' adjacency
-    there first and marks them ``dirty`` for the run index, and ``undo``
-    restores the graph the step started from.
+    by it), while ``size`` counts what is live.  The potential queries
+    (``rho_star``, ``mad_exact``) read it as they read a ``Graph``.  Each
+    step opens an undo record with ``begin``; an edit saves the touched
+    vertices' adjacency there first and marks them ``dirty`` for the run
+    index, and ``undo`` restores the graph the step started from.
     """
 
     __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index")
@@ -144,6 +145,8 @@ class _WorkGraph:
 
     def vertices(self) -> list[int]:
         return self._ids
+
+    edge_count_inside = Graph.edge_count_inside
 
     def edges(self) -> list[tuple[int, int]]:
         """The live edges as (u, v) with u < v, sorted."""
@@ -552,8 +555,7 @@ def _detect_weird_six(g: Graph, idx: _RunIndex) -> Configuration | None:
 
 
 def _potential_without(g: Graph, dropped, query) -> int:
-    h, remap = remove_vertices(g, dropped)
-    return rho_star(h, frozenset(remap[v] for v in query)).value
+    return rho_star(g, query, without=dropped).value
 
 
 def _detect_two_consecutive_three_paths(
@@ -783,8 +785,7 @@ def _surgery(
             red.recorded["splices"].append({"k": 0, "pre_existing": True})
             continue
         need = 7 - 2 * k
-        h, remap = remove_vertices(g, ())
-        have = rho_star(h, {remap[u], remap[v]}).value
+        have = rho_star(g, {u, v}).value
         if have < need:
             raise InternalContradiction(
                 f"{tag}: potential {have} below required {need} for a k={k} splice"
@@ -896,11 +897,11 @@ def _w_triples(g: Graph, wvertices):
     return out
 
 
-def _first_splice_far(h0: Graph, remap, v: int, fars) -> int | None:
+def _first_splice_far(g: Graph, dropped, v: int, fars) -> int | None:
     """Position of the first far end other than ``v`` whose potential
-    together with ``v`` in ``h0`` leaves room for a k=2 splice (>= 3)."""
+    together with ``v`` in G - ``dropped`` leaves room for a k=2 splice (>= 3)."""
     for pos, far in enumerate(fars):
-        if far != v and rho_star(h0, {remap[v], remap[far]}).value >= 3:
+        if far != v and _potential_without(g, dropped, {v, far}) >= 3:
             return pos
     return None
 
@@ -965,8 +966,7 @@ def _apply_seven_seven(g, cfg):
     dropped = set(p)
     for _, ints, _ in six:
         dropped.update(ints)
-    h0, remap = remove_vertices(g, dropped)
-    chosen = _first_splice_far(h0, remap, v, [f for _, _, f in six])
+    chosen = _first_splice_far(g, dropped, v, [f for _, _, f in six])
     if chosen is None:
         raise InternalContradiction("no splice endpoint for the capped 7-vertex")
     far = six[chosen][2]
@@ -987,16 +987,15 @@ def _apply_sponsor_bridges(g, cfg):
     dropped = set(p)
     for _, ints, _ in qpaths:
         dropped.update(ints)
-    h0, remap = remove_vertices(g, dropped)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": triples}
-    pos = _first_splice_far(h0, remap, v, [f for _, _, f in triples])
+    pos = _first_splice_far(g, dropped, v, [f for _, _, f in triples])
     if pos is not None:
         detail["chosen"] = pos
         return _surgery(
             g, dropped, [(v, triples[pos][2], 2)], "sponsor-bridges-a", detail
         )
-    if g.has_edge(u, v) or rho_star(h0, {remap[u], remap[v]}).value >= 7:
+    if g.has_edge(u, v) or _potential_without(g, dropped, {u, v}) >= 7:
         return _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
     raise InternalContradiction("no splice available at the bridged sponsor")
 
@@ -1006,7 +1005,7 @@ def _apply_sponsor_all_bad(g, cfg):
     p = cfg.data["p"]
     qpaths = cfg.data["qpaths"]
     ws = cfg.data["wvertices"]
-    k, l = len(qpaths), len(ws)
+    k = len(qpaths)
     wtriples = _w_triples(g, ws)
     qtriples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": qtriples, "w": tuple(wtriples)}
@@ -1025,102 +1024,54 @@ def _apply_sponsor_all_bad(g, cfg):
     dropped = {u, *p}
     for q1, q2, _ in qtriples:
         dropped.update((q1, q2))
-    h0, remap = remove_vertices(g, dropped)
     far = [t[2] for t in qtriples]
 
-    def pot(graph, a, b):
-        return rho_star(graph, {remap[a], remap[b]}).value
-
-    def with_splice(a, b, kk):
-        if kk == 0 and h0.has_edge(remap[a], remap[b]):
-            return h0
-        return add_path(h0, remap[a], remap[b], kk)
-
-    def edge_fits(h, a, b):
-        """Room in h for a k=0 splice a-b; an existing edge is enough."""
-        if a == b:
-            return False
-        return h.has_edge(remap[a], remap[b]) or pot(h, a, b) >= 7
-
-    # template: two capped-path far ends splice plus a direct edge to a w
-    if l >= 1:
+    def templates():
+        """(paths, tag, choice) per template, in order; ``_surgery``
+        re-proves each splice, so a template fits when it does not raise."""
+        # two capped-path far ends splice plus a direct edge to a w
         for i in range(k):
             for ip in range(i + 1, k):
                 if far[i] == far[ip] or far[i] == v or far[ip] == v:
                     continue
-                if pot(h0, far[i], far[ip]) >= 3:
-                    h1 = with_splice(far[i], far[ip], 2)
-                    for j, w in enumerate(ws):
-                        if edge_fits(h1, v, w):
-                            detail2 = dict(detail, i=i, ip=ip, j=j)
-                            return _surgery(
-                                g,
-                                dropped,
-                                [(far[i], far[ip], 2), (v, w, 0)],
-                                "sponsor-allbad-claim2",
-                                detail2,
-                            )
-    # template: two direct edges into distinct w's
-    if l >= 2:
+                for j, w in enumerate(ws):
+                    if w != v:
+                        yield ([(far[i], far[ip], 2), (v, w, 0)],
+                               "sponsor-allbad-claim2", {"i": i, "ip": ip, "j": j})
+        # two direct edges into distinct w's
         for jp, wjp in enumerate(ws):
-            if not edge_fits(h0, v, wjp):
+            if wjp == v:
                 continue
-            h1 = with_splice(v, wjp, 0)
             for i in range(k):
                 for j, wj in enumerate(ws):
-                    if j == jp or far[i] == wj:
-                        continue
-                    if edge_fits(h1, far[i], wj):
-                        detail2 = dict(detail, i=i, j=j, jp=jp)
-                        return _surgery(
-                            g,
-                            dropped,
-                            [(v, wjp, 0), (far[i], wj, 0)],
-                            "sponsor-allbad-claim3",
-                            detail2,
-                        )
-    # template: two capped-path splices
-    if k >= 3:
+                    if j != jp and far[i] != wj:
+                        yield ([(v, wjp, 0), (far[i], wj, 0)],
+                               "sponsor-allbad-claim3", {"i": i, "j": j, "jp": jp})
+        # two capped-path splices
         for i in range(k):
             for ip in range(i + 1, k):
                 if far[i] == far[ip]:
                     continue
-                if pot(h0, far[i], far[ip]) >= 3:
-                    h1 = with_splice(far[i], far[ip], 2)
-                    for ipp in range(k):
-                        if ipp in (i, ip) or far[ipp] == v:
-                            continue
-                        if pot(h1, v, far[ipp]) >= 3:
-                            detail2 = dict(detail, i=i, ip=ip, ipp=ipp)
-                            return _surgery(
-                                g,
-                                dropped,
-                                [(far[i], far[ip], 2), (v, far[ipp], 2)],
-                                "sponsor-allbad-claim4",
-                                detail2,
-                            )
-    # template: one capped-path splice at v plus a far-to-w edge
-    if l >= 1:
+                for ipp in range(k):
+                    if ipp not in (i, ip) and far[ipp] != v:
+                        yield ([(far[i], far[ip], 2), (v, far[ipp], 2)],
+                               "sponsor-allbad-claim4", {"i": i, "ip": ip, "ipp": ipp})
+        # one capped-path splice at v plus a far-to-w edge
         for ip in range(k):
             if far[ip] == v:
                 continue
-            if pot(h0, v, far[ip]) >= 3:
-                h1 = with_splice(v, far[ip], 2)
-                for i in range(k):
-                    if i == ip:
-                        continue
-                    for j, wj in enumerate(ws):
-                        if far[i] == wj:
-                            continue
-                        if edge_fits(h1, far[i], wj):
-                            detail2 = dict(detail, i=i, ip=ip, j=j)
-                            return _surgery(
-                                g,
-                                dropped,
-                                [(v, far[ip], 2), (far[i], wj, 0)],
-                                "sponsor-allbad-claim5",
-                                detail2,
-                            )
+            for i in range(k):
+                for j, wj in enumerate(ws):
+                    if i != ip and far[i] != wj:
+                        yield ([(v, far[ip], 2), (far[i], wj, 0)],
+                               "sponsor-allbad-claim5", {"i": i, "ip": ip, "j": j})
+
+    for paths, tag, choice in templates():
+        try:
+            return _surgery(g, dropped, paths, tag, dict(detail, **choice))
+        except InternalContradiction:  # a certificate fell short: next template
+            g.undo()
+            g.begin()
     raise InternalContradiction("no splice template fits the saturated sponsor")
 
 
@@ -1134,9 +1085,8 @@ def _apply_sponsor_small_x(g, cfg):
     dropped = {u, *p}
     for q1, q2, _ in qtriples:
         dropped.update((q1, q2))
-    h0, remap = remove_vertices(g, dropped)
     detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": tuple(wtriples)}
-    pos = _first_splice_far(h0, remap, v, [f for _, _, f in qtriples])
+    pos = _first_splice_far(g, dropped, v, [f for _, _, f in qtriples])
     if pos is not None:
         detail2 = dict(detail, chosen=pos)
         return _surgery(
@@ -1145,9 +1095,7 @@ def _apply_sponsor_small_x(g, cfg):
     for z in sorted(set(ws) | {x}):
         if z == v:
             continue
-        if h0.has_edge(remap[v], remap[z]) or rho_star(
-            h0, {remap[v], remap[z]}
-        ).value >= 7:
+        if g.has_edge(v, z) or _potential_without(g, dropped, {v, z}) >= 7:
             detail2 = dict(detail, z=z)
             return _surgery(
                 g, dropped, [(v, z, 0)], "sponsor-smallx-b", detail2
@@ -1172,7 +1120,7 @@ def apply_reduction(g: Graph, cfg: Configuration) -> Reduction:
     if wg.size() >= before:
         raise AssertionError(f"{cfg.kind}: reduction failed to shrink the graph")
     if red.recorded.get("splices"):
-        value, _ = mad_exact(remove_vertices(wg, ())[0])
+        value, _ = mad_exact(wg)
         if value > DENSITY_BOUND:
             raise InternalContradiction(
                 f"{cfg.kind}: spliced graph exceeds density 18/7 ({value})"

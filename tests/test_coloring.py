@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from sparse2dc.coloring import (
     Coloring,
     SearchBudgetExceeded,
+    available_colors,
     chi2_exact,
     color_2distance,
     hall_check,
     is_valid_2distance,
+    seen_colors,
 )
 from sparse2dc.families import cycle, path, petersen, star
 from sparse2dc.graph import Graph
@@ -191,6 +193,17 @@ class TestListExtend:
         assert info.value.vertex == 0
         assert set(info.value.state.values()) == set(range(1, 8))
         assert partial.get(0) is None
+
+    def test_available_colors_skip_every_color_within_distance_two(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 14), 0.3)
+            c = Coloring(8, {v: rng.randint(1, 8) for v in g.vertices() if rng.random() < 0.6})
+            for v in g.vertices():
+                near = {w for w, d in bfs_distances(g, v).items() if 1 <= d <= 2}
+                seen = {c.get(w) for w in near}
+                assert available_colors(g, c, v) == [k for k in range(1, 9) if k not in seen]
+                assert set(seen_colors(g, c, v).values()) == seen - {None}
 
     def test_simultaneous_mode_uses_matching(self):
         # two conflicting vertices whose lists force a swap

@@ -17,7 +17,7 @@ from sparse2dc.families import (
     star,
 )
 from sparse2dc.flow import FlowNetwork
-from sparse2dc.graph import Graph, subdivide
+from sparse2dc.graph import Graph, remove_vertices, subdivide
 from sparse2dc.potential import (
     DENSITY_BOUND,
     PotentialParams,
@@ -281,6 +281,67 @@ class TestRelabeling:
             assert got.witness == {label[v] for v in want.witness}
         density, witness = mad_exact(g)
         assert mad_exact(h) == (density, {label[v] for v in witness})
+
+
+class TestWithout:
+    """``rho_star(g, A, without=D)`` answers in G - D in the ids of ``g``: it
+    equals ``rho_star`` on the snapshot ``remove_vertices(g, D)``, in value
+    and in the witness mapped through the snapshot's renumbering, on a
+    ``Graph`` and on the solver's working graph alike."""
+
+    def check(self, g, rng, queries=8):
+        live = list(g.vertices())
+        for _ in range(queries):
+            d = frozenset(rng.sample(live, rng.randint(0, len(live) // 3)))
+            rest = [v for v in live if v not in d]
+            a = rng.sample(rest, min(len(rest), rng.randint(0, 2)))
+            got = rho_star(g, a, without=d)
+            h, remap = remove_vertices(g, d)
+            want = rho_star(h, [remap[v] for v in a])
+            assert got.value == want.value
+            assert not got.witness & d
+            assert frozenset(remap[v] for v in got.witness) == want.witness
+
+    @pytest.mark.parametrize("family", ["sparse", "hub network", "subdivided skeleton"])
+    def test_matches_the_snapshot(self, family):
+        rng = random.Random(14)
+        for _ in range(12):
+            if family == "sparse":
+                g = random_sparse_graph(rng, rng.randint(2, 40), rng.randint(0, 12))
+            elif family == "hub network":
+                g = _hub_network(rng, 2 * rng.randint(2, 6))
+            else:
+                g = subdivide(random_skeleton(rng, rng.randint(8, 20), 7, 2), 2)
+            self.check(g, rng)
+
+    def test_matches_the_snapshot_on_the_working_graph(self, monkeypatch):
+        from sparse2dc import reductions
+
+        original = reductions.apply_reduction
+        rng = random.Random(15)
+        spliced = []
+
+        def checked(wg, cfg):
+            red = original(wg, cfg)
+            if red.added:  # after a splice: dead ids below fresh ones
+                assert len(wg.vertices()) < wg.n and max(wg.vertices()) >= n
+                self.check(wg, rng, queries=20)
+                h, remap = remove_vertices(wg, ())
+                density, witness = mad_exact(h)
+                assert mad_exact(wg) == (density, {v for v in wg.vertices() if remap[v] in witness})
+                spliced.append(cfg.kind)
+            return red
+
+        monkeypatch.setattr(reductions, "apply_reduction", checked)
+        for seed in range(4):
+            g = random_hub_network(random.Random(seed), 12)
+            n = g.n
+            reductions.constructive_color(g)
+        assert len(spliced) >= 4
+
+    def test_forced_and_excluded_must_not_meet(self):
+        with pytest.raises(ValueError):
+            rho_star(cycle(6), {0, 2}, without={2, 3})
 
 
 class TestMad:

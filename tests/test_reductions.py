@@ -27,6 +27,7 @@ from sparse2dc.reductions import (
     ExtensionError,
     ForestOfStarsError,
     _RunIndex,
+    _Tracked,
     _WorkGraph,
     _dense,
     _detect_seven_seven,
@@ -293,6 +294,58 @@ class TestLocalKinds:
         ch = color_2distance(red.graph, 8, budget=10_000_000)
         phi = extend_coloring(g, cfg, red, ch)
         assert is_valid_2distance(g, phi)[0]
+
+
+class TestTrialSplices:
+    """The saturated sponsor tries its splice templates in order on the
+    working graph; a template whose certificate falls short is undone
+    before the next is tried, so the step keeps one undo record."""
+
+    @pytest.mark.parametrize(
+        "make, tag, choice",
+        [
+            # both capped runs end at one vertex, so claim 2 has no candidate
+            (fx.sponsor_all_bad_same_far, "sponsor-allbad-claim3", {"i": 0, "j": 2, "jp": 0}),
+            (lambda: fx.sponsor_all_bad_local(6), "sponsor-allbad-claim4",
+             {"i": 0, "ip": 1, "ipp": 3}),
+        ],
+    )
+    def test_a_short_certificate_undoes_the_trial(self, monkeypatch, make, tag, choice):
+        from dataclasses import replace
+
+        from sparse2dc import reductions as module
+
+        g = make()
+        wg = _WorkGraph(g)
+        cfg = _detect_sponsor_all_bad(wg, wg.run_index())
+        certificates = []
+
+        def rho_star_short(graph, a_set, *args, **kwargs):
+            result = rho_star(graph, a_set, *args, **kwargs)
+            if "without" in kwargs:
+                return result
+            certificates.append(result.value)
+            # the first template's second splice, after its first is in
+            return replace(result, value=-1) if len(certificates) == 2 else result
+
+        monkeypatch.setattr(module, "rho_star", rho_star_short)
+        red = apply_reduction(wg, cfg)
+        monkeypatch.undo()
+        assert len(certificates) == 4  # two for the failed template, two for the next
+        assert red.tag == tag
+        assert {key: red.detail[key] for key in choice} == choice
+        assert len(wg._log) == 1
+        assert red.added == tuple(range(g.n, wg.n))
+        assert len(red.added) == sum(s["k"] for s in red.recorded["splices"])
+
+        h, remap = remove_vertices(wg, ())
+        colors = color_2distance(h, 8, budget=10_000_000).colors
+        ch = _Tracked(8, {v: colors[remap[v]] for v in wg.vertices()})
+        phi = extend_coloring(wg, cfg, red, ch)
+        assert wg.adjacency == list(g.adjacency)
+        assert (wg.n, wg.m, wg.vertices()) == (g.n, g.m, list(g.vertices()))
+        assert not wg._log
+        assert is_valid_2distance(g, Coloring(8, phi.colors))[0]
 
 
 class TestConfigurationContracts:
