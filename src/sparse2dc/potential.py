@@ -16,6 +16,7 @@ reduction chain's working graph, whose ids may have gaps, as on a ``Graph``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -50,10 +51,14 @@ class PotentialResult:
 
 
 def _check_subset(g: Graph, a_set: Iterable[int]) -> frozenset[int]:
+    """``a_set`` as a frozenset of live ids; ``vertices()`` is sorted (a
+    range on a ``Graph``), so each id is looked up by bisection."""
     out = frozenset(a_set)
+    live = g.vertices()
     for v in out:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+        i = bisect_left(live, v)
+        if i == len(live) or live[i] != v:
+            raise ValueError(f"vertex {v} not in the graph")
     return out
 
 

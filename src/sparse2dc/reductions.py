@@ -126,7 +126,7 @@ class _WorkGraph:
     index, and ``undo`` restores the graph the step started from.
     """
 
-    __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index")
+    __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index", "_synced_n")
 
     def __init__(self, g: Graph):
         self.n = g.n
@@ -136,6 +136,7 @@ class _WorkGraph:
         self._ids = list(range(g.n))  # the live ids, ascending
         self._log: list[tuple] = []
         self._index: _RunIndex | None = None
+        self._synced_n = 0  # n at the run index's last sync
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -162,6 +163,7 @@ class _WorkGraph:
             self.dirty.clear()
             self._index = _RunIndex(self)
         self._index.sync()
+        self._synced_n = self.n
         return self._index
 
     def begin(self) -> None:
@@ -201,7 +203,9 @@ class _WorkGraph:
         return fresh
 
     def undo(self) -> None:
-        """Restore the graph before the last step, and drop the run index."""
+        """Restore the graph before the last step.  The restored vertices
+        turn dirty for the run index, which is dropped only when its last
+        sync may have indexed an id the undo deletes."""
         n, m, saved, gone = self._log.pop()
         for v, adj in saved.items():
             self.adjacency[v] = adj
@@ -209,8 +213,11 @@ class _WorkGraph:
         del self._ids[len(self._ids) - (self.n - n):]
         for v in gone:
             insort(self._ids, v)
+        self.dirty.update(saved)
+        self.dirty.difference_update(range(n, self.n))
+        if self._synced_n > n:
+            self._index = None
         self.n, self.m = n, m
-        self._index = None
 
 
 # ---------------------------------------------------------------------------
@@ -897,13 +904,18 @@ def _w_triples(g: Graph, wvertices):
     return out
 
 
-def _first_splice_far(g: Graph, dropped, v: int, fars) -> int | None:
-    """Position of the first far end other than ``v`` whose potential
-    together with ``v`` in G - ``dropped`` leaves room for a k=2 splice (>= 3)."""
-    for pos, far in enumerate(fars):
-        if far != v and _potential_without(g, dropped, {v, far}) >= 3:
-            return pos
-    return None
+def _first_fit(g: _WorkGraph, templates, message: str) -> Reduction:
+    """The surgery of the first ``(dropped, paths, tag, detail)`` template
+    that fits.  ``_surgery`` re-proves each splice, so a template fits when
+    it does not raise; one that falls short is undone before the next is
+    tried, and the step keeps one undo record."""
+    for dropped, paths, tag, detail in templates:
+        try:
+            return _surgery(g, dropped, paths, tag, detail)
+        except InternalContradiction:  # a certificate fell short: next template
+            g.undo()
+            g.begin()
+    raise InternalContradiction(message)
 
 
 def _apply_weird_seven(g, cfg):
@@ -948,14 +960,13 @@ def _apply_two_consecutive(g, cfg):
 def _apply_three_consecutive(g, cfg):
     a, b, c, d = cfg.data["anchors"]
     r1, r2, r3 = cfg.data["runs"]
-    for (u, v, w), (ru, rw) in (((a, b, c), (r1, r2)), ((b, c, d), (r2, r3))):
-        dropped = set(ru.internal) | set(rw.internal)
-        if _potential_without(g, dropped, {u, w}) >= 1:
-            pu, pw = _oriented_from(ru, u), _oriented_from(rw, w)
-            detail = {"u": u, "v": v, "w": w, "pu": pu, "pw": pw}
-            return _surgery(g, dropped, [(u, w, 3)], "two-consecutive", detail)
-    raise InternalContradiction(
-        "both bridge splices unavailable on three consecutive 3-paths"
+    templates = (
+        (set(ru.internal) | set(rw.internal), [(u, w, 3)], "two-consecutive",
+         {"u": u, "v": v, "w": w, "pu": _oriented_from(ru, u), "pw": _oriented_from(rw, w)})
+        for (u, v, w), (ru, rw) in (((a, b, c), (r1, r2)), ((b, c, d), (r2, r3)))
+    )
+    return _first_fit(
+        g, templates, "both bridge splices unavailable on three consecutive 3-paths"
     )
 
 
@@ -966,18 +977,13 @@ def _apply_seven_seven(g, cfg):
     dropped = set(p)
     for _, ints, _ in six:
         dropped.update(ints)
-    chosen = _first_splice_far(g, dropped, v, [f for _, _, f in six])
-    if chosen is None:
-        raise InternalContradiction("no splice endpoint for the capped 7-vertex")
-    far = six[chosen][2]
-    detail = {
-        "u": u,
-        "v": v,
-        "p": p,
-        "six": tuple((ints[0], ints[1], f) for _, ints, f in six),
-        "chosen": chosen,
-    }
-    return _surgery(g, dropped, [(v, far, 2)], "seven-seven", detail)
+    six_ends = tuple((ints[0], ints[1], f) for _, ints, f in six)
+    detail = {"u": u, "v": v, "p": p, "six": six_ends}
+    templates = (
+        (dropped, [(v, far, 2)], "seven-seven", dict(detail, chosen=pos))
+        for pos, (_, _, far) in enumerate(six) if far != v
+    )
+    return _first_fit(g, templates, "no splice endpoint for the capped 7-vertex")
 
 
 def _apply_sponsor_bridges(g, cfg):
@@ -989,15 +995,12 @@ def _apply_sponsor_bridges(g, cfg):
         dropped.update(ints)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": triples}
-    pos = _first_splice_far(g, dropped, v, [f for _, _, f in triples])
-    if pos is not None:
-        detail["chosen"] = pos
-        return _surgery(
-            g, dropped, [(v, triples[pos][2], 2)], "sponsor-bridges-a", detail
-        )
-    if g.has_edge(u, v) or _potential_without(g, dropped, {u, v}) >= 7:
-        return _surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
-    raise InternalContradiction("no splice available at the bridged sponsor")
+    templates = [
+        (dropped, [(v, far, 2)], "sponsor-bridges-a", dict(detail, chosen=pos))
+        for pos, (_, _, far) in enumerate(triples) if far != v
+    ]
+    templates.append((dropped, [(u, v, 0)], "sponsor-bridges-b", detail))
+    return _first_fit(g, templates, "no splice available at the bridged sponsor")
 
 
 def _apply_sponsor_all_bad(g, cfg):
@@ -1027,8 +1030,7 @@ def _apply_sponsor_all_bad(g, cfg):
     far = [t[2] for t in qtriples]
 
     def templates():
-        """(paths, tag, choice) per template, in order; ``_surgery``
-        re-proves each splice, so a template fits when it does not raise."""
+        """(dropped, paths, tag, detail) per template, in order."""
         # two capped-path far ends splice plus a direct edge to a w
         for i in range(k):
             for ip in range(i + 1, k):
@@ -1036,8 +1038,8 @@ def _apply_sponsor_all_bad(g, cfg):
                     continue
                 for j, w in enumerate(ws):
                     if w != v:
-                        yield ([(far[i], far[ip], 2), (v, w, 0)],
-                               "sponsor-allbad-claim2", {"i": i, "ip": ip, "j": j})
+                        yield (dropped, [(far[i], far[ip], 2), (v, w, 0)],
+                               "sponsor-allbad-claim2", dict(detail, i=i, ip=ip, j=j))
         # two direct edges into distinct w's
         for jp, wjp in enumerate(ws):
             if wjp == v:
@@ -1045,8 +1047,8 @@ def _apply_sponsor_all_bad(g, cfg):
             for i in range(k):
                 for j, wj in enumerate(ws):
                     if j != jp and far[i] != wj:
-                        yield ([(v, wjp, 0), (far[i], wj, 0)],
-                               "sponsor-allbad-claim3", {"i": i, "j": j, "jp": jp})
+                        yield (dropped, [(v, wjp, 0), (far[i], wj, 0)],
+                               "sponsor-allbad-claim3", dict(detail, i=i, j=j, jp=jp))
         # two capped-path splices
         for i in range(k):
             for ip in range(i + 1, k):
@@ -1054,8 +1056,8 @@ def _apply_sponsor_all_bad(g, cfg):
                     continue
                 for ipp in range(k):
                     if ipp not in (i, ip) and far[ipp] != v:
-                        yield ([(far[i], far[ip], 2), (v, far[ipp], 2)],
-                               "sponsor-allbad-claim4", {"i": i, "ip": ip, "ipp": ipp})
+                        yield (dropped, [(far[i], far[ip], 2), (v, far[ipp], 2)],
+                               "sponsor-allbad-claim4", dict(detail, i=i, ip=ip, ipp=ipp))
         # one capped-path splice at v plus a far-to-w edge
         for ip in range(k):
             if far[ip] == v:
@@ -1063,16 +1065,10 @@ def _apply_sponsor_all_bad(g, cfg):
             for i in range(k):
                 for j, wj in enumerate(ws):
                     if i != ip and far[i] != wj:
-                        yield ([(v, far[ip], 2), (far[i], wj, 0)],
-                               "sponsor-allbad-claim5", {"i": i, "ip": ip, "j": j})
+                        yield (dropped, [(v, far[ip], 2), (far[i], wj, 0)],
+                               "sponsor-allbad-claim5", dict(detail, i=i, ip=ip, j=j))
 
-    for paths, tag, choice in templates():
-        try:
-            return _surgery(g, dropped, paths, tag, dict(detail, **choice))
-        except InternalContradiction:  # a certificate fell short: next template
-            g.undo()
-            g.begin()
-    raise InternalContradiction("no splice template fits the saturated sponsor")
+    return _first_fit(g, templates(), "no splice template fits the saturated sponsor")
 
 
 def _apply_sponsor_small_x(g, cfg):
@@ -1086,21 +1082,15 @@ def _apply_sponsor_small_x(g, cfg):
     for q1, q2, _ in qtriples:
         dropped.update((q1, q2))
     detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": tuple(wtriples)}
-    pos = _first_splice_far(g, dropped, v, [f for _, _, f in qtriples])
-    if pos is not None:
-        detail2 = dict(detail, chosen=pos)
-        return _surgery(
-            g, dropped, [(v, qtriples[pos][2], 2)], "sponsor-smallx-a", detail2
-        )
-    for z in sorted(set(ws) | {x}):
-        if z == v:
-            continue
-        if g.has_edge(v, z) or _potential_without(g, dropped, {v, z}) >= 7:
-            detail2 = dict(detail, z=z)
-            return _surgery(
-                g, dropped, [(v, z, 0)], "sponsor-smallx-b", detail2
-            )
-    raise InternalContradiction("no splice available at the small-reach sponsor")
+    templates = [
+        (dropped, [(v, far, 2)], "sponsor-smallx-a", dict(detail, chosen=pos))
+        for pos, (_, _, far) in enumerate(qtriples) if far != v
+    ]
+    templates += [
+        (dropped, [(v, z, 0)], "sponsor-smallx-b", dict(detail, z=z))
+        for z in sorted(set(ws) | {x}) if z != v
+    ]
+    return _first_fit(g, templates, "no splice available at the small-reach sponsor")
 
 
 def apply_reduction(g: Graph, cfg: Configuration) -> Reduction:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .coloring import SearchBudgetExceeded, chi2_exact, is_valid_2distance
+from .coloring import SearchBudgetExceeded, chi2_exact
 from .discharging import run_discharge
 from .families import (
     cycle,
@@ -67,27 +67,23 @@ def _named(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _facts(g: Graph, provenance: dict, deep: bool = True) -> CorpusRecord:
+def _facts(g: Graph, provenance: dict) -> CorpusRecord:
     value, _ = mad_exact(g) if g.n else (Fraction(0), frozenset())
     gir = girth(g)
-    chi2: int | tuple[int, int] | None = None
-    status: str | None = None
-    if deep:
-        try:
-            chi2 = chi2_exact(g, budget=2_000_000)
-        except SearchBudgetExceeded:  # pragma: no cover - budget guard
-            chi2 = None
-        if g.max_degree() > 7:
-            status = "skipped-degree"
-        elif value > DENSITY_BOUND:
-            status = "skipped-density"
-        else:
-            try:
-                phi = constructive_color(g, verify_preconditions=False)
-                ok, _violation = is_valid_2distance(g, phi)
-                status = "valid-8-coloring" if ok else "invalid"
-            except Exception as exc:
-                status = f"failed: {_named(exc)}"
+    try:
+        chi2 = chi2_exact(g, budget=2_000_000)
+    except SearchBudgetExceeded:  # pragma: no cover - budget guard
+        chi2 = None
+    if g.max_degree() > 7:
+        status = "skipped-degree"
+    elif value > DENSITY_BOUND:
+        status = "skipped-density"
+    else:
+        try:  # constructive_color validates its coloring and raises if it fails
+            constructive_color(g, verify_preconditions=False)
+            status = "valid-8-coloring"
+        except Exception as exc:
+            status = f"failed: {_named(exc)}"
     return CorpusRecord(
         to_graph6(g),
         provenance,
@@ -286,13 +282,11 @@ def verify_theorem(
     except SearchBudgetExceeded:  # pragma: no cover - budget guard
         chi2 = None
     if hypotheses:
-        if delta == 7:
-            phi = constructive_color(g, verify_preconditions=False)
-            constructive_valid = is_valid_2distance(g, phi)[0]
+        if delta == 7:  # constructive_color validates its coloring and raises if it fails
+            constructive_color(g, verify_preconditions=False)
+            constructive_valid = True
         if isinstance(chi2, int):
             conclusion = chi2 == delta + 1
-            if constructive_valid is False:
-                conclusion = False
     planar_consistent = None
     if assert_planar and gir_int is not None:
         planar_consistent = check_girth_mad_bound(density, gir_int)
@@ -378,11 +372,8 @@ def hunt(
                     _record_finding(report, g, "coverage", "no configuration fires")
             except Exception as exc:
                 _record_finding(report, g, "coverage", _named(exc))
-        try:
-            phi = constructive_color(g, verify_preconditions=False)
-            ok, violation = is_valid_2distance(g, phi)
-            if not ok:
-                _record_finding(report, g, "coloring", f"violation {violation}")
+        try:  # constructive_color validates its coloring and raises if it fails
+            constructive_color(g, verify_preconditions=False)
         except Exception as exc:
             _record_finding(report, g, "coloring", _named(exc))
         if g.n and g.min_degree() >= 2 and g.max_degree() <= 7:

@@ -343,6 +343,23 @@ class TestWithout:
         with pytest.raises(ValueError):
             rho_star(cycle(6), {0, 2}, without={2, 3})
 
+    def test_a_deleted_id_is_rejected_on_the_working_graph(self):
+        from sparse2dc.reductions import _WorkGraph
+
+        wg = _WorkGraph(cycle(12))
+        wg.begin()
+        wg.remove_vertex(3)
+        for bad in (3, -1, 12):
+            with pytest.raises(ValueError, match=f"vertex {bad} "):
+                rho(wg, {bad})
+            with pytest.raises(ValueError, match=f"vertex {bad} "):
+                rho_star(wg, {0, bad})
+            with pytest.raises(ValueError, match=f"vertex {bad} "):
+                rho_star(wg, {0}, without={bad})
+        # the live ids on either side of the gap still answer
+        assert rho_star(wg, {2, 4}).value == rho_star(path(11), {0, 10}).value == 18
+        assert rho_star(wg, {0}, without={2, 4}).value == 9
+
 
 class TestMad:
     def test_cycle_is_two(self):

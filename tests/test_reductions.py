@@ -296,10 +296,66 @@ class TestLocalKinds:
         assert is_valid_2distance(g, phi)[0]
 
 
+def short_certificates(monkeypatch, short):
+    """Stub ``rho_star`` in the reductions so that the splice certificates
+    whose ordinals (from 1) are in ``short`` fall short; the potentials the
+    detectors and validators ask (with ``without``) stay exact.  Returns the
+    list the certificate values are recorded in."""
+    from dataclasses import replace
+
+    from sparse2dc import reductions as module
+
+    certificates = []
+
+    def rho_star_short(graph, a_set, *args, **kwargs):
+        result = rho_star(graph, a_set, *args, **kwargs)
+        if "without" in kwargs:
+            return result
+        certificates.append(result.value)
+        return replace(result, value=-1) if len(certificates) in short else result
+
+    monkeypatch.setattr(module, "rho_star", rho_star_short)
+    return certificates
+
+
+def small_x_ends(cfg):
+    """The far ends the small-x sponsor tries for its direct edge, in order."""
+    v = cfg.data["v"]
+    return [z for z in sorted({*cfg.data["wvertices"], cfg.data["x"]}) if z != v]
+
+
 class TestTrialSplices:
-    """The saturated sponsor tries its splice templates in order on the
-    working graph; a template whose certificate falls short is undone
-    before the next is tried, so the step keeps one undo record."""
+    """Every splice applier tries its templates in order on the working
+    graph; a template whose certificate falls short is undone before the
+    next is tried, so the step keeps one undo record, and the run index
+    lives on."""
+
+    def apply(self, monkeypatch, g, kind, short):
+        from sparse2dc import reductions as module
+
+        wg = _WorkGraph(g)
+        idx = wg.run_index()
+        cfg = module._BY_KIND[kind].detect(wg, idx)
+        assert cfg is not None and cfg.kind == kind
+        certificates = short_certificates(monkeypatch, short)
+        red = apply_reduction(wg, cfg)
+        monkeypatch.undo()
+        assert len(wg._log) == 1
+        assert red.added == tuple(range(g.n, wg.n))
+        assert len(red.added) == sum(s["k"] for s in red.recorded["splices"])
+        assert wg.run_index() is idx
+        TestLiveRunIndex().check(wg, Counter())
+        return wg, cfg, red, certificates
+
+    def extend(self, g, wg, cfg, red):
+        h, remap = remove_vertices(wg, ())
+        colors = color_2distance(h, 8, budget=10_000_000).colors
+        ch = _Tracked(8, {v: colors[remap[v]] for v in wg.vertices()})
+        phi = extend_coloring(wg, cfg, red, ch)
+        assert wg.adjacency == list(g.adjacency)
+        assert (wg.n, wg.m, wg.vertices()) == (g.n, g.m, list(g.vertices()))
+        assert not wg._log
+        assert is_valid_2distance(g, Coloring(8, phi.colors))[0]
 
     @pytest.mark.parametrize(
         "make, tag, choice",
@@ -311,41 +367,86 @@ class TestTrialSplices:
         ],
     )
     def test_a_short_certificate_undoes_the_trial(self, monkeypatch, make, tag, choice):
-        from dataclasses import replace
-
-        from sparse2dc import reductions as module
-
         g = make()
-        wg = _WorkGraph(g)
-        cfg = _detect_sponsor_all_bad(wg, wg.run_index())
-        certificates = []
-
-        def rho_star_short(graph, a_set, *args, **kwargs):
-            result = rho_star(graph, a_set, *args, **kwargs)
-            if "without" in kwargs:
-                return result
-            certificates.append(result.value)
-            # the first template's second splice, after its first is in
-            return replace(result, value=-1) if len(certificates) == 2 else result
-
-        monkeypatch.setattr(module, "rho_star", rho_star_short)
-        red = apply_reduction(wg, cfg)
-        monkeypatch.undo()
+        # the first template's second splice, after its first is in
+        wg, cfg, red, certificates = self.apply(monkeypatch, g, "SponsorAllBadNeighbors", {2})
         assert len(certificates) == 4  # two for the failed template, two for the next
         assert red.tag == tag
         assert {key: red.detail[key] for key in choice} == choice
-        assert len(wg._log) == 1
-        assert red.added == tuple(range(g.n, wg.n))
-        assert len(red.added) == sum(s["k"] for s in red.recorded["splices"])
+        self.extend(g, wg, cfg, red)
 
-        h, remap = remove_vertices(wg, ())
-        colors = color_2distance(h, 8, budget=10_000_000).colors
-        ch = _Tracked(8, {v: colors[remap[v]] for v in wg.vertices()})
-        phi = extend_coloring(wg, cfg, red, ch)
+    # (fixture, kind, short certificates, tag, the detail the choice shows);
+    # sparse fixtures never reach these templates with exact certificates
+    FALLBACKS = {
+        "seven-seven second far end": (
+            fx.seven_seven_local, "SevenSevenTwoPaths", {1}, "seven-seven",
+            lambda cfg: {"chosen": 1},
+        ),
+        "bridges edge": (
+            fx.sponsor_bridges_local, "SponsorManyBridges", {1, 2, 3}, "sponsor-bridges-b",
+            lambda cfg: {"u": cfg.data["u"], "v": cfg.data["v"]},
+        ),
+        "small-x edge at the first z": (
+            fx.sponsor_small_x_local, "SponsorWithSmallX", {1}, "sponsor-smallx-b",
+            lambda cfg: {"z": small_x_ends(cfg)[0]},
+        ),
+        "small-x edge at a later z": (
+            fx.sponsor_small_x_local, "SponsorWithSmallX", {1, 2}, "sponsor-smallx-b",
+            lambda cfg: {"z": small_x_ends(cfg)[1]},
+        ),
+        "three-consecutive second bridge": (
+            fx.two_consecutive_three_paths, "ThreeConsecutiveThreePaths", {1},
+            "two-consecutive",
+            lambda cfg: dict(zip("uvw", cfg.data["anchors"][1:])),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_a_fallback_template_fits_after_short_certificates(self, monkeypatch, case):
+        make, kind, short, tag, choice = self.FALLBACKS[case]
+        g = make()
+        wg, cfg, red, certificates = self.apply(monkeypatch, g, kind, short)
+        assert len(certificates) == len(short) + 1  # every short one, then the fit
+        assert red.tag == tag
+        expected = choice(cfg)
+        assert {key: red.detail[key] for key in expected} == expected
+        assert "chosen" not in red.detail or tag == "seven-seven"
+        [splice] = red.recorded["splices"]
+        assert splice["have"] == certificates[-1] >= splice["need"]
+        self.extend(g, wg, cfg, red)
+
+
+class TestUndoKeepsTheIndex:
+    """``undo`` marks the vertices it restores dirty and keeps the run
+    index, unless the index has seen an id the undo deletes; either way
+    the index then matches a fresh scan."""
+
+    def spliced(self):
+        from sparse2dc import reductions as module
+
+        g = fx.seven_seven_local()
+        wg = _WorkGraph(g)
+        idx = wg.run_index()
+        cfg = module._BY_KIND["SevenSevenTwoPaths"].detect(wg, idx)
+        red = apply_reduction(wg, cfg)
+        assert len(red.added) == 2
+        return g, wg, idx
+
+    def test_an_unindexed_splice_undone_keeps_the_index(self):
+        g, wg, idx = self.spliced()
+        wg.undo()
         assert wg.adjacency == list(g.adjacency)
-        assert (wg.n, wg.m, wg.vertices()) == (g.n, g.m, list(g.vertices()))
-        assert not wg._log
-        assert is_valid_2distance(g, Coloring(8, phi.colors))[0]
+        assert wg.run_index() is idx
+        TestLiveRunIndex().check(wg, Counter())
+
+    def test_an_indexed_splice_undone_matches_a_fresh_scan(self):
+        g, wg, idx = self.spliced()
+        wg.run_index()  # a later detection indexes the spliced 2-vertices
+        assert any(v >= g.n for v in idx.run_of)
+        wg.undo()
+        assert wg.adjacency == list(g.adjacency)
+        TestLiveRunIndex().check(wg, Counter())
+        assert all(v < g.n for v in wg.run_index().run_of)
 
 
 class TestConfigurationContracts:
