@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .coloring import (
@@ -126,7 +127,7 @@ class _WorkGraph:
     index, and ``undo`` restores the graph the step started from.
     """
 
-    __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index", "_synced_n")
+    __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index")
 
     def __init__(self, g: Graph):
         self.n = g.n
@@ -136,7 +137,6 @@ class _WorkGraph:
         self._ids = list(range(g.n))  # the live ids, ascending
         self._log: list[tuple] = []
         self._index: _RunIndex | None = None
-        self._synced_n = 0  # n at the run index's last sync
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -163,7 +163,6 @@ class _WorkGraph:
             self.dirty.clear()
             self._index = _RunIndex(self)
         self._index.sync()
-        self._synced_n = self.n
         return self._index
 
     def begin(self) -> None:
@@ -203,9 +202,7 @@ class _WorkGraph:
         return fresh
 
     def undo(self) -> None:
-        """Restore the graph before the last step.  The restored vertices
-        turn dirty for the run index, which is dropped only when its last
-        sync may have indexed an id the undo deletes."""
+        """Restore the graph before the last step, and drop the run index."""
         n, m, saved, gone = self._log.pop()
         for v, adj in saved.items():
             self.adjacency[v] = adj
@@ -213,11 +210,8 @@ class _WorkGraph:
         del self._ids[len(self._ids) - (self.n - n):]
         for v in gone:
             insort(self._ids, v)
-        self.dirty.update(saved)
-        self.dirty.difference_update(range(n, self.n))
-        if self._synced_n > n:
-            self._index = None
         self.n, self.m = n, m
+        self._index = None
 
 
 # ---------------------------------------------------------------------------
@@ -918,6 +912,14 @@ def _first_fit(g: _WorkGraph, templates, message: str) -> Reduction:
     raise InternalContradiction(message)
 
 
+def _far_templates(dropped, v: int, triples, tag: str, detail: dict):
+    """The k=2 splice templates from ``v`` to each far end of ``triples``
+    other than ``v``, in order; ``chosen`` is the far end's position."""
+    for pos, (_, _, far) in enumerate(triples):
+        if far != v:
+            yield dropped, [(v, far, 2)], tag, dict(detail, chosen=pos)
+
+
 def _apply_weird_seven(g, cfg):
     u = cfg.data["u"]
     six = cfg.data["six"]
@@ -979,10 +981,7 @@ def _apply_seven_seven(g, cfg):
         dropped.update(ints)
     six_ends = tuple((ints[0], ints[1], f) for _, ints, f in six)
     detail = {"u": u, "v": v, "p": p, "six": six_ends}
-    templates = (
-        (dropped, [(v, far, 2)], "seven-seven", dict(detail, chosen=pos))
-        for pos, (_, _, far) in enumerate(six) if far != v
-    )
+    templates = _far_templates(dropped, v, six_ends, "seven-seven", detail)
     return _first_fit(g, templates, "no splice endpoint for the capped 7-vertex")
 
 
@@ -995,11 +994,10 @@ def _apply_sponsor_bridges(g, cfg):
         dropped.update(ints)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
     detail = {"u": u, "v": v, "p": p, "q": triples}
-    templates = [
-        (dropped, [(v, far, 2)], "sponsor-bridges-a", dict(detail, chosen=pos))
-        for pos, (_, _, far) in enumerate(triples) if far != v
-    ]
-    templates.append((dropped, [(u, v, 0)], "sponsor-bridges-b", detail))
+    templates = chain(
+        _far_templates(dropped, v, triples, "sponsor-bridges-a", detail),
+        [(dropped, [(u, v, 0)], "sponsor-bridges-b", detail)],
+    )
     return _first_fit(g, templates, "no splice available at the bridged sponsor")
 
 
@@ -1082,14 +1080,11 @@ def _apply_sponsor_small_x(g, cfg):
     for q1, q2, _ in qtriples:
         dropped.update((q1, q2))
     detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": tuple(wtriples)}
-    templates = [
-        (dropped, [(v, far, 2)], "sponsor-smallx-a", dict(detail, chosen=pos))
-        for pos, (_, _, far) in enumerate(qtriples) if far != v
-    ]
-    templates += [
-        (dropped, [(v, z, 0)], "sponsor-smallx-b", dict(detail, z=z))
-        for z in sorted(set(ws) | {x}) if z != v
-    ]
+    templates = chain(
+        _far_templates(dropped, v, qtriples, "sponsor-smallx-a", detail),
+        ((dropped, [(v, z, 0)], "sponsor-smallx-b", dict(detail, z=z))
+         for z in sorted(set(ws) | {x}) if z != v),
+    )
     return _first_fit(g, templates, "no splice available at the small-reach sponsor")
 
 

@@ -328,14 +328,13 @@ class TestTrialSplices:
     """Every splice applier tries its templates in order on the working
     graph; a template whose certificate falls short is undone before the
     next is tried, so the step keeps one undo record, and the run index
-    lives on."""
+    the next detection reads matches a fresh scan."""
 
     def apply(self, monkeypatch, g, kind, short):
         from sparse2dc import reductions as module
 
         wg = _WorkGraph(g)
-        idx = wg.run_index()
-        cfg = module._BY_KIND[kind].detect(wg, idx)
+        cfg = module._BY_KIND[kind].detect(wg, wg.run_index())
         assert cfg is not None and cfg.kind == kind
         certificates = short_certificates(monkeypatch, short)
         red = apply_reduction(wg, cfg)
@@ -343,7 +342,6 @@ class TestTrialSplices:
         assert len(wg._log) == 1
         assert red.added == tuple(range(g.n, wg.n))
         assert len(red.added) == sum(s["k"] for s in red.recorded["splices"])
-        assert wg.run_index() is idx
         TestLiveRunIndex().check(wg, Counter())
         return wg, cfg, red, certificates
 
@@ -414,39 +412,6 @@ class TestTrialSplices:
         [splice] = red.recorded["splices"]
         assert splice["have"] == certificates[-1] >= splice["need"]
         self.extend(g, wg, cfg, red)
-
-
-class TestUndoKeepsTheIndex:
-    """``undo`` marks the vertices it restores dirty and keeps the run
-    index, unless the index has seen an id the undo deletes; either way
-    the index then matches a fresh scan."""
-
-    def spliced(self):
-        from sparse2dc import reductions as module
-
-        g = fx.seven_seven_local()
-        wg = _WorkGraph(g)
-        idx = wg.run_index()
-        cfg = module._BY_KIND["SevenSevenTwoPaths"].detect(wg, idx)
-        red = apply_reduction(wg, cfg)
-        assert len(red.added) == 2
-        return g, wg, idx
-
-    def test_an_unindexed_splice_undone_keeps_the_index(self):
-        g, wg, idx = self.spliced()
-        wg.undo()
-        assert wg.adjacency == list(g.adjacency)
-        assert wg.run_index() is idx
-        TestLiveRunIndex().check(wg, Counter())
-
-    def test_an_indexed_splice_undone_matches_a_fresh_scan(self):
-        g, wg, idx = self.spliced()
-        wg.run_index()  # a later detection indexes the spliced 2-vertices
-        assert any(v >= g.n for v in idx.run_of)
-        wg.undo()
-        assert wg.adjacency == list(g.adjacency)
-        TestLiveRunIndex().check(wg, Counter())
-        assert all(v < g.n for v in wg.run_index().run_of)
 
 
 class TestConfigurationContracts:
@@ -1518,6 +1483,20 @@ class TestLiveRunIndex:
         assert found["TwoConsecutiveThreePaths"] >= 1 and found["oriented sponsors"] >= 1
         assert found["memoized d*"] >= 10_000
         assert steps >= 1000
+
+    def test_an_indexed_splice_undone_matches_a_fresh_scan(self):
+        from sparse2dc import reductions as module
+
+        g = fx.seven_seven_local()
+        wg = _WorkGraph(g)
+        cfg = module._BY_KIND["SevenSevenTwoPaths"].detect(wg, wg.run_index())
+        assert len(apply_reduction(wg, cfg).added) == 2
+        idx = wg.run_index()  # a later detection indexes the spliced 2-vertices
+        assert any(v >= g.n for v in idx.run_of)
+        wg.undo()
+        assert wg.adjacency == list(g.adjacency)
+        self.check(wg, Counter())
+        assert all(v < g.n for v in wg.run_index().run_of)
 
     def test_a_cut_run_is_walked_again_in_place(self):
         wg = _WorkGraph(fx.four_plus_path())
