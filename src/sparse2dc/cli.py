@@ -121,12 +121,13 @@ def _cmd_color(args) -> int:
             _emit({"k": k, "colors": None}, f"no {k}-coloring exists")
             return VIOLATION
     colors = [coloring.get(v) for v in g.vertices()]
-    ok, violation = is_valid_2distance(g, coloring)
-    if not ok:
-        u, v, dist = violation
-        _emit({"k": k, "colors": colors, "violation": [u, v, dist]},
-              f"invalid coloring: vertices {u} and {v} at distance {dist} share a color")
-        return VIOLATION
+    if not args.constructive:  # constructive_color validates its coloring and raises
+        ok, violation = is_valid_2distance(g, coloring)
+        if not ok:
+            u, v, dist = violation
+            _emit({"k": k, "colors": colors, "violation": [u, v, dist]},
+                  f"invalid coloring: vertices {u} and {v} at distance {dist} share a color")
+            return VIOLATION
     _emit(
         {"k": k, "colors": colors},
         f"valid 2-distance coloring with {len(set(coloring.colors.values()))} colors",

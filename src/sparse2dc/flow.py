@@ -28,8 +28,18 @@ class FlowNetwork:
         self.to.append(u)
         self.cap.append(reverse)
 
+    def copy(self, extra: int = 0) -> FlowNetwork:
+        """This network with its current flow, plus ``extra`` new nodes
+        numbered after the last; the copy shares no list with the original."""
+        net = type(self)(self.size + extra)
+        net.head[:self.size] = [arcs[:] for arcs in self.head]
+        net.to = self.to[:]
+        net.cap = self.cap[:]
+        return net
+
     def max_flow(self, s: int, t: int) -> int:
-        """Exact max-flow value from s to t (Dinic's algorithm)."""
+        """Exact max-flow value from s to t (Dinic's algorithm), augmenting
+        whatever flow the network already carries; returns the flow added."""
         head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:

@@ -3,6 +3,10 @@
 Vertices are dense 0-based integers.  A ``Graph`` is frozen after
 construction; every operation in this package is a pure function that
 returns fresh values, so graphs can be shared freely between threads.
+The one thing a ``Graph`` gains after construction is derived data:
+``potential`` keeps the closure network of its potential queries and
+that network's max flow in ``_closure``, and never changes a stored
+entry, so every answer equals that of a fresh graph.
 
 Vertex subsets are plain ``frozenset[int]`` throughout the package.
 """
@@ -27,7 +31,7 @@ class Graph:
     vertex ids exactly ``0..n-1``.
     """
 
-    __slots__ = ("n", "adjacency", "_edges")
+    __slots__ = ("n", "adjacency", "_edges", "_closure")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -50,6 +54,7 @@ class Graph:
             tuple(sorted(s)) for s in adj
         )
         self._edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+        self._closure: dict = {}  # kept by potential._closure_minimum
 
     @property
     def m(self) -> int:

@@ -6,11 +6,14 @@ The potential of a vertex set A in G is ``rho(A) = a|A| - b|E(G[A])|``
 of A; it is computed exactly, never with floating point, as a minimum cut
 of a closure network.  When a >= b the network skips pendant trees and
 dissolves runs of 2-vertices into weighted edges, which keeps the answer
-(see ``_closure_minimum``).  ``rho_star(g, A, without=D)`` answers in
-G - D with no copy of the graph and no renumbering, so ids stay those of
-``g``.  ``rho``, ``rho_star`` and ``mad_exact`` read only ``n``, ``m``,
-``adjacency``, ``vertices()`` and ``edge_count_inside``: they run on the
-reduction chain's working graph, whose ids may have gaps, as on a ``Graph``.
+(see ``_closure_minimum``).  A ``Graph`` is frozen, so it keeps that
+network and its max flow as derived data: a later query on it augments a
+copy and answers exactly as a fresh build would.
+``rho_star(g, A, without=D)`` answers in G - D with no copy of the graph
+and no renumbering, so ids stay those of ``g``.  ``rho``, ``rho_star``
+and ``mad_exact`` read only ``n``, ``m``, ``adjacency``, ``vertices()``
+and ``edge_count_inside``: they run on the reduction chain's working
+graph, whose ids may have gaps, as on a ``Graph``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,129 @@ def rho(g: Graph, a_set: Iterable[int], params: PotentialParams = DEFAULT_PARAMS
     return params.a * len(a) - params.b * g.edge_count_inside(a)
 
 
+class _Structure:
+    """G - excluded shrunk for ``_closure_minimum`` with no vertex forced
+    but ``kept``: the ``anchors``, which are network nodes 2, 3, ..., and
+    ``runs``, each run of 2-vertices between anchors as (x, z, inner),
+    whatever its gain.  Without ``shrink`` every edge is a run."""
+
+    __slots__ = ("anchors", "node", "runs", "_where")
+
+    def __init__(self, g: Graph, shrink: bool, excluded: Iterable[int] = (),
+                 kept: frozenset[int] = frozenset()):
+        adjacency = g.adjacency
+        degree = [len(nbrs) for nbrs in adjacency]
+        alive = [True] * g.n
+        for x in excluded:
+            alive[x] = False
+            for w in adjacency[x]:
+                degree[w] -= 1
+        peel = [v for v in g.vertices()
+                if shrink and degree[v] <= 1 and alive[v] and v not in kept]
+        for v in peel:
+            alive[v] = False
+            for w in adjacency[v]:
+                degree[w] -= 1
+                if degree[w] == 1 and alive[w] and w not in kept:
+                    peel.append(w)
+        inner = [shrink and alive[v] and degree[v] == 2 and v not in kept for v in range(g.n)]
+        self.anchors = [v for v in g.vertices() if alive[v] and not inner[v]]
+        self.node = {v: i for i, v in enumerate(self.anchors, 2)}
+        self.runs, self._where = [], None
+        reverse = set()  # where the walk back along each run walked would start
+        for x in self.anchors:
+            for first in adjacency[x]:
+                if not alive[first] or (x, first) in reverse:
+                    continue
+                prev, z, run = x, first, []
+                while inner[z]:
+                    run.append(z)
+                    nbrs = adjacency[z]
+                    u, w = nbrs if len(nbrs) == 2 else [y for y in nbrs if alive[y]]
+                    prev, z = z, w if u == prev else u
+                reverse.add((z, prev))
+                self.runs.append((x, z, run))
+
+    def where(self) -> dict[int, tuple[int, int]]:
+        """Run-internal vertex -> (run number, position), built on first use;
+        a vertex on a cycle of 2-vertices is in no run."""
+        if self._where is None:
+            self._where = {v: (r, i) for r, (_, _, run) in enumerate(self.runs)
+                           for i, v in enumerate(run)}
+        return self._where
+
+
+def _terminal(net: FlowNetwork, i: int, weight: int) -> int:
+    """Drain node ``i``'s weight to the sink, or feed its negative from the
+    source; returns the feed."""
+    if weight > 0:
+        net.add_arc(i, 1, weight)
+    elif weight < 0:
+        net.add_arc(0, i, -weight)
+    return max(-weight, 0)
+
+
+def _network(structure: _Structure, vertex_cost: int, edge_gain: int):
+    """The closure network of ``structure`` with no vertex forced, each
+    run's gain and x -> z arc (-1 for none), and the summed feeds."""
+    node = structure.node
+    net = FlowNetwork(2 + len(node))
+    weight = [2 * vertex_cost] * (2 + len(node))
+    gains, arcs = [], []
+    for x, z, run in structure.runs:
+        gain = (len(run) + 1) * edge_gain - len(run) * vertex_cost
+        gains.append(gain)
+        arcs.append(len(net.to) if gain > 0 and x != z else -1)
+        if gain > 0:
+            weight[node[x]] -= gain
+            weight[node[z]] -= gain
+            if x != z:
+                net.add_arc(node[x], node[z], gain, gain)
+    return net, gains, arcs, sum(_terminal(net, i, weight[i]) for i in range(2, len(weight)))
+
+
+def _force(net, structure, gains, arcs, forced, loose, vertex_cost, edge_gain):
+    """Patch ``forced`` into ``net``, a network of ``structure`` that may
+    carry a flow; returns the feed added and the new run pieces of positive
+    gain.  A forced anchor gets an effectively infinite source arc.  The
+    ``loose`` vertices, forced inside runs, become nodes after the anchors
+    and cut their runs into pieces, and a run arc's flow moves onto its
+    pieces: a piece of j <= k vertices gains at least the whole run's gain.
+    An end anchor's weight falls by what its piece gains over the whole run,
+    which is raised source capacity, so the flow stays valid."""
+    node = dict(structure.node)
+    node.update((v, i) for i, v in enumerate(loose, 2 + len(structure.anchors)))
+    where = structure.where() if loose else {}
+    cuts: dict[int, list[int]] = {}
+    for v in loose:
+        r, i = where[v]
+        cuts.setdefault(r, []).append(i)
+    minus_weight = dict.fromkeys(loose, -2 * vertex_cost)  # of each touched node
+    pieces = []
+    for r, at in cuts.items():
+        (x, z, run), gain, arc = structure.runs[r], gains[r], arcs[r]
+        flow = gain - net.cap[arc] if arc >= 0 else 0
+        if arc >= 0:
+            net.cap[arc] = net.cap[arc ^ 1] = 0
+        minus_weight[x] = minus_weight.get(x, 0) - max(gain, 0)
+        minus_weight[z] = minus_weight.get(z, 0) - max(gain, 0)
+        at.sort()
+        ends = [x] + [run[i] for i in at] + [z]
+        for u, w, lo, hi in zip(ends, ends[1:], [-1] + at, at + [len(run)]):
+            piece = run[lo + 1:hi]
+            gain = (len(piece) + 1) * edge_gain - len(piece) * vertex_cost
+            if gain > 0:
+                net.add_arc(node[u], node[w], gain - flow, gain + flow)
+                minus_weight[u] += gain
+                minus_weight[w] += gain
+                pieces.append((u, w, piece))
+    feed = sum(_terminal(net, node[v], -w) for v, w in minus_weight.items())
+    infinite = 1 + 2 * vertex_cost * net.size  # above the cut with every node in S
+    for v in forced:
+        net.add_arc(0, node[v], infinite)
+    return feed, pieces
+
+
 def _closure_minimum(
     g: Graph,
     forced: frozenset[int],
@@ -83,79 +209,60 @@ def _closure_minimum(
     smallest minimizer (the intersection of all minimizers).  Unforced
     vertices of degree <= 1 are peeled repeatedly, since dropping one from S
     changes the objective by edge_gain*deg - vertex_cost <= 0.  Each maximal
-    run of k unforced 2-vertices between survivors x and z (the anchors)
-    becomes one edge, a loop if x = z, of gain (k+1)*edge_gain - k*vertex_cost,
-    kept only when positive: j vertices of a run short of the whole, or of a
-    cycle of 2-vertices with no anchor, cost at least j*(vertex_cost - edge_gain)
-    >= 0.  Otherwise every vertex is an anchor.
+    run of k 2-vertices between survivors x and z (the anchors) becomes one
+    edge, a loop if x = z, of gain (k+1)*edge_gain - k*vertex_cost, kept
+    only when positive: j unforced vertices of a run short of the whole, or
+    of a cycle of 2-vertices with no anchor, cost at least
+    j*(vertex_cost - edge_gain) >= 0.  Otherwise every vertex is an anchor.
 
     Vertex-only closure network on the anchors (Picard and Queyranne 1982,
     Goldberg 1984): anchor v has weight w = 2*vertex_cost minus the gains of
     its edges (a loop's twice) and drains w to the sink, or is fed -w from
     the source (C sums the feeds); an edge is an arc pair of its gain both
-    ways; forced vertices get an effectively infinite source arc.  A cut with
-    source side S costs C + 2*objective(S), so the minimum is (cut - C) / 2;
-    the residual source side is the smallest minimizer, and the runs with
-    both ends in it complete the witness.
-    """
-    adjacency = g.adjacency
-    degree = [len(nbrs) for nbrs in adjacency]
-    alive = [True] * g.n
-    for x in excluded:
-        alive[x] = False
-        for w in adjacency[x]:
-            degree[w] -= 1
-    shrink = vertex_cost >= edge_gain
-    peel = [v for v in g.vertices()
-            if shrink and degree[v] <= 1 and alive[v] and v not in forced]
-    for v in peel:
-        alive[v] = False
-        for w in adjacency[v]:
-            degree[w] -= 1
-            if degree[w] == 1 and alive[w] and w not in forced:
-                peel.append(w)
-    inner = [shrink and alive[v] and degree[v] == 2 and v not in forced for v in range(g.n)]
-    anchors = [v for v in g.vertices() if alive[v] and not inner[v]]
-    node = {v: i for i, v in enumerate(anchors, 2)}
-    net = FlowNetwork(2 + len(anchors))
-    source, sink = 0, 1
-    weight = [2 * vertex_cost] * g.n
-    runs = []
-    reverse = set()  # where the walk back along each run walked would start
-    for x in anchors:
-        for first in adjacency[x]:
-            if not alive[first] or (x, first) in reverse:
-                continue
-            prev, z, run = x, first, []
-            while inner[z]:
-                run.append(z)
-                nbrs = adjacency[z]
-                u, w = nbrs if len(nbrs) == 2 else [y for y in nbrs if alive[y]]
-                prev, z = z, w if u == prev else u
-            reverse.add((z, prev))
-            gain = (len(run) + 1) * edge_gain - len(run) * vertex_cost
-            if gain <= 0:
-                continue
-            weight[x] -= gain
-            weight[z] -= gain
-            runs.append((x, z, run))
-            if x != z:
-                net.add_arc(node[x], node[z], gain, gain)
-    feed = 0
-    for v in anchors:
-        w = weight[v]
-        if w > 0:
-            net.add_arc(node[v], sink, w)
-        elif w < 0:
-            net.add_arc(source, node[v], -w)
-            feed -= w
-    infinite = 1 + 2 * vertex_cost * len(anchors)  # above the cut with all anchors in S
-    for v in forced:
-        net.add_arc(source, node[v], infinite)
+    ways; forced vertices get an effectively infinite source arc.  A cut
+    with source side S costs C + 2*objective(S), so the minimum is
+    (cut - C) / 2; the residual source side is the smallest minimizer, and
+    the runs with both ends in it complete the witness.
 
-    cut = net.max_flow(source, sink)
-    side = frozenset(anchors[i - 2] for i in net.source_side(source) if i != source)
-    inside = [run for x, z, run in runs if x in side and z in side]
+    On a ``Graph`` with nothing excluded, the structure per shrink flag and
+    the network of the latest cost pair with its max flow are built with no
+    vertex forced, kept in ``g._closure`` and never changed: a query with
+    nothing forced reads its answer there, any other patches its forced
+    vertices into a copy (``_force``) and augments the kept flow (dynamic
+    cuts, Kohli and Torr 2005).  A forced vertex on a cycle of 2-vertices
+    or in a peeled tree rebuilds the structure with the forced vertices
+    kept, as every query on a working graph or with ``without=`` does; such
+    a query keeps nothing and runs one max flow.
+    """
+    shrink = vertex_cost >= edge_gain
+    keep = isinstance(g, Graph) and not excluded
+    memo = g._closure if keep else {}
+    structure = memo.get(shrink)
+    if structure is None:
+        kept = frozenset() if keep else forced
+        structure = memo[shrink] = _Structure(g, shrink, excluded, kept)
+    loose = sorted(v for v in forced if v not in structure.node)
+    if loose and not all(v in structure.where() for v in loose):
+        structure, loose, keep = _Structure(g, shrink, excluded, forced), [], False
+    base = memo.get("base")
+    if not keep or base is None or base[0] != (vertex_cost, edge_gain):
+        net, gains, arcs, feed = _network(structure, vertex_cost, edge_gain)
+        base = (vertex_cost, edge_gain), net, gains, arcs, feed, net.max_flow(0, 1) if keep else 0
+        if keep:
+            memo["base"] = base
+    _, net, gains, arcs, feed, cut = base
+    pieces = []
+    if forced or not keep:
+        if keep:
+            net = net.copy(len(loose))
+        added, pieces = _force(net, structure, gains, arcs, forced, loose, vertex_cost, edge_gain)
+        feed += added
+        cut += net.max_flow(0, 1)
+    labels = structure.anchors + loose
+    side = frozenset(labels[i - 2] for i in net.source_side(0) if i)
+    inside = [run for (x, z, run), gain in zip(structure.runs, gains)
+              if gain > 0 and x in side and z in side]
+    inside += [piece for x, z, piece in pieces if x in side and z in side]
     return (cut - feed) // 2, side.union(*inside)
 
 

@@ -125,11 +125,13 @@ class _WorkGraph:
     step opens an undo record with ``begin``; an edit saves the touched
     vertices' adjacency there first and marks them ``dirty`` for the run
     index, and ``undo`` restores the graph the step started from.
+    ``graph`` is the ``Graph`` it was built from, left as it was.
     """
 
-    __slots__ = ("n", "m", "adjacency", "dirty", "_ids", "_log", "_index")
+    __slots__ = ("graph", "n", "m", "adjacency", "dirty", "_ids", "_log", "_index")
 
     def __init__(self, g: Graph):
+        self.graph = g
         self.n = g.n
         self.m = g.m
         self.adjacency: list[tuple[int, ...]] = list(g.adjacency)
@@ -1593,21 +1595,24 @@ def _base_color(g: Graph) -> Coloring:
     return phi
 
 
-def constructive_color(g: Graph, verify_preconditions: bool = True) -> Coloring:
+def constructive_color(g: Graph | _WorkGraph, verify_preconditions: bool = True) -> Coloring:
     """Exact 2-distance 8-coloring via chained configuration reductions.
 
     Preconditions (verified by default): maximum degree at most 7 and exact
     density at most 18/7, which holds exactly when no vertex set has a
     negative potential.  Emits InternalContradiction if no detector fires
     on a non-base max-degree-7 instance, which the underlying result rules
-    out.
+    out.  ``g`` may be a working graph that only detection has read yet, so
+    a caller that detected first shares its run index; the coloring is of,
+    and validated against, the ``Graph`` it was built from.
     """
+    wg = g if isinstance(g, _WorkGraph) else _WorkGraph(g)
+    g = wg.graph
     if g.max_degree() > 7:
         raise ValueError("constructive coloring requires maximum degree <= 7")
     if verify_preconditions and g.m and rho_star(g, ()).value < 0:
         value, witness = mad_exact(g)
         raise ValueError(f"density {value} exceeds 18/7 (witness {sorted(witness)})")
-    wg = _WorkGraph(g)
     steps: list[tuple[Configuration, Reduction]] = []
     while wg.size() > BASE_THRESHOLD:
         cfg = detect_configuration(wg)

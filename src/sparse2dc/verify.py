@@ -30,7 +30,7 @@ from .families import (
 from .graph import INFINITE_GIRTH, Graph, check_girth_mad_bound, girth, subdivide
 from .io import to_graph6
 from .potential import DENSITY_BOUND, mad_exact, rho_star
-from .reductions import ForestOfStarsError, constructive_color, detect_configuration
+from .reductions import ForestOfStarsError, _WorkGraph, constructive_color, detect_configuration
 
 
 @dataclass(frozen=True)
@@ -366,14 +366,16 @@ def hunt(
         if g.max_degree() > 7 or (g.m and rho_star(g, ()).value < 0):
             continue
         pure_cycle = g.n and all(g.degree(v) == 2 for v in g.vertices())
+        wg = _WorkGraph(g)  # the coverage check and the solve share its run index
         if g.min_degree() >= 2 and not pure_cycle and g.max_degree() == 7:
             try:
-                if detect_configuration(g) is None:
+                if detect_configuration(wg) is None:
                     _record_finding(report, g, "coverage", "no configuration fires")
             except Exception as exc:
                 _record_finding(report, g, "coverage", _named(exc))
+                wg = _WorkGraph(g)
         try:  # constructive_color validates its coloring and raises if it fails
-            constructive_color(g, verify_preconditions=False)
+            constructive_color(wg, verify_preconditions=False)
         except Exception as exc:
             _record_finding(report, g, "coloring", _named(exc))
         if g.n and g.min_degree() >= 2 and g.max_degree() <= 7:

@@ -17,7 +17,7 @@ from sparse2dc.families import (
     star,
 )
 from sparse2dc.flow import FlowNetwork
-from sparse2dc.graph import Graph, remove_vertices, subdivide
+from sparse2dc.graph import Graph, degree_two_runs, remove_vertices, subdivide
 from sparse2dc.potential import (
     DENSITY_BOUND,
     PotentialParams,
@@ -253,8 +253,187 @@ class TestClosureNetwork:
         g = petersen()
         forced = frozenset({0, 5})
         rho_star(g, forced)
-        assert [net.size for net in built] == [g.n + 2]
-        assert len(built[0].to) // 2 <= g.n + g.m + len(forced)
+        # the kept base network, then the copy the forced vertices patch
+        assert [net.size for net in built] == [g.n + 2] * 2
+        assert all(len(net.to) // 2 <= g.n + g.m + len(forced) for net in built)
+
+
+def _mixed_runs_graph(rng):
+    """A random core whose edges become runs of 0-3 vertices, so anchors
+    fed by the source sit next to anchors that drain to the sink and the
+    kept flow crosses the runs."""
+    core = random_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.9))
+    edges, n = [], core.n
+    for u, v in core.edges():
+        chain = [u] + list(range(n, n + rng.randint(0, 3))) + [v]
+        n += len(chain) - 2
+        edges += zip(chain, chain[1:])
+    return Graph(n, edges)
+
+
+def _aimed_forced_set(rng, g):
+    """A forced set aimed at the patches of the warm path: anchors, one or
+    several vertices of one run (its ends, or a loop's), vertices on cycles
+    of 2-vertices and in pendant trees, or a mix of these."""
+    runs, cycles = degree_two_runs(g)
+    runs = [r.internal for r in runs if r.internal]
+    picks = []
+    for _ in range(rng.randint(1, 3)):
+        aim = rng.randrange(8)
+        if aim == 0:
+            picks += rng.sample([v for v in g.vertices() if g.degree(v) > 2] or [0], 1)
+        elif aim == 1 and runs:
+            run = rng.choice(runs)
+            picks.append(rng.choice((run[0], run[-1])))
+        elif aim in (2, 3, 4) and runs:
+            run = rng.choice(runs)
+            picks += rng.sample(run, rng.randint(1, len(run)))
+        elif aim == 5 and cycles:
+            picks += rng.sample(rng.choice(cycles), 1)
+        elif aim == 6:
+            picks += rng.sample([v for v in g.vertices() if g.degree(v) <= 1] or [0], 1)
+    return frozenset(picks) if g.n else frozenset()
+
+
+def _cost_pairs(rng):
+    """(9, 7), a > b, a run of k vertices gaining exactly 0, a = b, a < b."""
+    big, small = sorted(rng.sample(range(1, 30), 2), reverse=True)
+    k, t = rng.randint(1, 4), rng.randint(1, 5)
+    return [(9, 7), (big, small), ((k + 1) * t, k * t), (big, big), (small, big)]
+
+
+class TestWarmQueries:
+    """A ``Graph`` keeps its closure structure and the base network of the
+    latest cost pair with its max flow; queries patch a copy and augment.
+    Every answer equals a from-zero build's."""
+
+    @given(st.integers(0, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_from_zero_build(self, seed):
+        from sparse2dc.reductions import _WorkGraph
+
+        rng = random.Random(seed)
+        g = _mixed_runs_graph(rng) if seed % 2 else _thread_heavy_graph(rng)
+        queries = [(_aimed_forced_set(rng, g), a, b)
+                   for _ in range(6) for a, b in _cost_pairs(rng)]
+        rng.shuffle(queries)
+        for forced, a, b in queries:
+            if g.m and rng.random() < 0.2:
+                assert mad_exact(g) == mad_exact(Graph(g.n, g.edges()))
+            got = _closure_minimum(g, forced, a, b)
+            assert got == _closure_minimum(_WorkGraph(g), forced, a, b)
+            assert got == _edge_node_closure_minimum(g, forced, a, b)
+            if g.n <= 12:
+                assert got == _smallest_minimizer(g, forced, a, b)
+
+    #: At costs (20, 15) the kept flow of this graph saturates the run
+    #: 0-10-4 (gain 2*15 - 20 = 10) from 4 to 0.
+    FLOW_ON_A_RUN = Graph(12, [(0, 5), (0, 8), (0, 10), (1, 2), (1, 3), (1, 4), (2, 7), (2, 11),
+                               (3, 4), (3, 9), (4, 10), (4, 11), (5, 6), (6, 7), (8, 9)])
+
+    def test_flow_on_a_split_run_moves_onto_its_pieces(self):
+        g = Graph(12, self.FLOW_ON_A_RUN.edges())
+        assert _closure_minimum(g, frozenset(), 20, 15) == (0, frozenset())
+        want = _smallest_minimizer(g, {10}, 20, 15)
+        assert want == (15, {1, 2, 3, 4, 10, 11})
+        assert _closure_minimum(g, frozenset({10}), 20, 15) == want
+
+    def test_kept_network_is_never_changed(self):
+        g = Graph(12, self.FLOW_ON_A_RUN.edges())
+        _closure_minimum(g, frozenset(), 20, 15)
+        base = g._closure["base"]
+        net = base[1]
+        arrays = [arcs[:] for arcs in net.head], net.to[:], net.cap[:]
+        for u in g.vertices():
+            for v in g.vertices():
+                _closure_minimum(g, frozenset({u, v}), 20, 15)
+        assert g._closure["base"] is base
+        assert ([arcs[:] for arcs in net.head], net.to, net.cap) == arrays
+
+    def test_relabeling_moves_witnesses(self):
+        rng = random.Random(21)
+        for _ in range(8):
+            g = _thread_heavy_graph(rng)
+            label = list(g.vertices())
+            rng.shuffle(label)
+            h = Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+            for _ in range(12):
+                forced = _aimed_forced_set(rng, g)
+                a, b = rng.choice(_cost_pairs(rng))
+                value, witness = _closure_minimum(g, forced, a, b)
+                assert _closure_minimum(h, frozenset(label[v] for v in forced), a, b) == (
+                    value, frozenset(label[v] for v in witness))
+
+    def test_edits_and_exclusions_match_a_fresh_graph(self):
+        from sparse2dc.reductions import _WorkGraph
+
+        rng = random.Random(22)
+        for _ in range(10):
+            g = _hub_network(rng, 2 * rng.randint(3, 6))
+            rho_star(g, ())  # fill the memo first
+            rho_star(g, _aimed_forced_set(rng, g))
+            wg = _WorkGraph(g)
+            wg.begin()
+            for v in rng.sample(range(g.n), 4):
+                if v in wg.vertices():
+                    wg.remove_vertex(v)
+            fresh, remap = remove_vertices(wg, ())
+            back = {new: old for old, new in remap.items()}
+            for _ in range(8):
+                live = wg.vertices()
+                forced = frozenset(rng.sample(live, rng.randint(0, 3)))
+                got = rho_star(wg, forced)
+                want = rho_star(fresh, [remap[v] for v in forced])
+                assert got.value == want.value
+                assert got.witness == {back[v] for v in want.witness}
+                gone = frozenset(rng.sample([v for v in live if v not in forced], 3))
+                got = rho_star(g, forced, without=gone | (set(g.vertices()) - set(live)))
+                snapshot, ids = remove_vertices(fresh, [remap[v] for v in gone])
+                want = rho_star(snapshot, [ids[remap[v]] for v in forced])
+                assert got.value == want.value
+                assert {ids[remap[v]] for v in got.witness} == want.witness
+
+    def test_threads_sharing_a_graph_get_fresh_answers(self):
+        import sys
+        import threading
+
+        rng = random.Random(23)
+        g = _mixed_runs_graph(rng)
+        work = [[(_aimed_forced_set(rng, g), *rng.choice(_cost_pairs(rng)))
+                 for _ in range(40)] for _ in range(4)]
+        want = [[_closure_minimum(Graph(g.n, g.edges()), f, a, b) for f, a, b in queries]
+                for queries in work]
+        got = [[] for _ in work]
+
+        def ask(i):
+            for forced, a, b in work[i]:
+                got[i].append(_closure_minimum(g, forced, a, b))
+                if len(got[i]) % 10 == 0:
+                    mad_exact(g)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        g = _hub_network(random.Random(24), 8)
+        h = Graph(g.n, g.edges())
+        before = hash(g)
+        rho_star(g, ())
+        rho_star(g, {next(v for v in g.vertices() if g.degree(v) == 2)})
+        mad_exact(g)
+        assert g._closure
+        assert g == h and hash(g) == hash(h) == before
+        assert {h: "kept"}[g] == "kept"
 
 
 class TestRelabeling:

@@ -12,7 +12,7 @@ from sparse2dc.families import hoffman_singleton, petersen
 from sparse2dc.graph import girth, subdivide
 from sparse2dc.io import from_graph6, to_graph6, write_edge_list
 from sparse2dc.reductions import ConstructiveFailure, ExtensionError
-from sparse2dc.families import cycle, spider, star
+from sparse2dc.families import cycle, random_hub_network, spider, star
 from sparse2dc.verify import (
     generate_corpus,
     hunt,
@@ -110,6 +110,30 @@ class TestHunt:
         report = hunt(seed=1, budget=8)
         assert report.instances >= 6
         assert report.ok, report.findings
+
+    def test_one_run_index_per_solved_instance(self, monkeypatch):
+        """The coverage check and the solve share one working graph, so each
+        solved instance walks its runs into one ``_RunIndex``."""
+        from sparse2dc import reductions, verify
+
+        built, solved = [], []
+        index_init, solve = reductions._RunIndex.__init__, verify.constructive_color
+
+        def counted_index(self, g):
+            built.append(g)
+            index_init(self, g)
+
+        def counted_solve(g, **kwargs):
+            solved.append(g)
+            return solve(g, **kwargs)
+
+        monkeypatch.setattr(reductions._RunIndex, "__init__", counted_index)
+        monkeypatch.setattr(verify, "constructive_color", counted_solve)
+        report = hunt(seed=1, budget=8)
+        assert report.ok, report.findings
+        assert len(solved) == report.instances
+        assert [sum(g is wg for g in built) for wg in solved] == [1] * len(solved)
+        assert len(built) == len(solved)
 
     @staticmethod
     def block_solver(monkeypatch):
@@ -219,6 +243,30 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["k"] == 8 and len(payload["colors"]) == g.n
+
+    def test_constructive_coloring_is_validated_once(self, monkeypatch, capsys, tmp_path):
+        """``color --constructive`` prints the solver's coloring, which the
+        solver has validated as a whole; the command does not check it again."""
+        from sparse2dc import cli, reductions
+        from sparse2dc.coloring import is_valid_2distance
+
+        g = random_hub_network(random.Random(1), 12)
+        path = tmp_path / "hub.g6"
+        path.write_text(to_graph6(g) + "\n")
+        want = reductions.constructive_color(g)
+        validated = []
+
+        def counted(graph, phi):
+            validated.append(graph.n)
+            return is_valid_2distance(graph, phi)
+
+        monkeypatch.setattr(cli, "is_valid_2distance", counted)
+        monkeypatch.setattr(reductions, "is_valid_2distance", counted)
+        capsys.readouterr()
+        assert cli.main(["color", "--input", str(path), "--constructive"]) == 0
+        assert validated == [g.n]
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"k": 8, "colors": [want.get(v) for v in g.vertices()]}
 
     def test_find_config(self):
         proc = run_cli(["find-config", "--input", "-"],
