@@ -107,14 +107,10 @@ def run_discharge(g: Graph, amounts: dict[str, int] | None = None) -> ChargeLedg
 
     # R0(i): every 3+-vertex feeds its large and medium 2-neighbors
     for v, kind in sorted(classes.two_kind.items()):
-        if kind == "large":
+        if kind in ("large", "medium"):
             for u in g.adjacency[v]:
                 if g.degree(u) >= 3:
-                    give("R0i-large", u, v)
-        elif kind == "medium":
-            for u in g.adjacency[v]:
-                if g.degree(u) >= 3:
-                    give("R0i-medium", u, v)
+                    give(f"R0i-{kind}", u, v)
 
     # R0(ii): sponsors feed the small 2-vertex in the middle of their path
     for sponsor, small in sorted(classes.sponsors.items()):

@@ -4,11 +4,13 @@ The potential of a vertex set A in G is ``rho(A) = a|A| - b|E(G[A])|``
 (default coefficients a=9, b=7, matching the density threshold
 ``mad <= 2a/b = 18/7``).  ``rho_star(A)`` minimizes rho over all supersets
 of A; it is computed exactly, never with floating point, as a minimum cut
-of a closure network.  When a >= b the network skips pendant trees and
-dissolves runs of 2-vertices into weighted edges, which keeps the answer
-(see ``_closure_minimum``).  A ``Graph`` is frozen, so it keeps that
-network and its max flow as derived data: a later query on it augments a
-copy and answers exactly as a fresh build would.
+of a closure network.  When a >= b the network dissolves runs of
+2-vertices into weighted edges, and a cycle of 2-vertices into a loop,
+which keeps the answer (see ``_closure_minimum``).  The network is built
+with no vertex forced, and every query patches its forced vertices in.  A
+``Graph`` is frozen, so it keeps that network and its max flow as derived
+data: a later query on it augments a copy and answers exactly as a fresh
+build would.
 ``rho_star(g, A, without=D)`` answers in G - D with no copy of the graph
 and no renumbering, so ids stay those of ``g``.  ``rho``, ``rho_star``
 and ``mad_exact`` read only ``n``, ``m``, ``adjacency``, ``vertices()``
@@ -22,6 +24,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Iterable
 
 from .flow import FlowNetwork
@@ -72,15 +75,15 @@ def rho(g: Graph, a_set: Iterable[int], params: PotentialParams = DEFAULT_PARAMS
 
 
 class _Structure:
-    """G - excluded shrunk for ``_closure_minimum`` with no vertex forced
-    but ``kept``: the ``anchors``, which are network nodes 2, 3, ..., and
-    ``runs``, each run of 2-vertices between anchors as (x, z, inner),
-    whatever its gain.  Without ``shrink`` every edge is a run."""
+    """G - excluded shrunk for ``_closure_minimum`` with no vertex forced:
+    the ``anchors``, which are network nodes 2, 3, ..., and ``runs``, each
+    run of 2-vertices between anchors as (x, z, inner), whatever its gain.
+    A cycle of 2-vertices with no anchor is a loop run on its smallest
+    vertex.  Without ``shrink`` every edge is a run."""
 
     __slots__ = ("anchors", "node", "runs", "_where")
 
-    def __init__(self, g: Graph, shrink: bool, excluded: Iterable[int] = (),
-                 kept: frozenset[int] = frozenset()):
+    def __init__(self, g: Graph, shrink: bool, excluded: Iterable[int] = ()):
         adjacency = g.adjacency
         degree = [len(nbrs) for nbrs in adjacency]
         alive = [True] * g.n
@@ -88,35 +91,34 @@ class _Structure:
             alive[x] = False
             for w in adjacency[x]:
                 degree[w] -= 1
-        peel = [v for v in g.vertices()
-                if shrink and degree[v] <= 1 and alive[v] and v not in kept]
-        for v in peel:
-            alive[v] = False
-            for w in adjacency[v]:
-                degree[w] -= 1
-                if degree[w] == 1 and alive[w] and w not in kept:
-                    peel.append(w)
-        inner = [shrink and alive[v] and degree[v] == 2 and v not in kept for v in range(g.n)]
+        inner = [shrink and alive[v] and degree[v] == 2 for v in range(g.n)]
         self.anchors = [v for v in g.vertices() if alive[v] and not inner[v]]
-        self.node = {v: i for i, v in enumerate(self.anchors, 2)}
         self.runs, self._where = [], None
         reverse = set()  # where the walk back along each run walked would start
-        for x in self.anchors:
+        loops = []
+        # then each 2-vertex no walk has reached when the scan gets to it:
+        # the smallest vertex of a cycle of 2-vertices with no anchor
+        for x in chain(self.anchors, compress(range(g.n), inner)):
+            if inner[x]:
+                inner[x] = False
+                loops.append(x)
             for first in adjacency[x]:
                 if not alive[first] or (x, first) in reverse:
                     continue
                 prev, z, run = x, first, []
                 while inner[z]:
+                    inner[z] = False  # walked
                     run.append(z)
                     nbrs = adjacency[z]
                     u, w = nbrs if len(nbrs) == 2 else [y for y in nbrs if alive[y]]
                     prev, z = z, w if u == prev else u
                 reverse.add((z, prev))
                 self.runs.append((x, z, run))
+        self.anchors += loops
+        self.node = {v: i for i, v in enumerate(self.anchors, 2)}
 
     def where(self) -> dict[int, tuple[int, int]]:
-        """Run-internal vertex -> (run number, position), built on first use;
-        a vertex on a cycle of 2-vertices is in no run."""
+        """Run-internal vertex -> (run number, position), built on first use."""
         if self._where is None:
             self._where = {v: (r, i) for r, (_, _, run) in enumerate(self.runs)
                            for i, v in enumerate(run)}
@@ -133,11 +135,12 @@ def _terminal(net: FlowNetwork, i: int, weight: int) -> int:
     return max(-weight, 0)
 
 
-def _network(structure: _Structure, vertex_cost: int, edge_gain: int):
-    """The closure network of ``structure`` with no vertex forced, each
-    run's gain and x -> z arc (-1 for none), and the summed feeds."""
+def _network(structure: _Structure, vertex_cost: int, edge_gain: int, spare: int = 0):
+    """The closure network of ``structure`` with no vertex forced and
+    ``spare`` free nodes after the anchors, each run's gain and x -> z arc
+    (-1 for none), and the summed feeds."""
     node = structure.node
-    net = FlowNetwork(2 + len(node))
+    net = FlowNetwork(2 + len(node) + spare)
     weight = [2 * vertex_cost] * (2 + len(node))
     gains, arcs = [], []
     for x, z, run in structure.runs:
@@ -204,16 +207,14 @@ def _closure_minimum(
     """Minimize ``vertex_cost*|S| - edge_gain*|E(S)|`` over S containing
     ``forced`` in G - ``excluded``.
 
-    The excluded vertices start out dead, as peeled ones do.  If
-    vertex_cost >= edge_gain, the graph shrinks first and keeps its
-    smallest minimizer (the intersection of all minimizers).  Unforced
-    vertices of degree <= 1 are peeled repeatedly, since dropping one from S
-    changes the objective by edge_gain*deg - vertex_cost <= 0.  Each maximal
-    run of k 2-vertices between survivors x and z (the anchors) becomes one
-    edge, a loop if x = z, of gain (k+1)*edge_gain - k*vertex_cost, kept
-    only when positive: j unforced vertices of a run short of the whole, or
-    of a cycle of 2-vertices with no anchor, cost at least
-    j*(vertex_cost - edge_gain) >= 0.  Otherwise every vertex is an anchor.
+    If vertex_cost >= edge_gain, the graph shrinks first and keeps its
+    smallest minimizer (the intersection of all minimizers).  Each maximal
+    run of k 2-vertices of G - excluded between x and z (the anchors: every
+    other vertex, degree <= 1 included) becomes one edge, a loop if x = z,
+    of gain (k+1)*edge_gain - k*vertex_cost, kept only when positive: j
+    unforced vertices of a run short of the whole cost at least
+    j*(vertex_cost - edge_gain) >= 0.  A cycle of 2-vertices with no anchor
+    is a loop on its smallest vertex.  Otherwise every vertex is an anchor.
 
     Vertex-only closure network on the anchors (Picard and Queyranne 1982,
     Goldberg 1984): anchor v has weight w = 2*vertex_cost minus the gains of
@@ -224,32 +225,28 @@ def _closure_minimum(
     (cut - C) / 2; the residual source side is the smallest minimizer, and
     the runs with both ends in it complete the witness.
 
-    On a ``Graph`` with nothing excluded, the structure per shrink flag and
-    the network of the latest cost pair with its max flow are built with no
-    vertex forced, kept in ``g._closure`` and never changed: a query with
-    nothing forced reads its answer there, any other patches its forced
-    vertices into a copy (``_force``) and augments the kept flow (dynamic
-    cuts, Kohli and Torr 2005).  A forced vertex on a cycle of 2-vertices
-    or in a peeled tree rebuilds the structure with the forced vertices
-    kept, as every query on a working graph or with ``without=`` does; such
-    a query keeps nothing and runs one max flow.
+    The structure and the network are built with no vertex forced, and
+    every query patches its forced vertices in (``_force``).  On a
+    ``Graph`` with nothing excluded, the structure per shrink flag and the
+    network of the latest cost pair with its max flow are kept in
+    ``g._closure`` and never changed: a query with nothing forced reads its
+    answer there, any other patches a copy and augments the kept flow
+    (dynamic cuts, Kohli and Torr 2005).  Elsewhere nothing is kept: the
+    query patches a fresh network and runs one max flow from zero.
     """
     shrink = vertex_cost >= edge_gain
     keep = isinstance(g, Graph) and not excluded
     memo = g._closure if keep else {}
     structure = memo.get(shrink)
     if structure is None:
-        kept = frozenset() if keep else forced
-        structure = memo[shrink] = _Structure(g, shrink, excluded, kept)
+        structure = memo[shrink] = _Structure(g, shrink, excluded)
     loose = sorted(v for v in forced if v not in structure.node)
-    if loose and not all(v in structure.where() for v in loose):
-        structure, loose, keep = _Structure(g, shrink, excluded, forced), [], False
     base = memo.get("base")
-    if not keep or base is None or base[0] != (vertex_cost, edge_gain):
-        net, gains, arcs, feed = _network(structure, vertex_cost, edge_gain)
-        base = (vertex_cost, edge_gain), net, gains, arcs, feed, net.max_flow(0, 1) if keep else 0
-        if keep:
-            memo["base"] = base
+    if base is None or base[0] != (vertex_cost, edge_gain):
+        net, gains, arcs, feed = _network(structure, vertex_cost, edge_gain,
+                                          0 if keep else len(loose))
+        base = memo["base"] = ((vertex_cost, edge_gain), net, gains, arcs, feed,
+                               net.max_flow(0, 1) if keep else 0)
     _, net, gains, arcs, feed, cut = base
     pieces = []
     if forced or not keep:

@@ -174,6 +174,20 @@ FIXTURES = {
 }
 
 
+def _generator(spec: dict, kind: str):
+    """The instance maker of a random generator ``kind``, a function of the
+    rng that reads the spec's ``hub_degree`` and ``strict``."""
+    hub_degree = spec.get("hub_degree", 7)
+    if kind == "subdivision":
+        strict = spec.get("strict", False)
+        return lambda rng: random_capped_instance(rng, hub_degree=hub_degree, strict=strict)
+    if kind == "tree":
+        return lambda rng: random_tree_instance(rng, hub_degree=hub_degree)
+    if kind == "hub":
+        return random_hub_instance
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
 def generate_corpus(
     spec: dict,
     count: int,
@@ -181,10 +195,12 @@ def generate_corpus(
 ) -> list[CorpusRecord]:
     """Seeded corpus of ``count`` records per the generator spec.
 
-    spec keys: ``kind`` in {"subdivision", "tree", "fixtures"}; for random
-    kinds, ``hub_degree`` (default 7) and ``strict`` (density strictly
-    below 18/7).  Records carry exact, reproducible facts.
+    spec keys: ``kind`` in {"subdivision", "tree", "hub", "fixtures"}; for
+    random kinds, ``hub_degree`` (default 7) and ``strict`` (density
+    strictly below 18/7).  Records carry exact, reproducible facts.
     """
+    if count < 0:
+        raise ValueError(f"negative record count {count}")
     rng = random.Random(seed)
     kind = spec.get("kind", "subdivision")
     records: list[CorpusRecord] = []
@@ -193,21 +209,9 @@ def generate_corpus(
             record = _facts(make(), {"generator": "fixture", "name": name})
             records.append(record)
         return records[:count] if count else records
+    make = _generator(spec, kind)
     for index in range(count):
-        if kind == "subdivision":
-            g, provenance = random_capped_instance(
-                rng,
-                hub_degree=spec.get("hub_degree", 7),
-                strict=spec.get("strict", False),
-            )
-        elif kind == "tree":
-            g, provenance = random_tree_instance(
-                rng, hub_degree=spec.get("hub_degree", 7)
-            )
-        elif kind == "hub":
-            g, provenance = random_hub_instance(rng)
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
+        g, provenance = make(rng)
         provenance["seed"] = seed
         provenance["index"] = index
         records.append(_facts(g, provenance))
@@ -344,22 +348,21 @@ def hunt(
     and exact charge conservation.  Zero findings expected; when a
     directory is given, finding i is persisted under ``findings_dir`` as
     ``finding-NNN.json`` plus its witness ``finding-NNN.g6``, which
-    ``sparse2dc verify --input finding-NNN.g6`` replays.
+    ``sparse2dc verify --input finding-NNN.g6`` replays.  ``spec`` is a
+    random generator spec of ``generate_corpus``, or kind "mixed" (the
+    default), which draws subdivision, tree and hub instances 2 : 1 : 1.
     """
+    if budget < 0:
+        raise ValueError(f"negative instance budget {budget}")
     rng = random.Random(seed)
     spec = spec or {"kind": "mixed"}
+    kind = spec.get("kind", "mixed")
+    mixed = ("subdivision", "subdivision", "tree", "hub")
+    makers = {k: _generator(spec, k) for k in (mixed if kind == "mixed" else (kind,))}
     report = HuntReport()
     for _ in range(budget):
         try:
-            kind = spec.get("kind", "mixed")
-            if kind == "mixed":
-                kind = rng.choice(("subdivision", "subdivision", "tree", "hub"))
-            if kind == "subdivision":
-                g, _prov = random_capped_instance(rng, spec.get("hub_degree", 7))
-            elif kind == "hub":
-                g, _prov = random_hub_instance(rng)
-            else:
-                g, _prov = random_tree_instance(rng, spec.get("hub_degree", 7))
+            g, _prov = makers[rng.choice(mixed) if kind == "mixed" else kind](rng)
         except GenerationError:
             continue
         report.instances += 1

@@ -1,5 +1,7 @@
 """Potential function: closure min-cut vs brute force, exact mad, surgery."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -178,6 +180,12 @@ def _thread_heavy_graph(rng):
         return decorated_tree(
             rng, rng.randint(3, 8), rng.randint(3, 7), rng.randint(0, 3), rng.randint(0, 2)
         )
+    return _two_vertex_cycles_graph(rng)
+
+
+def _two_vertex_cycles_graph(rng):
+    """A small core with a cycle of 2-vertices hanging on vertex 0, beside
+    an isolated cycle and an isolated path."""
     core = random_graph(rng, rng.randint(1, 5), 0.5)
     edges, n = list(core.edges()), core.n
     loop = [0] + list(range(n, n + rng.randint(2, 5))) + [0]
@@ -434,6 +442,96 @@ class TestWarmQueries:
         assert g._closure
         assert g == h and hash(g) == hash(h) == before
         assert {h: "kept"}[g] == "kept"
+
+
+class TestOneBuildPath:
+    """Every query patches its forced vertices into the structure built
+    with nothing forced, so the answers of each input kind are pinned, and
+    a ``Graph`` builds one structure and one base flow per cost pair."""
+
+    #: At the commit before forced vertices in pendant trees and on cycles
+    #: of 2-vertices stopped rebuilding the structure.
+    PINNED_CLOSURES = "02e7ea1285e7"
+
+    @staticmethod
+    def digest_graphs(rng):
+        """Subdivisions, hub networks, decorated trees and graphs with
+        cycles of 2-vertices, in turn."""
+        for i in range(48):
+            kind = i % 4
+            if kind == 0:
+                core = random_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 0.8))
+                yield subdivide(core, rng.randint(1, 3))
+            elif kind == 1:
+                yield _hub_network(rng, rng.choice((4, 6, 8)))
+            elif kind == 2:
+                yield decorated_tree(rng, rng.randint(3, 8), rng.randint(3, 7),
+                                     rng.randint(0, 3), rng.randint(0, 2))
+            else:
+                yield _two_vertex_cycles_graph(rng)
+
+    def test_closure_digest(self):
+        from sparse2dc.reductions import _WorkGraph
+
+        def answer(value, witness):
+            return [str(value), sorted(witness)]  # sorted: a set's repr is unordered
+
+        rng = random.Random(1717)
+        records = []
+        for g in self.digest_graphs(rng):
+            wg = _WorkGraph(g)
+            wg.begin()
+            for v in rng.sample(range(g.n), min(2, g.n)):
+                wg.remove_vertex(v)
+            live = set(wg.vertices())
+            record = {"mad": answer(*mad_exact(g)) if g.m else None,
+                      "work mad": answer(*mad_exact(wg)) if wg.m else None, "queries": []}
+            for _ in range(4):
+                forced = _aimed_forced_set(rng, g)
+                rest = [v for v in g.vertices() if v not in forced]
+                excluded = frozenset(rng.sample(rest, min(len(rest), rng.randint(1, 3))))
+                for a, b in _cost_pairs(rng):
+                    record["queries"].append([
+                        answer(*_closure_minimum(g, forced, a, b)),
+                        answer(*_closure_minimum(wg, forced & live, a, b)),
+                        answer(*_closure_minimum(g, forced, a, b, excluded)),
+                    ])
+            records.append(record)
+        blob = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_CLOSURES
+
+    @pytest.mark.parametrize("family", ["decorated tree", "cycles of 2-vertices"])
+    def test_one_structure_and_one_base_flow_per_graph(self, family, monkeypatch):
+        rng = random.Random(31)
+        if family == "decorated tree":
+            g = decorated_tree(rng, 8, 5, 3, 1)
+            assert any(g.degree(v) == 1 for v in g.vertices())
+        else:
+            g = _two_vertex_cycles_graph(rng)
+        queries = [frozenset({v}) for v in g.vertices()]
+        queries += [frozenset(rng.sample(range(g.n), 3)) for _ in range(10)]
+        want = [_edge_node_closure_minimum(g, forced, 9, 7) for forced in queries]
+        structures, flows = [], []
+        build, max_flow = potential._Structure, FlowNetwork.max_flow
+
+        class Counted(build):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                structures.append(self)
+                build.__init__(self, *args)
+
+        def counted_flow(net, s, t):
+            flows.append(net)
+            return max_flow(net, s, t)
+
+        monkeypatch.setattr(potential, "_Structure", Counted)
+        monkeypatch.setattr(FlowNetwork, "max_flow", counted_flow)
+        assert [_closure_minimum(g, forced, 9, 7) for forced in queries] == want
+        # one base flow, then one augmenting flow on a copy per query
+        assert len(structures) == 1
+        assert len(flows) == 1 + len(queries)
+        assert len({id(net) for net in flows}) == len(flows)
 
 
 class TestRelabeling:

@@ -69,6 +69,12 @@ class TestGenerators:
 
             assert mad_exact(g)[0] < DENSITY_BOUND
 
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown generator kind 'hubz'"):
+            generate_corpus({"kind": "hubz"}, 3, seed=0)
+        with pytest.raises(ValueError, match="unknown generator kind 'hubz'"):
+            hunt(0, 3, {"kind": "hubz"})
+
     def test_persistence(self, tmp_path):
         records = generate_corpus({"kind": "subdivision"}, 3, seed=2)
         save_corpus(records, tmp_path)
@@ -328,6 +334,19 @@ class TestCli:
 
         assert cli.main(["hunt", "--seed", "0", "--budget", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["instances"] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["gen", "--kind", "fixtures", "--count", "-2"], "negative record count -2"),
+         (["hunt", "--seed", "0", "--budget", "-1"], "negative instance budget -1")],
+        ids=["gen", "hunt"],
+    )
+    def test_negative_counts_exit_2(self, argv, message, capsys):
+        from sparse2dc import cli
+
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv", [["mad", "--budget", "5"], ["chi2", "--json"]], ids=" ".join
