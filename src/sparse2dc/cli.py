@@ -15,7 +15,7 @@ from pathlib import Path
 from .coloring import SearchBudgetExceeded, chi2_exact, color_2distance, is_valid_2distance
 from .discharging import endgame_report, run_discharge, verify_ledger
 from .graph import Graph
-from .io import autodetect
+from .io import autodetect, json_data
 from .potential import PotentialParams, mad_exact, rho, rho_star
 from .reductions import (
     ConstructiveFailure,
@@ -141,20 +141,8 @@ def _cmd_find_config(args) -> int:
     if cfg is None:
         _emit({"kind": None}, "no configuration fires")
         return OK
-
-    def clean(value):
-        if isinstance(value, (list, tuple)):
-            return [clean(x) for x in value]
-        if hasattr(value, "endpoints"):
-            return {"endpoints": list(value.endpoints), "internal": list(value.internal)}
-        return value
-
     _emit(
-        {
-            "kind": cfg.kind,
-            "witness": {k: clean(v) for k, v in cfg.data.items()},
-            "potentials": cfg.potentials,
-        },
+        {"kind": cfg.kind, "witness": json_data(cfg.data), "potentials": cfg.potentials},
         f"configuration: {cfg.kind}",
     )
     return OK

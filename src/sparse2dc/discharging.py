@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, degree_two_runs, vertex_signature
+from .io import json_data
 from .potential import DENSITY_BOUND, mad_exact
 from .reductions import classify_vertices, detect_configuration
 
@@ -257,10 +258,7 @@ class EndgameReport:
     cycles_confirmed: bool
 
     def to_json(self) -> dict:
-        return {
-            "violated_step": self.violated_step,
-            "cycles_confirmed": self.cycles_confirmed,
-        }
+        return json_data(self)
 
 
 def endgame_report(g: Graph, ledger: ChargeLedger) -> EndgameReport:

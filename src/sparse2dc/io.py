@@ -1,8 +1,11 @@
-"""Graph I/O: whitespace edge lists and the graph6 line format."""
+"""Graph I/O: whitespace edge lists, the graph6 line format, and the JSON
+form of reports."""
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from math import isqrt
 
 from .graph import Graph
@@ -144,3 +147,18 @@ def autodetect(text: str) -> Graph:
     if "\n" in stripped:  # a second non-empty line: another graph
         raise ValueError("graph6 input holds more than one line; expected one graph")
     return from_graph6(first)
+
+
+def json_data(record):
+    """``record`` as data ``json.dumps`` writes: a dataclass becomes the dict
+    of its fields in declaration order, a tuple or list a list, a dict keeps
+    its keys, and a ``Fraction`` becomes its string."""
+    if is_dataclass(record):
+        return {f.name: json_data(getattr(record, f.name)) for f in fields(record)}
+    if isinstance(record, (tuple, list)):
+        return [json_data(x) for x in record]
+    if isinstance(record, dict):
+        return {k: json_data(v) for k, v in record.items()}
+    if isinstance(record, Fraction):
+        return str(record)
+    return record

@@ -1718,9 +1718,20 @@ def _validate_counting(g, cfg):
     _require(d_star(g, w) <= ANCHOR + k, cfg.kind, "reach of w too big")
 
 
+def _validate_slots(g, cfg, u, slots):
+    """Each (neighbor, run internals or None, far end) slot is the one that
+    ``g`` has at ``u``, and no neighbor fills two slots."""
+    _require(len({w for w, _, _ in slots}) == len(slots), cfg.kind, "repeated slot")
+    for w, ints, far in slots:
+        _require(g.has_edge(u, w), cfg.kind, f"{w} not adjacent to {u}")
+        walked, end = _walk_run(g, u, w) if g.degree(w) == 2 else (None, w)
+        _require((ints, far) == (walked and tuple(walked), end), cfg.kind, f"slot at {w}")
+
+
 def _validate_weird_seven(g, cfg):
     u = cfg.data["u"]
-    _require(g.degree(u) == 7, cfg.kind, "center degree")
+    _require(g.degree(u) == 7 == len(cfg.data["six"]) + 1, cfg.kind, "center degree")
+    _validate_slots(g, cfg, u, (*cfg.data["six"], cfg.data["extra"]))
     for w, ints, far in cfg.data["six"]:
         _require(len(ints) == 2 and far != u and g.degree(far) <= 5, cfg.kind, "slots")
     w, ints, far = cfg.data["extra"]
@@ -1739,7 +1750,8 @@ def _validate_weird_seven(g, cfg):
 
 def _validate_weird_six(g, cfg):
     u = cfg.data["u"]
-    _require(g.degree(u) == 6, cfg.kind, "center degree")
+    _require(g.degree(u) == 6 == len(cfg.data["paths"]), cfg.kind, "center degree")
+    _validate_slots(g, cfg, u, cfg.data["paths"])
     for _, ints, far in cfg.data["paths"]:
         _require(len(ints) == 2 and far != u and g.degree(far) == 6, cfg.kind, "slots")
 
@@ -1748,11 +1760,8 @@ def _validate_two_consecutive(g, cfg):
     u, v, w = cfg.data["u"], cfg.data["v"], cfg.data["w"]
     pu, pw = cfg.data["pu"], cfg.data["pw"]
     _require(len({u, v, w}) == 3, cfg.kind, "anchors not distinct")
-    for chain in ((u, *pu, v), (w, *pw, v)):
-        for a, b in zip(chain, chain[1:]):
-            _require(g.has_edge(a, b), cfg.kind, f"missing edge ({a},{b})")
-        for x in chain[1:-1]:
-            _require(g.degree(x) == 2, cfg.kind, "interior degree")
+    _require(len(pu) == len(pw) == 3, cfg.kind, "run length")
+    _validate_slots(g, cfg, v, ((pu[-1], pu[::-1], u), (pw[-1], pw[::-1], w)))
     value = _potential_without(g, set(pu) | set(pw), {u, w})
     _require(value == cfg.potentials["bridge"], cfg.kind, "potential drifted")
     _require(value >= 1, cfg.kind, "splice precondition")
@@ -1761,20 +1770,22 @@ def _validate_two_consecutive(g, cfg):
 def _validate_three_consecutive(g, cfg):
     anchors = cfg.data["anchors"]
     runs = cfg.data["runs"]
-    _require(len(set(anchors)) == 4, cfg.kind, "anchors not distinct")
+    _require(len(set(anchors)) == 4 == len(runs) + 1, cfg.kind, "anchors not distinct")
     for i, r in enumerate(runs):
         r.validate(g)
+        _require(r.length == 3, cfg.kind, "run length")
         _require(
             set(r.endpoints) == {anchors[i], anchors[i + 1]}, cfg.kind, "chain break"
         )
 
 
-def _validate_oriented_sponsor(g, cfg):
+def _validate_oriented_sponsor(g, cfg, length, slots):
+    """The sponsor's open ``length``-run p from u to v, its other ``slots``
+    at u, and its potentials."""
     u, v, p = cfg.data["u"], cfg.data["v"], cfg.data["p"]
     _require(g.degree(u) == 7, cfg.kind, "center degree")
-    chain = (u, *p, v)
-    for a, b in zip(chain, chain[1:]):
-        _require(g.has_edge(a, b), cfg.kind, f"missing edge ({a},{b})")
+    _require(len(p) == length and v != u, cfg.kind, f"p not an open {length}-run")
+    _validate_slots(g, cfg, u, ((p[0], p, v), *slots))
     pot_u = _potential_without(g, set(p), {u})
     pot_v = _potential_without(g, set(p), {v})
     _require(pot_u == cfg.potentials["center"], cfg.kind, "center potential drifted")
@@ -1783,20 +1794,24 @@ def _validate_oriented_sponsor(g, cfg):
 
 
 def _validate_seven_seven(g, cfg):
-    _validate_oriented_sponsor(g, cfg)
+    _validate_oriented_sponsor(g, cfg, 2, cfg.data["six"])
     for _, ints, far in cfg.data["six"]:
         _require(len(ints) == 2 and g.degree(far) <= 5, cfg.kind, "capped slots")
     _require(g.degree(cfg.data["v"]) == 7, cfg.kind, "far degree")
 
 
 def _validate_sponsor_bridges(g, cfg):
-    _validate_oriented_sponsor(g, cfg)
+    _validate_oriented_sponsor(g, cfg, 3, cfg.data["qpaths"])
     for _, ints, far in cfg.data["qpaths"]:
         _require(len(ints) == 2 and g.degree(far) <= 5, cfg.kind, "bridge slots")
 
 
+def _sponsor_slots(cfg):
+    return (*cfg.data["qpaths"], *((w, None, w) for w in cfg.data["wvertices"]))
+
+
 def _validate_sponsor_all_bad(g, cfg):
-    _validate_oriented_sponsor(g, cfg)
+    _validate_oriented_sponsor(g, cfg, 3, _sponsor_slots(cfg))
     for _, ints, far in cfg.data["qpaths"]:
         _require(len(ints) == 2 and far != cfg.data["u"], cfg.kind, "q slots")
     for w in cfg.data["wvertices"]:
@@ -1807,8 +1822,9 @@ def _validate_sponsor_all_bad(g, cfg):
 
 
 def _validate_sponsor_small_x(g, cfg):
-    _validate_oriented_sponsor(g, cfg)
-    _require(d_star(g, cfg.data["x"]) <= 12, cfg.kind, "x reach")
+    _validate_oriented_sponsor(g, cfg, 3, _sponsor_slots(cfg))
+    x = cfg.data["x"]
+    _require(g.has_edge(cfg.data["u"], x) and d_star(g, x) <= 12, cfg.kind, "x reach")
     _require(g.degree(cfg.data["qpaths"][0][2]) <= 5, cfg.kind, "first far degree")
     _require(
         len(cfg.data["qpaths"]) + len(cfg.data["wvertices"]) == 5, cfg.kind, "arity"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .coloring import SearchBudgetExceeded, chi2_exact
+from .coloring import chi2_exact
 from .discharging import run_discharge
 from .families import (
     cycle,
@@ -28,7 +28,7 @@ from .families import (
     triangle_gadget,
 )
 from .graph import INFINITE_GIRTH, Graph, check_girth_mad_bound, girth, subdivide
-from .io import to_graph6
+from .io import json_data, to_graph6
 from .potential import DENSITY_BOUND, mad_exact, rho_star
 from .reductions import ForestOfStarsError, _WorkGraph, constructive_color, detect_configuration
 
@@ -46,20 +46,7 @@ class CorpusRecord:
     constructive_status: str | None = None
 
     def to_json(self) -> dict:
-        chi2 = self.chi2
-        if isinstance(chi2, tuple):
-            chi2 = list(chi2)
-        return {
-            "graph6": self.graph6,
-            "provenance": self.provenance,
-            "n": self.n,
-            "m": self.m,
-            "max_degree": self.max_degree,
-            "girth": self.girth,
-            "mad": str(self.mad),
-            "chi2": chi2,
-            "constructive_status": self.constructive_status,
-        }
+        return json_data(self)
 
 
 def _named(exc: Exception) -> str:
@@ -67,13 +54,17 @@ def _named(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _facts(g: Graph, provenance: dict) -> CorpusRecord:
-    value, _ = mad_exact(g) if g.n else (Fraction(0), frozenset())
+def _exact_facts(g: Graph, budget: int | None):
+    """The exact density (0 with no vertices), the girth (None for a
+    forest), and χ2, a (low, high) interval if ``budget`` runs out."""
+    density = mad_exact(g)[0] if g.n else Fraction(0)
     gir = girth(g)
-    try:
-        chi2 = chi2_exact(g, budget=2_000_000)
-    except SearchBudgetExceeded:  # pragma: no cover - budget guard
-        chi2 = None
+    gir = None if gir is INFINITE_GIRTH else int(gir)
+    return density, gir, chi2_exact(g, budget=budget)
+
+
+def _facts(g: Graph, provenance: dict) -> CorpusRecord:
+    value, gir, chi2 = _exact_facts(g, 2_000_000)
     if g.max_degree() > 7:
         status = "skipped-degree"
     elif value > DENSITY_BOUND:
@@ -90,7 +81,7 @@ def _facts(g: Graph, provenance: dict) -> CorpusRecord:
         g.n,
         g.m,
         g.max_degree(),
-        None if gir is INFINITE_GIRTH else int(gir),
+        gir,
         value,
         chi2,
         status,
@@ -101,11 +92,12 @@ class GenerationError(Exception):
     """The generator could not satisfy its constraints in budget."""
 
 
+#: Candidates each random generator draws before it gives up.
+_CAPPED_RETRIES, _HUB_RETRIES = 60, 40
+
+
 def random_capped_instance(
-    rng: random.Random,
-    hub_degree: int = 7,
-    strict: bool = False,
-    retries: int = 60,
+    rng: random.Random, hub_degree: int = 7, strict: bool = False
 ) -> tuple[Graph, dict]:
     """A random subdivided-skeleton graph with the exact density bound.
 
@@ -113,7 +105,7 @@ def random_capped_instance(
     degree; two or three rounds of subdivision push the girth up and the
     density below 18/7 (strictly below when ``strict``).
     """
-    for attempt in range(retries):
+    for attempt in range(_CAPPED_RETRIES):
         n = rng.randint(5, 11)
         extra = rng.randint(0, 2)
         t = rng.choice((2, 3))
@@ -149,9 +141,9 @@ def random_tree_instance(rng: random.Random, hub_degree: int = 7) -> tuple[Graph
     return g, {"generator": "decorated-tree"}
 
 
-def random_hub_instance(rng: random.Random, retries: int = 40) -> tuple[Graph, dict]:
+def random_hub_instance(rng: random.Random) -> tuple[Graph, dict]:
     """A random degree-7 hub network; rich in long-run configurations."""
-    for attempt in range(retries):
+    for attempt in range(_HUB_RETRIES):
         hubs = rng.choice((4, 6, 8))
         try:
             g = random_hub_network(rng, hubs)
@@ -237,7 +229,7 @@ class VerificationVerdict:
     girth: int | None
     density_within_bound: bool
     hypotheses_hold: bool
-    chi2: int | tuple[int, int] | None
+    chi2: int | tuple[int, int]
     constructive_valid: bool | None
     conclusion: bool | None
     girth_at_least_nine: bool
@@ -245,20 +237,7 @@ class VerificationVerdict:
     planar_bound_consistent: bool | None
 
     def to_json(self) -> dict:
-        chi2 = list(self.chi2) if isinstance(self.chi2, tuple) else self.chi2
-        return {
-            "density": str(self.density),
-            "max_degree": self.max_degree,
-            "girth": self.girth,
-            "density_within_bound": self.density_within_bound,
-            "hypotheses_hold": self.hypotheses_hold,
-            "chi2": chi2,
-            "constructive_valid": self.constructive_valid,
-            "conclusion": self.conclusion,
-            "girth_at_least_nine": self.girth_at_least_nine,
-            "planarity_asserted": self.planarity_asserted,
-            "planar_bound_consistent": self.planar_bound_consistent,
-        }
+        return json_data(self)
 
 
 def verify_theorem(
@@ -271,20 +250,13 @@ def verify_theorem(
     at least 8 (the previously known range, checked by exact search only).
     Budget exhaustion yields an inconclusive verdict, never a false claim.
     """
-    density, _ = mad_exact(g) if g.n else (Fraction(0), frozenset())
+    density, gir, chi2 = _exact_facts(g, budget)
     delta = g.max_degree()
-    gir = girth(g)
-    gir_int = None if gir is INFINITE_GIRTH else int(gir)
     within = density <= DENSITY_BOUND
     hypotheses = (delta == 7 and within) or (delta >= 8 and density < DENSITY_BOUND)
 
-    chi2: int | tuple[int, int] | None = None
     constructive_valid: bool | None = None
     conclusion: bool | None = None
-    try:
-        chi2 = chi2_exact(g, budget=budget)
-    except SearchBudgetExceeded:  # pragma: no cover - budget guard
-        chi2 = None
     if hypotheses:
         if delta == 7:  # constructive_color validates its coloring and raises if it fails
             constructive_color(g, verify_preconditions=False)
@@ -292,18 +264,18 @@ def verify_theorem(
         if isinstance(chi2, int):
             conclusion = chi2 == delta + 1
     planar_consistent = None
-    if assert_planar and gir_int is not None:
-        planar_consistent = check_girth_mad_bound(density, gir_int)
+    if assert_planar and gir is not None:
+        planar_consistent = check_girth_mad_bound(density, gir)
     return VerificationVerdict(
         density,
         delta,
-        gir_int,
+        gir,
         within,
         hypotheses,
         chi2,
         constructive_valid,
         conclusion,
-        gir_int is None or gir_int >= 9,
+        gir is None or gir >= 9,
         assert_planar,
         planar_consistent,
     )
@@ -319,7 +291,7 @@ class HuntReport:
         return not self.findings
 
     def to_json(self) -> dict:
-        return {"instances": self.instances, "findings": self.findings}
+        return json_data(self)
 
 
 def _record_finding(report: HuntReport, g: Graph, check: str, detail: str) -> None:

@@ -11,6 +11,7 @@ from sparse2dc.graph import Graph
 from sparse2dc.io import (
     autodetect,
     from_graph6,
+    json_data,
     parse_edge_list,
     to_graph6,
     write_edge_list,
@@ -26,6 +27,29 @@ def test_edge_list_round_trip():
     h, labels = parse_edge_list(text)
     assert h == g
     assert labels == list(range(10))
+
+
+def test_json_data_encodes_records():
+    from dataclasses import dataclass
+    from fractions import Fraction
+
+    from sparse2dc.graph import PathDescriptor
+
+    @dataclass(frozen=True)
+    class Record:
+        z: Fraction
+        a: tuple
+        runs: dict
+
+    record = Record(Fraction(18, 7), (1, (2, 3), None, True),
+                    {"p": [PathDescriptor((0, 4), (1, 2, 3))]})
+    data = json_data(record)
+    assert list(data) == ["z", "a", "runs"]
+    assert data == {
+        "z": "18/7",
+        "a": [1, [2, 3], None, True],
+        "runs": {"p": [{"endpoints": [0, 4], "internal": [1, 2, 3]}]},
+    }
 
 
 def test_edge_list_header_shape():

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -14,9 +15,11 @@ from sparse2dc.discharging import run_discharge
 from sparse2dc.families import cycle, petersen, spider, star
 from sparse2dc.graph import (
     Graph,
+    PathDescriptor,
     _walk_run as walk_run,
     d_star,
     degree_two_runs,
+    girth,
     remove_vertices,
     subdivide,
 )
@@ -24,8 +27,10 @@ from sparse2dc.potential import DENSITY_BOUND, mad_bruteforce, mad_exact, rho_st
 from sparse2dc.reductions import (
     BASE_THRESHOLD,
     Configuration,
+    ConstructiveFailure,
     ExtensionError,
     ForestOfStarsError,
+    InternalContradiction,
     _RunIndex,
     _Tracked,
     _WorkGraph,
@@ -441,6 +446,80 @@ class TestConfigurationContracts:
         assert a.kind == b.kind and a.data == b.data and a.potentials == b.potentials
 
 
+def registry_witness(kind, g):
+    """The witness the registry detector of ``kind`` finds in ``g``."""
+    from sparse2dc import reductions as module
+
+    cfg = module._BY_KIND[kind].detect(g, _RunIndex(g))
+    assert cfg is not None and cfg.kind == kind
+    return cfg
+
+
+class TestWitnessReadBack:
+    """``Configuration.validate`` reads each run and slot of a witness back
+    from the graph: a witness the graph does not have raises ValueError,
+    and the detector's own witness still validates."""
+
+    PATH = Graph(10, [(i, i + 1) for i in range(9)])
+
+    def test_three_consecutive_runs_have_three_internals(self):
+        runs = tuple(PathDescriptor((a, a + 3), (a + 1, a + 2)) for a in (0, 3, 6))
+        cfg = Configuration(
+            "ThreeConsecutiveThreePaths", {"anchors": (0, 3, 6, 9), "runs": runs}
+        )
+        with pytest.raises(ValueError, match="run length"):
+            cfg.validate(self.PATH)
+
+    def test_two_consecutive_runs_have_three_internals(self):
+        bridge = rho_star(self.PATH, {0, 6}, without={1, 2, 4, 5}).value
+        assert bridge >= 1  # every other check of the witness holds
+        cfg = Configuration(
+            "TwoConsecutiveThreePaths",
+            {"u": 0, "v": 3, "w": 6, "pu": (1, 2), "pw": (5, 4)},
+            {"bridge": bridge},
+        )
+        with pytest.raises(ValueError, match="run length"):
+            cfg.validate(self.PATH)
+
+    @pytest.mark.parametrize("kind", ["TwoConsecutiveThreePaths", "ThreeConsecutiveThreePaths"])
+    def test_consecutive_witnesses_validate(self, kind):
+        g = fx.two_consecutive_three_paths()
+        registry_witness(kind, g).validate(g)
+
+    SLOTS = [
+        ("WeirdSeven", lambda: fx.weird_seven_local("two-path"), "six"),
+        ("WeirdSix", fx.weird_six_local, "paths"),
+        ("SevenSevenTwoPaths", fx.seven_seven_local, "six"),
+        ("SponsorManyBridges", fx.sponsor_bridges_local, "qpaths"),
+        ("SponsorAllBadNeighbors", lambda: fx.sponsor_all_bad_local(3), "qpaths"),
+    ]
+
+    @pytest.mark.parametrize("kind, make, key", SLOTS)
+    def test_swapped_slot_internals_are_refused(self, kind, make, key):
+        g = make()
+        cfg = registry_witness(kind, g)
+        cfg.validate(g)
+        (w0, (a0, b0), f0), (w1, (a1, b1), f1), *rest = cfg.data[key]
+        swapped = ((w0, (a0, b1), f0), (w1, (a1, b0), f1), *rest)
+        with pytest.raises(ValueError, match=f"slot at {w0}"):
+            replace(cfg, data={**cfg.data, key: swapped}).validate(g)
+
+    @pytest.mark.parametrize("kind, make", [
+        ("SponsorAllBadNeighbors", lambda: fx.sponsor_all_bad_local(3)),
+        ("SponsorWithSmallX", fx.sponsor_small_x_local),
+    ])
+    def test_w_vertices_are_neighbors_of_u(self, kind, make):
+        one = make()
+        # two disjoint copies: w + one.n is w in the second, with w's signature
+        g = Graph(2 * one.n, [*one.edges(), *((u + one.n, v + one.n) for u, v in one.edges())])
+        cfg = registry_witness(kind, g)
+        cfg.validate(g)
+        w, *rest = cfg.data["wvertices"]
+        far = {**cfg.data, "wvertices": (w + one.n, *rest)}
+        with pytest.raises(ValueError, match=f"{w + one.n} not adjacent"):
+            replace(cfg, data=far).validate(g)
+
+
 class TestClassification:
     def test_two_vertex_kinds(self):
         g = fx.three_path_low_end()
@@ -508,15 +587,8 @@ class TestClassification:
             classify_vertices(fx.three_path_cycle())
 
     def test_three_consecutive_refused(self):
-        b = fx.GraphBuilder()
-        hubs = [b.vertex() for _ in range(4)]
-        for x, y in zip(hubs, hubs[1:]):
-            b.run(x, y, 3)
-        for h in hubs:
-            b.leaves(h, 2)
-        g = b.build()
         with pytest.raises(ForestOfStarsError):
-            classify_vertices(g)
+            classify_vertices(three_consecutive_chain())
 
 
 class TestConstructive:
@@ -808,27 +880,38 @@ class TestRecipeStability:
 
     def test_small_x_as_relay_two_vertex(self):
         """x may be the 2-vertex between u and a 3-vertex."""
-        b = fx.GraphBuilder()
-        u, v = b.vertex(), b.vertex()
-        b.run(u, v, 3)
-        b.leaves(v, 6)
-        c = b.vertex()
-        b.run(u, c, 2)
-        b.leaves(c, 2)
-        for _ in range(4):
-            w = b.vertex()
-            b.edge(u, w)
-            for _ in range(2):
-                f = b.vertex()
-                b.run(w, f, 2)
-                b.leaves(f, 2)
-        t = b.vertex()
-        x = b.run(u, t, 1)[0]  # large 2-vertex relay toward a 3-vertex
-        b.leaves(t, 2)
-        g = b.build()
+        g, x = small_x_relay()
         cfg = detect_with(g, _detect_sponsor_small_x)
         assert cfg is not None and cfg.data["x"] == x
         self.stress(g, cfg, random.Random(8), rounds=6)
+
+
+class TestBaseComponents:
+    """Above the size threshold, a graph on which no configuration fires is
+    colored one component at a time by ``_base_color``."""
+
+    def test_irreducible_degree_seven_component(self):
+        with pytest.raises(InternalContradiction) as caught:
+            constructive_color(fx.weird_seven_dispatch(), verify_preconditions=False)
+        assert str(caught.value) == (
+            "no configuration fires on an irreducible max-degree-7 component"
+        )
+
+    def test_petersen_has_no_eight_coloring(self):
+        g = petersen()
+        assert g.n + g.m == 25 > BASE_THRESHOLD and detect_configuration(g) is None
+        with pytest.raises(ConstructiveFailure) as caught:
+            constructive_color(g, verify_preconditions=False)
+        assert str(caught.value) == "irreducible low-degree component admits no 8-coloring"
+
+    def test_dodecahedron_is_colored_by_search(self):
+        # the generalized Petersen graph GP(10, 2)
+        g = Graph(20, [e for i in range(10)
+                       for e in ((i, (i + 1) % 10), (i, 10 + i), (10 + i, 10 + (i + 2) % 10))])
+        assert {g.degree(v) for v in g.vertices()} == {3} and girth(g) == 5
+        assert detect_configuration(g) is None
+        phi = constructive_color(g, verify_preconditions=False)
+        assert is_valid_2distance(g, phi)[0] and phi.is_total(g)
 
 
 class TestBoundaryFuzz:
@@ -1052,6 +1135,81 @@ class TestOutputIdentity:
         assert sum(isinstance(r.get("refused"), list) for r in records) >= 1
         blob = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_CLASSES
+
+
+def three_consecutive_chain():
+    """Four hubs chained by three 3-runs, each hub with two leaves."""
+    b = fx.GraphBuilder()
+    hubs = [b.vertex() for _ in range(4)]
+    for x, y in zip(hubs, hubs[1:]):
+        b.run(x, y, 3)
+    for h in hubs:
+        b.leaves(h, 2)
+    return b.build()
+
+
+def small_x_relay():
+    """A sponsor whose x is the 2-vertex between u and a 3-vertex; returns
+    the graph and x."""
+    b = fx.GraphBuilder()
+    u, v = b.vertex(), b.vertex()
+    b.run(u, v, 3)
+    b.leaves(v, 6)
+    c = b.vertex()
+    b.run(u, c, 2)
+    b.leaves(c, 2)
+    for _ in range(4):
+        w = b.vertex()
+        b.edge(u, w)
+        for _ in range(2):
+            f = b.vertex()
+            b.run(w, f, 2)
+            b.leaves(f, 2)
+    t = b.vertex()
+    x = b.run(u, t, 1)[0]  # large 2-vertex relay toward a 3-vertex
+    b.leaves(t, 2)
+    return b.build(), x
+
+
+class TestKindRecipes:
+    """The eight kinds that ``TestOutputIdentity``'s corpus never fires are
+    pinned on their own fixtures: each graph goes through its kind's
+    registry detector, ``apply_reduction`` (which validates the witness),
+    an exact coloring of the reduced graph and ``extend_coloring``."""
+
+    PINNED_KINDS = "382d1af69558"
+
+    def corpus(self):
+        yield "TwoPathChord", "two_path_chord", fx.two_path_chord()
+        yield "WeirdSeven", "weird_seven_dispatch", fx.weird_seven_dispatch()
+        for case in ("two-path", "three-path", "deg-three"):
+            yield "WeirdSeven", f"weird_seven_local({case})", fx.weird_seven_local(case)
+        yield "WeirdSix", "weird_six_local", fx.weird_six_local()
+        yield "ThreeConsecutiveThreePaths", "two_consecutive_three_paths", \
+            fx.two_consecutive_three_paths()
+        yield "ThreeConsecutiveThreePaths", "three_consecutive_chain", \
+            three_consecutive_chain()
+        yield "SevenSevenTwoPaths", "seven_seven_local", fx.seven_seven_local()
+        yield "SponsorManyBridges", "sponsor_bridges_local", fx.sponsor_bridges_local()
+        for k in range(7):
+            yield "SponsorAllBadNeighbors", f"sponsor_all_bad_local({k})", \
+                fx.sponsor_all_bad_local(k)
+        yield "SponsorAllBadNeighbors", "sponsor_all_bad_same_far", \
+            fx.sponsor_all_bad_same_far()
+        yield "SponsorWithSmallX", "sponsor_small_x_local", fx.sponsor_small_x_local()
+        yield "SponsorWithSmallX", "small_x_relay", small_x_relay()[0]
+
+    def test_recipe_digest(self):
+        records = []
+        for kind, name, g in self.corpus():
+            cfg = registry_witness(kind, g)
+            red = apply_reduction(g, cfg)
+            phi = extend_coloring(g, cfg, red, color_2distance(red.graph, 8))
+            colors = [phi.get(v) for v in g.vertices()]
+            records.append([kind, name, red.tag, red.recorded, red.detail, colors])
+        assert len({r[0] for r in records}) == 8
+        blob = json.dumps(records, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_KINDS
 
 
 def _apply_degree_one_per_edge(g, cfg):

@@ -191,6 +191,88 @@ class TestHunt:
         assert err == f"internal failure: {report.findings[0]['detail']}\n"
 
 
+class TestHuntChecks:
+    """Each invariant the hunt checks, driven to fail on a small seeded
+    hunt: the finding names its check and detail and replays verbatim."""
+
+    @staticmethod
+    def findings(report, check):
+        found = [f for f in report.findings if f["check"] == check]
+        for f in found:
+            assert f["graph6"] == to_graph6(from_graph6(f["graph6"]))
+            assert f["replay"] == f"printf '%s\\n' '{f['graph6']}' | sparse2dc verify --input -"
+        return found
+
+    def test_coverage_finds_nothing(self, monkeypatch):
+        from sparse2dc import verify
+
+        monkeypatch.setattr(verify, "detect_configuration", lambda g: None)
+        report = hunt(seed=1, budget=8)
+        found = self.findings(report, "coverage")
+        assert found and {f["detail"] for f in found} == {"no configuration fires"}
+        assert len(found) == len(report.findings)
+
+    def test_a_raising_coverage_check_leaves_a_fresh_working_graph(self, monkeypatch):
+        from sparse2dc import verify
+
+        checked, solved = [], []
+        solve = verify.constructive_color
+
+        def broken(wg):
+            checked.append(wg)
+            wg.begin()
+            wg.remove_vertex(wg.vertices()[0])  # an edit left half done
+            raise RuntimeError("probe")
+
+        def recorded_solve(g, **kwargs):
+            solved.append(g)
+            return solve(g, **kwargs)
+
+        monkeypatch.setattr(verify, "detect_configuration", broken)
+        monkeypatch.setattr(verify, "constructive_color", recorded_solve)
+        report = hunt(seed=1, budget=8)
+        found = self.findings(report, "coverage")
+        assert len(found) == len(checked) >= 1
+        assert {f["detail"] for f in found} == {"RuntimeError: probe"}
+        assert len(found) == len(report.findings)  # every solve still succeeds
+        assert len(solved) == report.instances
+        assert not any(wg is checked_wg for wg in solved for checked_wg in checked)
+
+    def test_discharge_raises(self, monkeypatch):
+        from sparse2dc import verify
+
+        def broken(g):
+            raise RuntimeError("probe")
+
+        monkeypatch.setattr(verify, "run_discharge", broken)
+        report = hunt(seed=1, budget=8)
+        found = self.findings(report, "discharge")
+        assert found and {f["detail"] for f in found} == {"RuntimeError: probe"}
+        assert len(found) == len(report.findings)
+
+    @pytest.mark.parametrize("shift, details", [
+        (-2, ["total drifted"]),
+        (None, ["total drifted", "positive total"]),  # a total of +2
+    ])
+    def test_conservation(self, monkeypatch, shift, details):
+        from dataclasses import replace
+
+        from sparse2dc import verify
+
+        discharge = verify.run_discharge
+
+        def shifted(g):
+            ledger = discharge(g)
+            by = shift if shift is not None else 2 - ledger.total_final()
+            return replace(ledger, final=(ledger.final[0] + by, *ledger.final[1:]))
+
+        monkeypatch.setattr(verify, "run_discharge", shifted)
+        report = hunt(seed=1, budget=8)
+        found = self.findings(report, "conservation")
+        assert found and len(found) == len(report.findings)
+        assert [f["detail"] for f in found] == details * (len(found) // len(details))
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -476,3 +558,53 @@ def test_find_config_serializes_path_witnesses():
     payload = json.loads(proc.stdout)
     assert payload["kind"] == "ThreePathCycle"
     assert all("endpoints" in r for r in payload["witness"]["runs"])
+
+
+class TestCliOutputIdentity:
+    """The JSON reports are pinned byte for byte: standard output, standard
+    error and exit code of each run below, on inputs whose witnesses hold
+    runs, slots and potentials, on verdicts with an exact and an interval
+    χ2, and on the corpus and hunt reports."""
+
+    PINNED_CLI = "3cff43b25457"
+
+    INPUTS = (
+        "four_plus_path", "three_path_low_end", "two_path_chord", "counting_pair",
+        "small_vertex", "three_path_cycle", "two_consecutive_three_paths",
+        "weird_seven_dispatch",
+    )
+    COMMANDS = (
+        ["find-config"], ["verify"], ["verify", "--assert-planar"],
+        ["verify", "--budget", "1"], ["discharge", "--verify"], ["mad"],
+        ["chi2", "--budget", "50"], ["rho-star", "--vertices", "0,1"],
+    )
+    RUNS = (
+        ["gen", "--kind", "subdivision", "--count", "3", "--seed", "5"],
+        ["gen", "--kind", "hub", "--count", "2", "--seed", "5"],
+        ["gen", "--kind", "fixtures", "--count", "0"],
+        ["hunt", "--seed", "3", "--budget", "6"],
+    )
+
+    def test_cli_digest(self, capsys, tmp_path):
+        import hashlib
+
+        import fixture_graphs as fx
+        from sparse2dc import cli
+
+        graphs = {name: getattr(fx, name)() for name in self.INPUTS}
+        graphs["c7"] = cycle(7)  # χ2 at budget 1 is the interval (3, 4)
+        records = []
+        for name, g in graphs.items():
+            path = tmp_path / f"{name}.g6"
+            path.write_text(to_graph6(g) + "\n")
+            for command in self.COMMANDS:
+                code = cli.main([*command, "--input", str(path)])
+                records.append([name, command, code, *capsys.readouterr()])
+        for argv in self.RUNS:
+            code = cli.main(argv)
+            records.append([argv[0], argv[1:], code, *capsys.readouterr()])
+        assert sum('"endpoints"' in r[3] for r in records) >= 4
+        assert sum(r[1] == ["verify", "--budget", "1"] and '"chi2": [' in r[3]
+                   for r in records) >= 1
+        blob = json.dumps(records)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_CLI
