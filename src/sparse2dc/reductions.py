@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, combinations
 from typing import Callable, NamedTuple
 
 from .coloring import (
@@ -86,8 +86,17 @@ class Configuration:
     potentials: dict = field(default_factory=dict)
 
     def validate(self, g: Graph) -> None:
-        """Recheck the witness against ``g`` from scratch."""
-        _BY_KIND[self.kind].validate(g, self)
+        """Recheck the witness against ``g`` from scratch.
+
+        A witness of a local kind is valid exactly when its kind's detector
+        could produce it at its centre: it must be among the witnesses the
+        kind's enumerator yields there, and the potentials it carries must
+        be the ones recomputed for it.  So a hand-made witness in an order
+        no detector produces is refused.  The witnesses of the two kinds
+        that are not local, ThreePathCycle and ThreeConsecutiveThreePaths,
+        are read back run by run.  Raises ValueError naming the kind.
+        """
+        _BY_KIND[self.kind].validate(g, _index(g), self)
 
 
 @dataclass
@@ -366,62 +375,80 @@ def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
     return out
 
 
+def _capped(g: Graph, u: int, slot, cap: int) -> bool:
+    """Whether ``slot`` at ``u`` is a 2-run whose far end is not ``u`` and
+    has degree at most ``cap``."""
+    _, ints, far = slot
+    return ints is not None and len(ints) == 2 and far != u and g.degree(far) <= cap
+
+
+def _lower_end(g: Graph, r: PathDescriptor) -> int:
+    """The endpoint of ``r`` of smaller degree (smaller id on ties)."""
+    return min((g.degree(x), x) for x in r.endpoints)[1]
+
+
 # ---------------------------------------------------------------------------
-# detectors (their dispatch order is the order of _REGISTRY)
+# witness enumerators: ``_*_at(g, idx, c)`` yields every witness of one local
+# kind at its centre ``c`` (a vertex, or a run for the run kinds), in the
+# order its detector takes them; the registry's ``_local`` builds the
+# detector and the witness check from it
 
 
-def _detect_degree_one(g: Graph, idx: _RunIndex) -> Configuration | None:
+def _pendant(g: Graph, idx: _RunIndex):
     v = idx.pendant()
-    if v is None:
-        return None
-    return Configuration("DegreeOne", {"v": v, "u": g.adjacency[v][0]})
+    return () if v is None else (v,)
 
 
-def _detect_four_plus_path(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.worklist("FourPlusPath"):
+def _vertices(g: Graph, idx: _RunIndex):
+    return g.vertices()
+
+
+def _of_degree(lo: int, hi: int):
+    """Centres: the vertices of degree ``lo`` to ``hi``, ascending."""
+    return lambda g, idx: [v for v in g.vertices() if lo <= len(g.adjacency[v]) <= hi]
+
+
+def _three_anchors(g: Graph, idx: _RunIndex):
+    return sorted(idx.three_adj)
+
+
+def _degree_one_at(g, idx, v):
+    if g.degree(v) == 1:
+        yield {"v": v, "u": g.adjacency[v][0]}
+
+
+def _four_plus_path_at(g, idx, r):
+    if r.length >= 4:
         chain = (r.endpoints[0], *r.internal, r.endpoints[1])
-        return Configuration("FourPlusPath", {"chain": chain[:6], "run": r})
-    return None
+        yield {"chain": chain[:6], "run": r}
 
 
-def _detect_three_path_bad_end(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.worklist("ThreePathBadEnd"):
-        u, v = r.endpoints
-        if r.closed:
-            return Configuration("ThreePathBadEnd", {"case": "closed", "run": r})
-        if g.degree(u) < 7 or g.degree(v) < 7:
-            low = min((g.degree(u), u), (g.degree(v), v))[1]
-            return Configuration(
-                "ThreePathBadEnd", {"case": "low-end", "run": r, "low": low}
-            )
-    return None
+def _three_path_bad_end_at(g, idx, r):
+    if r.length != 3:
+        return
+    if r.closed:
+        yield {"case": "closed", "run": r}
+    elif min(map(g.degree, r.endpoints)) < 7:
+        yield {"case": "low-end", "run": r, "low": _lower_end(g, r)}
 
 
-def _detect_two_path_bad_ends(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.worklist("TwoPathBadEnds"):
-        u, v = r.endpoints
-        if r.closed:
-            return Configuration("TwoPathBadEnds", {"case": "closed", "run": r})
-        lo, hi = sorted((g.degree(u), g.degree(v)))
-        if lo <= ANCHOR - 2 and hi <= ANCHOR - 1:
-            low = min((g.degree(u), u), (g.degree(v), v))[1]
-            return Configuration(
-                "TwoPathBadEnds", {"case": "low-ends", "run": r, "low": low}
-            )
-    return None
+def _two_path_bad_ends_at(g, idx, r):
+    if r.length != 2:
+        return
+    lo, hi = sorted(map(g.degree, r.endpoints))
+    if r.closed:
+        yield {"case": "closed", "run": r}
+    elif lo <= ANCHOR - 2 and hi <= ANCHOR - 1:
+        yield {"case": "low-ends", "run": r, "low": _lower_end(g, r)}
 
 
-def _detect_two_path_chord(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for r in idx.worklist("TwoPathChord"):
-        u, v = r.endpoints
-        if r.closed or not g.has_edge(u, v):
-            continue
-        for hi, lo in ((u, v), (v, u)):
-            if g.degree(hi) == 7 and g.degree(lo) <= 6:
-                return Configuration(
-                    "TwoPathChord", {"run": r, "seven": hi, "other": lo}
-                )
-    return None
+def _two_path_chord_at(g, idx, r):
+    u, v = r.endpoints
+    if r.length != 2 or r.closed or not g.has_edge(u, v):
+        return
+    for hi, lo in ((u, v), (v, u)):
+        if g.degree(hi) == 7 and g.degree(lo) <= 6:
+            yield {"run": r, "seven": hi, "other": lo}
 
 
 def _three_path_cycle(adj) -> Configuration | None:
@@ -469,126 +496,80 @@ def _three_path_cycle(adj) -> Configuration | None:
     return None
 
 
-def _detect_small_vertex(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for v in g.vertices():
-        if not 3 <= g.degree(v) <= (ANCHOR + 1) // 2:
-            continue
-        if any(g.degree(w) != 2 for w in g.adjacency[v]):
-            continue
-        if idx.reach(v) > ANCHOR + 1:
-            continue
-        for w in g.adjacency[v]:
-            if idx.reach(w) <= ANCHOR:
-                a, b = g.adjacency[w]
-                other = b if a == v else a
-                if g.degree(other) == 2:
-                    return Configuration("SmallVertex", {"v": v, "w": w})
-    return None
+def _small_vertex_at(g, idx, v):
+    if not 3 <= g.degree(v) <= (ANCHOR + 1) // 2:
+        return
+    if any(g.degree(w) != 2 for w in g.adjacency[v]) or idx.reach(v) > ANCHOR + 1:
+        return
+    for w in g.adjacency[v]:
+        if idx.reach(w) <= ANCHOR:
+            a, b = g.adjacency[w]
+            if g.degree(b if a == v else a) == 2:
+                yield {"v": v, "w": w}
 
 
-def _detect_counting_pair(g: Graph, idx: _RunIndex) -> Configuration | None:
+def _counting_pair_at(g, idx, w):
     # components that are pure cycles of 2-vertices are a base case for
     # the solver, not a configuration
+    if w in idx.cycle_of:
+        return
     reach = idx.reach
-    for w in g.vertices():
-        if w in idx.cycle_of:
-            continue
-        nbrs = sorted(g.adjacency[w], key=lambda u: (reach(u), u))
-        for k in range(1, len(nbrs) + 1):
-            if reach(nbrs[k - 1]) > ANCHOR + k - 1:
-                break
-            if reach(w) <= ANCHOR + k:
-                return Configuration(
-                    "CountingPair", {"w": w, "removed_neighbors": tuple(nbrs[:k])}
-                )
-    return None
+    nbrs = sorted(g.adjacency[w], key=lambda u: (reach(u), u))
+    for k in range(1, len(nbrs) + 1):
+        if reach(nbrs[k - 1]) > ANCHOR + k - 1:
+            return
+        if reach(w) <= ANCHOR + k:
+            yield {"w": w, "removed_neighbors": tuple(nbrs[:k])}
 
 
-def _weird_seven_slots(g: Graph, idx: _RunIndex, u: int):
-    """Partition the edges at a 7-vertex for the capped-2-path detectors."""
+def _weird_seven_at(g, idx, u):
+    if g.degree(u) != 7:
+        return
     low2, other = [], []
-    for w, ints, far in _slot_kinds(g, idx, u):
-        if ints is not None and len(ints) == 2 and far != u and g.degree(far) <= 5:
-            low2.append((w, ints, far))
-        else:
-            other.append((w, ints, far))
-    return low2, other
+    for s in _slot_kinds(g, idx, u):
+        (low2 if _capped(g, u, s, 5) else other).append(s)
+    if len(low2) == 7:
+        yield {"u": u, "case": "two-path", "six": tuple(low2[:6]), "extra": low2[6]}
+        return
+    if len(low2) != 6:
+        return
+    w, ints, far = extra = other[0]
+    if ints is not None and len(ints) == 3 and far != u:
+        case = "three-path"
+    elif _capped(g, u, extra, 6):
+        case = "two-path"
+    elif ints is None and vertex_signature(g, w).matches((2, 2, 0)):
+        case = "deg-three"
+    else:
+        return
+    yield {"u": u, "case": case, "six": tuple(low2), "extra": extra}
 
 
-def _detect_weird_seven(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for u in g.vertices():
-        if g.degree(u) != 7:
-            continue
-        low2, other = _weird_seven_slots(g, idx, u)
-        if len(low2) < 6:
-            continue
-        if len(low2) == 7:
-            six, extra = low2[:6], low2[6]
-            return Configuration(
-                "WeirdSeven",
-                {"u": u, "case": "two-path", "six": tuple(six), "extra": extra},
-            )
-        (w, ints, far) = other[0]
-        if ints is not None and len(ints) == 3 and far != u:
-            case = "three-path"
-        elif ints is not None and len(ints) == 2 and far != u and g.degree(far) <= 6:
-            case = "two-path"
-        elif ints is None and vertex_signature(g, w).matches((2, 2, 0)):
-            case = "deg-three"
-        else:
-            continue
-        return Configuration(
-            "WeirdSeven",
-            {"u": u, "case": case, "six": tuple(low2), "extra": other[0]},
-        )
-    return None
-
-
-def _detect_weird_six(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for u in g.vertices():
-        if g.degree(u) != 6:
-            continue
-        slots = _slot_kinds(g, idx, u)
-        if all(
-            ints is not None and len(ints) == 2 and far != u and g.degree(far) == 6
-            for _, ints, far in slots
-        ):
-            return Configuration("WeirdSix", {"u": u, "paths": tuple(slots)})
-    return None
+def _weird_six_at(g, idx, u):
+    if g.degree(u) != 6:
+        return
+    slots = _slot_kinds(g, idx, u)
+    if all(_capped(g, u, s, 6) and g.degree(s[2]) == 6 for s in slots):
+        yield {"u": u, "paths": tuple(slots)}
 
 
 def _potential_without(g: Graph, dropped, query) -> int:
     return rho_star(g, query, without=dropped).value
 
 
-def _detect_two_consecutive_three_paths(
-    g: Graph, idx: _RunIndex
-) -> Configuration | None:
-    for v in sorted(idx.three_adj):
-        # the open 3-runs at v, as (internals from v, far end), in the
-        # order of their first internals
-        runs_here = sorted((_oriented_from(r, v), far) for far, r in idx.three_adj[v])
-        for ai in range(len(runs_here)):
-            for bi in range(ai + 1, len(runs_here)):
-                ints_a, u = runs_here[ai]
-                ints_b, w = runs_here[bi]
-                if u == w:
-                    continue  # a 2-cycle of 3-runs: earlier detector's job
-                dropped = set(ints_a) | set(ints_b)
-                value = _potential_without(g, dropped, {u, w})
-                if value >= 1:
-                    return Configuration(
-                        "TwoConsecutiveThreePaths",
-                        {
-                            "u": u,
-                            "v": v,
-                            "w": w,
-                            "pu": tuple(reversed(ints_a)),
-                            "pw": tuple(reversed(ints_b)),
-                        },
-                        {"bridge": value},
-                    )
-    return None
+def _two_consecutive_at(g, idx, v):
+    # the open 3-runs at v, as (internals from v, far end), in the order of
+    # their first internals
+    runs_here = sorted((_oriented_from(r, v), far) for far, r in idx.three_adj.get(v, ()))
+    for (ints_a, u), (ints_b, w) in combinations(runs_here, 2):
+        if u != w:  # a 2-cycle of 3-runs is an earlier detector's job
+            yield {"u": u, "v": v, "w": w, "pu": ints_a[::-1], "pw": ints_b[::-1]}
+
+
+def _bridge(g, idx, data) -> dict | None:
+    """The potential of {u, w} without both runs, when it allows the splice."""
+    value = _potential_without(g, {*data["pu"], *data["pw"]}, {data["u"], data["w"]})
+    return {"bridge": value} if value >= 1 else None
 
 
 def _three_consecutive_three_paths(adj) -> Configuration | None:
@@ -614,128 +595,94 @@ def _oriented_from(run: PathDescriptor, anchor: int) -> tuple[int, ...]:
     return tuple(reversed(run.internal))
 
 
-def _detect_seven_seven(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for u in g.vertices():
-        if g.degree(u) != 7:
-            continue
-        slots = _slot_kinds(g, idx, u)
-        if not all(
-            ints is not None and len(ints) == 2 and far != u for _, ints, far in slots
-        ):
-            continue
-        low = [s for s in slots if g.degree(s[2]) <= 5]
-        high = [s for s in slots if g.degree(s[2]) == 7]
-        if len(low) != 6 or len(high) != 1:
-            continue
-        _, p_ints, v = high[0]
-        pot_u = _potential_without(g, set(p_ints), {u})
-        pot_v = _potential_without(g, set(p_ints), {v})
-        if pot_u > pot_v:
-            continue
-        return Configuration(
-            "SevenSevenTwoPaths",
-            {"u": u, "v": v, "p": p_ints, "six": tuple(low)},
-            {"center": pot_u, "far": pot_v},
-        )
-    return None
+def _seven_seven_at(g, idx, u):
+    if g.degree(u) != 7:
+        return
+    slots = _slot_kinds(g, idx, u)
+    low = [s for s in slots if _capped(g, u, s, 5)]
+    high = [s for s in slots if _capped(g, u, s, 7) and g.degree(s[2]) == 7]
+    if len(low) == 6 and len(high) == 1:
+        _, p, v = high[0]
+        yield {"u": u, "v": v, "p": p, "six": tuple(low)}
 
 
-def _oriented_sponsors(g: Graph, idx: _RunIndex):
-    """Each 7-vertex ``u`` with a unique open 3-run whose potential
-    orientation makes ``u`` the constrained endpoint, as
-    (u, internals from u, far end, potential at u, potential at far end)."""
-    for u in sorted(idx.three_adj):
-        if g.degree(u) != 7 or len(idx.three_adj[u]) != 1:
-            continue
-        [(v, r)] = idx.three_adj[u]
-        ints = _oriented_from(r, u)
-        pot_u = _potential_without(g, set(ints), {u})
-        pot_v = _potential_without(g, set(ints), {v})
-        if pot_u <= pot_v:
-            yield u, ints, v, pot_u, pot_v
+def _orientation(g, idx, data) -> dict | None:
+    """The potentials of u and v once the run p between them is removed,
+    when they orient p with u as the constrained end."""
+    center = _potential_without(g, set(data["p"]), {data["u"]})
+    far = _potential_without(g, set(data["p"]), {data["v"]})
+    return {"center": center, "far": far} if center <= far else None
 
 
-def _detect_sponsor_many_bridges(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
-        low2 = [
-            s
-            for s in _slot_kinds(g, idx, u)
-            if s[1] is not None and len(s[1]) == 2 and s[2] != u and g.degree(s[2]) <= 5
-        ]
-        if len(low2) >= 3:
-            return Configuration(
-                "SponsorManyBridges",
-                {"u": u, "v": v, "p": ints, "qpaths": tuple(low2[:3])},
-                {"center": pot_u, "far": pot_v},
-            )
-    return None
-
-
-def _sponsor_neighbor_split(g: Graph, idx: _RunIndex, u: int, p_first: int):
-    """Split the non-3-path edges at ``u`` into 2-runs, capped (2,2,0)
-    neighbors, and everything else."""
+def _sponsor(g: Graph, idx: _RunIndex, u: int):
+    """What the sponsor kinds read at a 7-vertex ``u`` with a unique open
+    3-run: (its internals from u, its far end, then u's other slots split
+    into 2-runs to another vertex, (2,2,0) neighbors and the rest), or
+    None."""
+    links = idx.three_adj.get(u, ())
+    if g.degree(u) != 7 or len(links) != 1:
+        return None
+    [(v, r)] = links
+    p = _oriented_from(r, u)
     qpaths, wvertices, rest = [], [], []
-    for w, ints, far in _slot_kinds(g, idx, u):
-        if w == p_first:
+    for s in _slot_kinds(g, idx, u):
+        w, ints, _ = s
+        if w == p[0]:
             continue
-        if ints is not None and len(ints) == 2 and far != u:
-            qpaths.append((w, ints, far))
+        if _capped(g, u, s, g.n):  # any far degree
+            qpaths.append(s)
         elif ints is None and vertex_signature(g, w).matches((2, 2, 0)):
             wvertices.append(w)
         else:
             rest.append(w)
-    return qpaths, wvertices, rest
+    return p, v, qpaths, wvertices, rest
 
 
-def _detect_sponsor_all_bad(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
-        qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
-        if rest:
-            continue
-        return Configuration(
-            "SponsorAllBadNeighbors",
-            {
-                "u": u,
-                "v": v,
-                "p": ints,
-                "qpaths": tuple(qpaths),
-                "wvertices": tuple(wvertices),
-            },
-            {"center": pot_u, "far": pot_v},
-        )
-    return None
+def _sponsor_bridges_at(g, idx, u):
+    found = _sponsor(g, idx, u)
+    if found is None:
+        return
+    p, v, qpaths, _, _ = found
+    low2 = [q for q in qpaths if _capped(g, u, q, 5)]
+    if len(low2) >= 3:
+        yield {"u": u, "v": v, "p": p, "qpaths": tuple(low2[:3])}
 
 
-def _detect_sponsor_small_x(g: Graph, idx: _RunIndex) -> Configuration | None:
-    for u, ints, v, pot_u, pot_v in _oriented_sponsors(g, idx):
-        qpaths, wvertices, rest = _sponsor_neighbor_split(g, idx, u, ints[0])
-        if len(rest) != 1 or idx.reach(rest[0]) > 12:
-            continue
-        low = [q for q in qpaths if g.degree(q[2]) <= 5]
-        if not low:
-            continue
+def _sponsor_all_bad_at(g, idx, u):
+    found = _sponsor(g, idx, u)
+    if found is None or found[4]:
+        return
+    p, v, qpaths, wvertices, _ = found
+    yield {"u": u, "v": v, "p": p, "qpaths": tuple(qpaths), "wvertices": tuple(wvertices)}
+
+
+def _sponsor_small_x_at(g, idx, u):
+    found = _sponsor(g, idx, u)
+    if found is None or len(found[4]) != 1 or idx.reach(found[4][0]) > 12:
+        return
+    p, v, qpaths, wvertices, [x] = found
+    low = [q for q in qpaths if _capped(g, u, q, 5)]
+    if low:
         # the capped 2-run with a small far end plays the first slot
-        first = low[0]
-        ordered = (first,) + tuple(q for q in qpaths if q != first)
-        return Configuration(
-            "SponsorWithSmallX",
-            {
-                "u": u,
-                "v": v,
-                "p": ints,
-                "qpaths": ordered,
-                "wvertices": tuple(wvertices),
-                "x": rest[0],
-            },
-            {"center": pot_u, "far": pot_v, "x_reach": idx.reach(rest[0])},
-        )
-    return None
+        ordered = (low[0],) + tuple(q for q in qpaths if q != low[0])
+        yield {"u": u, "v": v, "p": p, "qpaths": ordered,
+               "wvertices": tuple(wvertices), "x": x}
+
+
+def _small_x_potentials(g, idx, data) -> dict | None:
+    pots = _orientation(g, idx, data)
+    return pots and {**pots, "x_reach": idx.reach(data["x"])}
+
+
+def _index(g) -> _RunIndex:
+    """The run index detection reads: the chain's own on the working graph."""
+    return g.run_index() if isinstance(g, _WorkGraph) else _RunIndex(g)
 
 
 def detect_configuration(g: Graph) -> Configuration | None:
     """First firing configuration in dispatch order (that of ``KINDS``),
     or None."""
-    idx = g.run_index() if isinstance(g, _WorkGraph) else _RunIndex(g)
+    idx = _index(g)
     for kind in _REGISTRY:
         cfg = kind.detect(g, idx)
         if cfg is not None:
@@ -1632,7 +1579,7 @@ def constructive_color(g: Graph | _WorkGraph, verify_preconditions: bool = True)
 
 
 # ---------------------------------------------------------------------------
-# witness re-validation
+# the configuration registry
 
 
 def _require(cond: bool, kind: str, message: str) -> None:
@@ -1640,57 +1587,11 @@ def _require(cond: bool, kind: str, message: str) -> None:
         raise ValueError(f"{kind} witness invalid: {message}")
 
 
-def _validate_run(g, cfg, length):
-    r: PathDescriptor = cfg.data["run"]
-    r.validate(g)
-    _require(r.length == length, cfg.kind, f"run length {r.length} != {length}")
-    return r
-
-
-def _validate_degree_one(g, cfg):
-    v, u = cfg.data["v"], cfg.data["u"]
-    _require(g.degree(v) == 1 and g.has_edge(v, u), cfg.kind, "not a pendant edge")
-
-
-def _validate_four_plus(g, cfg):
-    chain = cfg.data["chain"]
-    for a, b in zip(chain, chain[1:]):
-        _require(g.has_edge(a, b), cfg.kind, f"missing edge ({a},{b})")
-    for v in chain[1:5]:
-        _require(g.degree(v) == 2, cfg.kind, f"interior {v} not a 2-vertex")
-
-
-def _validate_three_bad_end(g, cfg):
-    r = _validate_run(g, cfg, 3)
-    if cfg.data["case"] == "closed":
-        _require(r.closed, cfg.kind, "run is open")
-    else:
-        _require(not r.closed, cfg.kind, "run is closed")
-        _require(g.degree(cfg.data["low"]) < 7, cfg.kind, "endpoint degree not low")
-
-
-def _validate_two_bad_ends(g, cfg):
-    r = _validate_run(g, cfg, 2)
-    if cfg.data["case"] == "closed":
-        _require(r.closed, cfg.kind, "run is open")
-    else:
-        u, v = r.endpoints
-        lo, hi = sorted((g.degree(u), g.degree(v)))
-        _require(lo <= 5 and hi <= 6, cfg.kind, "endpoint degrees too high")
-
-
-def _validate_two_chord(g, cfg):
-    r = _validate_run(g, cfg, 2)
-    seven, other = cfg.data["seven"], cfg.data["other"]
-    _require(set(r.endpoints) == {seven, other}, cfg.kind, "endpoints mismatch")
-    _require(g.has_edge(seven, other), cfg.kind, "chord missing")
-    _require(g.degree(seven) == 7 and g.degree(other) <= 6, cfg.kind, "degrees")
-
-
-def _validate_three_cycle(g, cfg):
+def _validate_three_cycle(g, idx, cfg):
     anchors, runs = cfg.data["anchors"], cfg.data["runs"]
     m = len(anchors)
     _require(m == len(runs) and m >= 2, cfg.kind, "shape mismatch")
+    _require(len(set(anchors)) == len(set(runs)) == m, cfg.kind, "anchor or run repeated")
     for i, r in enumerate(runs):
         r.validate(g)
         _require(r.length == 3, cfg.kind, "run length")
@@ -1698,76 +1599,7 @@ def _validate_three_cycle(g, cfg):
         _require(set(r.endpoints) == pair, cfg.kind, "anchors do not chain")
 
 
-def _validate_small_vertex(g, cfg):
-    v, w = cfg.data["v"], cfg.data["w"]
-    _require(3 <= g.degree(v) <= 4, cfg.kind, "degree out of range")
-    _require(all(g.degree(x) == 2 for x in g.adjacency[v]), cfg.kind, "non-2 neighbor")
-    _require(g.has_edge(v, w), cfg.kind, "w not adjacent")
-    _require(d_star(g, v) <= ANCHOR + 1, cfg.kind, "reach too large")
-    _require(d_star(g, w) <= ANCHOR, cfg.kind, "neighbor reach too large")
-
-
-def _validate_counting(g, cfg):
-    w = cfg.data["w"]
-    removed = cfg.data["removed_neighbors"]
-    k = len(removed)
-    _require(k >= 1, cfg.kind, "empty neighbor list")
-    for i, u in enumerate(removed, start=1):
-        _require(g.has_edge(w, u), cfg.kind, f"{u} not adjacent to {w}")
-        _require(d_star(g, u) <= ANCHOR + i - 1, cfg.kind, f"reach of {u} too big")
-    _require(d_star(g, w) <= ANCHOR + k, cfg.kind, "reach of w too big")
-
-
-def _validate_slots(g, cfg, u, slots):
-    """Each (neighbor, run internals or None, far end) slot is the one that
-    ``g`` has at ``u``, and no neighbor fills two slots."""
-    _require(len({w for w, _, _ in slots}) == len(slots), cfg.kind, "repeated slot")
-    for w, ints, far in slots:
-        _require(g.has_edge(u, w), cfg.kind, f"{w} not adjacent to {u}")
-        walked, end = _walk_run(g, u, w) if g.degree(w) == 2 else (None, w)
-        _require((ints, far) == (walked and tuple(walked), end), cfg.kind, f"slot at {w}")
-
-
-def _validate_weird_seven(g, cfg):
-    u = cfg.data["u"]
-    _require(g.degree(u) == 7 == len(cfg.data["six"]) + 1, cfg.kind, "center degree")
-    _validate_slots(g, cfg, u, (*cfg.data["six"], cfg.data["extra"]))
-    for w, ints, far in cfg.data["six"]:
-        _require(len(ints) == 2 and far != u and g.degree(far) <= 5, cfg.kind, "slots")
-    w, ints, far = cfg.data["extra"]
-    case = cfg.data["case"]
-    if case == "three-path":
-        _require(ints is not None and len(ints) == 3 and far != u, cfg.kind, "extra")
-    elif case == "two-path":
-        _require(
-            ints is not None and len(ints) == 2 and far != u and g.degree(far) <= 6,
-            cfg.kind,
-            "extra",
-        )
-    else:
-        _require(vertex_signature(g, w).matches((2, 2, 0)), cfg.kind, "extra")
-
-
-def _validate_weird_six(g, cfg):
-    u = cfg.data["u"]
-    _require(g.degree(u) == 6 == len(cfg.data["paths"]), cfg.kind, "center degree")
-    _validate_slots(g, cfg, u, cfg.data["paths"])
-    for _, ints, far in cfg.data["paths"]:
-        _require(len(ints) == 2 and far != u and g.degree(far) == 6, cfg.kind, "slots")
-
-
-def _validate_two_consecutive(g, cfg):
-    u, v, w = cfg.data["u"], cfg.data["v"], cfg.data["w"]
-    pu, pw = cfg.data["pu"], cfg.data["pw"]
-    _require(len({u, v, w}) == 3, cfg.kind, "anchors not distinct")
-    _require(len(pu) == len(pw) == 3, cfg.kind, "run length")
-    _validate_slots(g, cfg, v, ((pu[-1], pu[::-1], u), (pw[-1], pw[::-1], w)))
-    value = _potential_without(g, set(pu) | set(pw), {u, w})
-    _require(value == cfg.potentials["bridge"], cfg.kind, "potential drifted")
-    _require(value >= 1, cfg.kind, "splice precondition")
-
-
-def _validate_three_consecutive(g, cfg):
+def _validate_three_consecutive(g, idx, cfg):
     anchors = cfg.data["anchors"]
     runs = cfg.data["runs"]
     _require(len(set(anchors)) == 4 == len(runs) + 1, cfg.kind, "anchors not distinct")
@@ -1779,69 +1611,53 @@ def _validate_three_consecutive(g, cfg):
         )
 
 
-def _validate_oriented_sponsor(g, cfg, length, slots):
-    """The sponsor's open ``length``-run p from u to v, its other ``slots``
-    at u, and its potentials."""
-    u, v, p = cfg.data["u"], cfg.data["v"], cfg.data["p"]
-    _require(g.degree(u) == 7, cfg.kind, "center degree")
-    _require(len(p) == length and v != u, cfg.kind, f"p not an open {length}-run")
-    _validate_slots(g, cfg, u, ((p[0], p, v), *slots))
-    pot_u = _potential_without(g, set(p), {u})
-    pot_v = _potential_without(g, set(p), {v})
-    _require(pot_u == cfg.potentials["center"], cfg.kind, "center potential drifted")
-    _require(pot_v == cfg.potentials["far"], cfg.kind, "far potential drifted")
-    _require(pot_u <= pot_v, cfg.kind, "orientation flipped")
-
-
-def _validate_seven_seven(g, cfg):
-    _validate_oriented_sponsor(g, cfg, 2, cfg.data["six"])
-    for _, ints, far in cfg.data["six"]:
-        _require(len(ints) == 2 and g.degree(far) <= 5, cfg.kind, "capped slots")
-    _require(g.degree(cfg.data["v"]) == 7, cfg.kind, "far degree")
-
-
-def _validate_sponsor_bridges(g, cfg):
-    _validate_oriented_sponsor(g, cfg, 3, cfg.data["qpaths"])
-    for _, ints, far in cfg.data["qpaths"]:
-        _require(len(ints) == 2 and g.degree(far) <= 5, cfg.kind, "bridge slots")
-
-
-def _sponsor_slots(cfg):
-    return (*cfg.data["qpaths"], *((w, None, w) for w in cfg.data["wvertices"]))
-
-
-def _validate_sponsor_all_bad(g, cfg):
-    _validate_oriented_sponsor(g, cfg, 3, _sponsor_slots(cfg))
-    for _, ints, far in cfg.data["qpaths"]:
-        _require(len(ints) == 2 and far != cfg.data["u"], cfg.kind, "q slots")
-    for w in cfg.data["wvertices"]:
-        _require(vertex_signature(g, w).matches((2, 2, 0)), cfg.kind, "w slots")
-    _require(
-        len(cfg.data["qpaths"]) + len(cfg.data["wvertices"]) == 6, cfg.kind, "arity"
-    )
-
-
-def _validate_sponsor_small_x(g, cfg):
-    _validate_oriented_sponsor(g, cfg, 3, _sponsor_slots(cfg))
-    x = cfg.data["x"]
-    _require(g.has_edge(cfg.data["u"], x) and d_star(g, x) <= 12, cfg.kind, "x reach")
-    _require(g.degree(cfg.data["qpaths"][0][2]) <= 5, cfg.kind, "first far degree")
-    _require(
-        len(cfg.data["qpaths"]) + len(cfg.data["wvertices"]) == 5, cfg.kind, "arity"
-    )
-
-
-# ---------------------------------------------------------------------------
-# the configuration registry
-
-
 class _Kind(NamedTuple):
-    """One reducible configuration: its detector, surgery and witness check."""
+    """One reducible configuration: its detector, surgery and witness check,
+    and for a local kind the witness key that names its centre."""
 
     name: str
     detect: Callable
     apply: Callable
     validate: Callable
+    centre: str | None = None
+
+
+def _local(name: str, centre: str, centres, at, apply, potentials=None) -> _Kind:
+    """A local kind, built on ``at``, its one enumerator of witnesses.
+
+    The detector takes the first witness at the first of ``centres(g, idx)``
+    that has one (a run kind's centres are its worklist's runs).  A witness
+    is valid when ``at`` yields it at the centre it names under ``centre``.
+    A potential-backed kind's ``potentials(g, idx, witness)`` gives the
+    potentials, or None when its condition fails: detection asks it of
+    each witness in turn, and validation once, of the witness it checks.
+    """
+    if centres is None:
+        centres = lambda g, idx: idx.worklist(name)  # noqa: E731
+
+    def detect(g, idx):
+        for c in centres(g, idx):
+            for data in at(g, idx, c):
+                pots = {} if potentials is None else potentials(g, idx, data)
+                if pots is not None:
+                    return Configuration(name, data, pots)
+        return None
+
+    def validate(g, idx, cfg):
+        c = cfg.data.get(centre)
+        if centre == "run":  # a run the index holds, as the index holds it
+            live = isinstance(c, PathDescriptor) and c.internal and (
+                idx.run_of.get(c.internal[0]) == c
+            )
+        else:
+            live = isinstance(c, int) and 0 <= c < g.n
+        if not (live and cfg.data in at(g, idx, c)):
+            raise ValueError(f"{name} witness invalid: no such witness at {centre} {c}")
+        pots = {} if potentials is None else potentials(g, idx, cfg.data)
+        _require(pots is not None, name, "potential condition fails")
+        _require(pots == cfg.potentials, name, "potentials drifted")
+
+    return _Kind(name, detect, apply, validate, centre)
 
 
 #: Every configuration in dispatch order.  Cheap structural detectors run
@@ -1849,39 +1665,33 @@ class _Kind(NamedTuple):
 #: extension recipe) may assume that no earlier one fires anywhere in the
 #: graph.
 _REGISTRY: tuple[_Kind, ...] = (
-    _Kind("DegreeOne", _detect_degree_one,
-          _apply_degree_one, _validate_degree_one),
-    _Kind("FourPlusPath", _detect_four_plus_path,
-          _apply_four_plus_path, _validate_four_plus),
-    _Kind("ThreePathBadEnd", _detect_three_path_bad_end,
-          _apply_three_path_bad_end, _validate_three_bad_end),
-    _Kind("TwoPathBadEnds", _detect_two_path_bad_ends,
-          _apply_two_path_bad_ends, _validate_two_bad_ends),
-    _Kind("TwoPathChord", _detect_two_path_chord,
-          _apply_two_path_chord, _validate_two_chord),
+    _local("DegreeOne", "v", _pendant, _degree_one_at, _apply_degree_one),
+    _local("FourPlusPath", "run", None, _four_plus_path_at, _apply_four_plus_path),
+    _local("ThreePathBadEnd", "run", None, _three_path_bad_end_at,
+           _apply_three_path_bad_end),
+    _local("TwoPathBadEnds", "run", None, _two_path_bad_ends_at,
+           _apply_two_path_bad_ends),
+    _local("TwoPathChord", "run", None, _two_path_chord_at, _apply_two_path_chord),
     _Kind("ThreePathCycle", lambda g, idx: _three_path_cycle(idx.three_adj),
           _apply_three_path_cycle, _validate_three_cycle),
-    _Kind("SmallVertex", _detect_small_vertex,
-          _apply_small_vertex, _validate_small_vertex),
-    _Kind("CountingPair", _detect_counting_pair,
-          _apply_counting_pair, _validate_counting),
-    _Kind("WeirdSeven", _detect_weird_seven,
-          _apply_weird_seven, _validate_weird_seven),
-    _Kind("WeirdSix", _detect_weird_six,
-          _apply_weird_six, _validate_weird_six),
-    _Kind("TwoConsecutiveThreePaths", _detect_two_consecutive_three_paths,
-          _apply_two_consecutive, _validate_two_consecutive),
+    _local("SmallVertex", "v", _of_degree(3, (ANCHOR + 1) // 2), _small_vertex_at,
+           _apply_small_vertex),
+    _local("CountingPair", "w", _vertices, _counting_pair_at, _apply_counting_pair),
+    _local("WeirdSeven", "u", _of_degree(7, 7), _weird_seven_at, _apply_weird_seven),
+    _local("WeirdSix", "u", _of_degree(6, 6), _weird_six_at, _apply_weird_six),
+    _local("TwoConsecutiveThreePaths", "v", _three_anchors, _two_consecutive_at,
+           _apply_two_consecutive, _bridge),
     _Kind("ThreeConsecutiveThreePaths",
           lambda g, idx: _three_consecutive_three_paths(idx.three_adj),
           _apply_three_consecutive, _validate_three_consecutive),
-    _Kind("SevenSevenTwoPaths", _detect_seven_seven,
-          _apply_seven_seven, _validate_seven_seven),
-    _Kind("SponsorManyBridges", _detect_sponsor_many_bridges,
-          _apply_sponsor_bridges, _validate_sponsor_bridges),
-    _Kind("SponsorAllBadNeighbors", _detect_sponsor_all_bad,
-          _apply_sponsor_all_bad, _validate_sponsor_all_bad),
-    _Kind("SponsorWithSmallX", _detect_sponsor_small_x,
-          _apply_sponsor_small_x, _validate_sponsor_small_x),
+    _local("SevenSevenTwoPaths", "u", _of_degree(7, 7), _seven_seven_at,
+           _apply_seven_seven, _orientation),
+    _local("SponsorManyBridges", "u", _three_anchors, _sponsor_bridges_at,
+           _apply_sponsor_bridges, _orientation),
+    _local("SponsorAllBadNeighbors", "u", _three_anchors, _sponsor_all_bad_at,
+           _apply_sponsor_all_bad, _orientation),
+    _local("SponsorWithSmallX", "u", _three_anchors, _sponsor_small_x_at,
+           _apply_sponsor_small_x, _small_x_potentials),
 )
 _BY_KIND = {kind.name: kind for kind in _REGISTRY}
 #: The configuration kinds, in dispatch order.

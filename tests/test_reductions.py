@@ -35,12 +35,6 @@ from sparse2dc.reductions import (
     _Tracked,
     _WorkGraph,
     _dense,
-    _detect_seven_seven,
-    _detect_sponsor_all_bad,
-    _detect_sponsor_many_bridges,
-    _detect_sponsor_small_x,
-    _detect_weird_seven,
-    _detect_weird_six,
     _edge_removal,
     _local_violation,
     _surgery,
@@ -67,10 +61,6 @@ def run_pipeline(g, cfg, budget=10_000_000):
     ok, violation = is_valid_2distance(g, phi)
     assert ok, violation
     return red, phi
-
-
-def detect_with(g, detector):
-    return detector(g, _RunIndex(g))
 
 
 def surgery(g, dropped, paths, tag, detail):
@@ -165,25 +155,25 @@ class TestLocalKinds:
     def test_weird_seven_cases(self):
         for case in ("two-path", "three-path", "deg-three"):
             g = fx.weird_seven_local(case)
-            cfg = detect_with(g, _detect_weird_seven)
+            cfg = registry_witness("WeirdSeven", g)
             assert cfg is not None and cfg.data["case"] == case
             run_pipeline(g, cfg)
 
     def test_weird_six(self):
         g = fx.weird_six_local()
-        cfg = detect_with(g, _detect_weird_six)
+        cfg = registry_witness("WeirdSix", g)
         run_pipeline(g, cfg)
 
     def test_seven_seven(self):
         g = fx.seven_seven_local()
-        cfg = detect_with(g, _detect_seven_seven)
+        cfg = registry_witness("SevenSevenTwoPaths", g)
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "seven-seven"
         assert red.recorded["splices"][0]["k"] == 2
 
     def test_sponsor_bridges_splice_branch(self):
         g = fx.sponsor_bridges_local()
-        cfg = detect_with(g, _detect_sponsor_many_bridges)
+        cfg = registry_witness("SponsorManyBridges", g)
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-bridges-a"
 
@@ -191,7 +181,7 @@ class TestLocalKinds:
         # the edge branch needs every splice target blocked, which sparse
         # fixtures cannot arrange; drive the surgery and recipe directly
         g = fx.sponsor_bridges_local()
-        cfg = detect_with(g, _detect_sponsor_many_bridges)
+        cfg = registry_witness("SponsorManyBridges", g)
         u, v, p = cfg.data["u"], cfg.data["v"], cfg.data["p"]
         qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
         dropped = set(p)
@@ -206,24 +196,24 @@ class TestLocalKinds:
     def test_sponsor_all_bad_small_k(self):
         for k, tag in ((0, "sponsor-allbad-k0"), (1, "sponsor-allbad-k1")):
             g = fx.sponsor_all_bad_local(k)
-            cfg = detect_with(g, _detect_sponsor_all_bad)
+            cfg = registry_witness("SponsorAllBadNeighbors", g)
             red, _ = run_pipeline(g, cfg)
             assert red.tag == tag
 
     def test_sponsor_all_bad_spliced_templates(self):
         g = fx.sponsor_all_bad_local(2)
-        cfg = detect_with(g, _detect_sponsor_all_bad)
+        cfg = registry_witness("SponsorAllBadNeighbors", g)
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-allbad-claim2"
 
         g = fx.sponsor_all_bad_local(6)
-        cfg = detect_with(g, _detect_sponsor_all_bad)
+        cfg = registry_witness("SponsorAllBadNeighbors", g)
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-allbad-claim4"
 
     def test_sponsor_all_bad_two_edge_template(self):
         g = fx.sponsor_all_bad_same_far()
-        cfg = detect_with(g, _detect_sponsor_all_bad)
+        cfg = registry_witness("SponsorAllBadNeighbors", g)
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-allbad-claim3"
 
@@ -231,7 +221,7 @@ class TestLocalKinds:
         # the reduced graph does not part w_j from w_j' (both neighbors of
         # u); the solver's own coloring of it gives them one color
         g = fx.sponsor_all_bad_same_far(4)
-        cfg = detect_with(g, _detect_sponsor_all_bad)
+        cfg = registry_witness("SponsorAllBadNeighbors", g)
         red = apply_reduction(g, cfg)
         assert red.tag == "sponsor-allbad-claim3"
         ch = constructive_color(red.graph)
@@ -246,7 +236,7 @@ class TestLocalKinds:
         # the path-plus-edge splice is unreachable through the search on
         # leaf fixtures; build its reduction directly and run the recipe
         g = fx.sponsor_all_bad_local(2)
-        cfg = detect_with(g, _detect_sponsor_all_bad)
+        cfg = registry_witness("SponsorAllBadNeighbors", g)
         u, v = cfg.data["u"], cfg.data["v"]
         p = cfg.data["p"]
         qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
@@ -274,13 +264,13 @@ class TestLocalKinds:
 
     def test_sponsor_small_x_splice_branch(self):
         g = fx.sponsor_small_x_local()
-        cfg = detect_with(g, _detect_sponsor_small_x)
+        cfg = registry_witness("SponsorWithSmallX", g)
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-smallx-a"
 
     def test_sponsor_small_x_edge_branch_direct(self):
         g = fx.sponsor_small_x_local()
-        cfg = detect_with(g, _detect_sponsor_small_x)
+        cfg = registry_witness("SponsorWithSmallX", g)
         u, v, x = cfg.data["u"], cfg.data["v"], cfg.data["x"]
         p = cfg.data["p"]
         qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
@@ -456,9 +446,11 @@ def registry_witness(kind, g):
 
 
 class TestWitnessReadBack:
-    """``Configuration.validate`` reads each run and slot of a witness back
-    from the graph: a witness the graph does not have raises ValueError,
-    and the detector's own witness still validates."""
+    """``Configuration.validate`` accepts a local kind's witness only when
+    its kind's enumerator yields it at the centre it names, and reads the
+    runs of the other two kinds back from the graph: a witness no detector
+    could produce raises ValueError, and the detector's own witness still
+    validates."""
 
     PATH = Graph(10, [(i, i + 1) for i in range(9)])
 
@@ -478,7 +470,7 @@ class TestWitnessReadBack:
             {"u": 0, "v": 3, "w": 6, "pu": (1, 2), "pw": (5, 4)},
             {"bridge": bridge},
         )
-        with pytest.raises(ValueError, match="run length"):
+        with pytest.raises(ValueError, match="TwoConsecutiveThreePaths witness invalid"):
             cfg.validate(self.PATH)
 
     @pytest.mark.parametrize("kind", ["TwoConsecutiveThreePaths", "ThreeConsecutiveThreePaths"])
@@ -501,7 +493,7 @@ class TestWitnessReadBack:
         cfg.validate(g)
         (w0, (a0, b0), f0), (w1, (a1, b1), f1), *rest = cfg.data[key]
         swapped = ((w0, (a0, b1), f0), (w1, (a1, b0), f1), *rest)
-        with pytest.raises(ValueError, match=f"slot at {w0}"):
+        with pytest.raises(ValueError, match=f"{kind} witness invalid: no such witness"):
             replace(cfg, data={**cfg.data, key: swapped}).validate(g)
 
     @pytest.mark.parametrize("kind, make", [
@@ -516,8 +508,90 @@ class TestWitnessReadBack:
         cfg.validate(g)
         w, *rest = cfg.data["wvertices"]
         far = {**cfg.data, "wvertices": (w + one.n, *rest)}
-        with pytest.raises(ValueError, match=f"{w + one.n} not adjacent"):
+        with pytest.raises(ValueError, match=f"{kind} witness invalid: no such witness"):
             replace(cfg, data=far).validate(g)
+
+    # (fixture, kind, the detected witness -> a tampered one); each of these
+    # validated while every kind had a hand-written witness check
+    TAMPERED = {
+        # k = 3 would loosen the reach bound of w from d* <= 8 to d* <= 10
+        "a counting pair repeats a neighbour": (
+            fx.counting_pair, "CountingPair",
+            lambda d: {"w": 0, "removed_neighbors": (1, 1, 1)},
+        ),
+        "the low end of a 3-run is an internal": (
+            fx.three_path_low_end, "ThreePathBadEnd", lambda d: {**d, "low": 1},
+        ),
+        "the low end of a 2-run is not on it": (
+            fx.two_path_low_ends, "TwoPathBadEnds", lambda d: {**d, "low": 5},
+        ),
+        "a long run's chain is cut short": (
+            fx.four_plus_path, "FourPlusPath", lambda d: {**d, "chain": d["chain"][:3]},
+        ),
+        "a 3-run walked out and back": (
+            fx.three_path_cycle, "ThreePathCycle",
+            lambda d: {"anchors": d["anchors"][:2], "runs": (d["runs"][0],) * 2},
+        ),
+        "a cycle of 3-runs listed twice": (
+            fx.three_path_cycle, "ThreePathCycle",
+            lambda d: {"anchors": d["anchors"] * 2, "runs": d["runs"] * 2},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TAMPERED))
+    def test_tampered_witness_is_refused_before_any_edit(self, case):
+        make, kind, tamper = self.TAMPERED[case]
+        g = make()
+        cfg = detect_configuration(g)
+        assert cfg.kind == kind
+        cfg.validate(g)
+        bad = replace(cfg, data=tamper(cfg.data))
+        assert bad.data != cfg.data
+        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
+            bad.validate(g)
+        wg = _WorkGraph(g)
+        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
+            apply_reduction(wg, bad)
+        assert wg.adjacency == list(g.adjacency) and not wg._log
+
+    #: The most ``rho_star`` queries one witness check may ask, per kind;
+    #: the kinds not listed ask none.
+    POTENTIAL_QUERIES = {
+        "TwoConsecutiveThreePaths": 1,
+        "SevenSevenTwoPaths": 2,
+        "SponsorManyBridges": 2,
+        "SponsorAllBadNeighbors": 2,
+        "SponsorWithSmallX": 2,
+    }
+
+    def test_validation_asks_at_most_one_potential_per_condition(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        queries = 0
+
+        def counted(*args, **kwargs):
+            nonlocal queries
+            queries += 1
+            return rho_star(*args, **kwargs)
+
+        asked = {}
+        validate = Configuration.validate
+
+        def counted_validate(cfg, g):
+            before = queries
+            validate(cfg, g)
+            asked[cfg.kind] = max(asked.get(cfg.kind, 0), queries - before)
+
+        monkeypatch.setattr(module, "rho_star", counted)
+        monkeypatch.setattr(Configuration, "validate", counted_validate)
+        knockouts = TestDetectorKnockouts()
+        cases = [(kind, knockouts.fixture_for(kind)) for kind in knockouts.EXPECTED_FALLBACK]
+        cases += [(kind, g) for kind, _, g in TestKindRecipes().corpus()]
+        for kind, g in cases:
+            apply_reduction(g, registry_witness(kind, g))
+        assert set(asked) == set(module.KINDS)
+        for kind, most in asked.items():
+            assert most <= self.POTENTIAL_QUERIES.get(kind, 0), kind
 
 
 class TestClassification:
@@ -839,21 +913,23 @@ class TestRecipeStability:
         rng = random.Random(6)
         for case in ("two-path", "three-path", "deg-three"):
             g = fx.weird_seven_local(case)
-            self.stress(g, detect_with(g, _detect_weird_seven), rng)
+            self.stress(g, registry_witness("WeirdSeven", g), rng)
         g = fx.weird_six_local()
-        self.stress(g, detect_with(g, _detect_weird_six), rng)
+        self.stress(g, registry_witness("WeirdSix", g), rng)
         g = fx.seven_seven_local()
-        self.stress(g, detect_with(g, _detect_seven_seven), rng)
+        self.stress(g, registry_witness("SevenSevenTwoPaths", g), rng)
         g = fx.sponsor_bridges_local()
-        self.stress(g, detect_with(g, _detect_sponsor_many_bridges), rng)
+        self.stress(g, registry_witness("SponsorManyBridges", g), rng)
         for k in range(7):
             g = fx.sponsor_all_bad_local(k)
-            self.stress(g, detect_with(g, _detect_sponsor_all_bad), rng)
+            self.stress(g, registry_witness("SponsorAllBadNeighbors", g), rng)
         g = fx.sponsor_small_x_local()
-        self.stress(g, detect_with(g, _detect_sponsor_small_x), rng)
+        self.stress(g, registry_witness("SponsorWithSmallX", g), rng)
 
     def test_jittered_sponsor_shapes(self):
         """Randomized far degrees and slot mixes across the sponsor family."""
+        from sparse2dc import reductions as module
+
         rng = random.Random(7)
         for trial in range(12):
             b = fx.GraphBuilder()
@@ -873,7 +949,7 @@ class TestRecipeStability:
                     b.run(w, f, 2)
                     b.leaves(f, rng.randint(1, 3))
             g = b.build()
-            cfg = detect_with(g, _detect_sponsor_all_bad)
+            cfg = module._BY_KIND["SponsorAllBadNeighbors"].detect(g, _RunIndex(g))
             if cfg is None:
                 continue  # a far vertex may be degree 2, changing the run shape
             self.stress(g, cfg, rng, rounds=4)
@@ -881,7 +957,7 @@ class TestRecipeStability:
     def test_small_x_as_relay_two_vertex(self):
         """x may be the 2-vertex between u and a 3-vertex."""
         g, x = small_x_relay()
-        cfg = detect_with(g, _detect_sponsor_small_x)
+        cfg = registry_witness("SponsorWithSmallX", g)
         assert cfg is not None and cfg.data["x"] == x
         self.stress(g, cfg, random.Random(8), rounds=6)
 
@@ -1527,21 +1603,16 @@ def scan_two_consecutive_three_paths(g):
     return None
 
 
-def scan_oriented_sponsors(g):
-    from sparse2dc.reductions import _potential_without
-
+def scan_sponsor_runs(g):
+    """(u, internals from u, far end) of the one open 3-run at each 7-vertex
+    u that has exactly one."""
     out = []
     for u in g.vertices():
         if g.degree(u) != 7:
             continue
         runs_here = open_three_runs_at(g, u)
-        if len(runs_here) != 1:
-            continue
-        [(ints, v)] = runs_here
-        pot_u = _potential_without(g, set(ints), {u})
-        pot_v = _potential_without(g, set(ints), {v})
-        if pot_u <= pot_v:
-            out.append((u, ints, v, pot_u, pot_v))
+        if len(runs_here) == 1:
+            out.append((u, *runs_here[0]))
     return out
 
 
@@ -1600,9 +1671,13 @@ class TestLiveRunIndex:
             cfg = scan_two_consecutive_three_paths(wg)
             assert module._BY_KIND["TwoConsecutiveThreePaths"].detect(wg, idx) == cfg
             found["TwoConsecutiveThreePaths"] += cfg is not None
-            sponsors = scan_oriented_sponsors(wg)
-            assert list(module._oriented_sponsors(wg, idx)) == sponsors
-            found["oriented sponsors"] += len(sponsors)
+        sponsors = []
+        for u in sorted(idx.three_adj):
+            at_u = module._sponsor(wg, idx, u)
+            if at_u is not None:
+                sponsors.append((u, *at_u[:2]))
+        assert sponsors == scan_sponsor_runs(wg)
+        found["sponsor runs"] += len(sponsors)
         runs.sort(key=lambda r: (r.endpoints, r.internal))
         for kind, scan in SORTED_SCANS.items():
             cfg = scan(wg, runs)
@@ -1638,7 +1713,7 @@ class TestLiveRunIndex:
         constructive_color(with_ring(fx.two_path_chord()), verify_preconditions=False)
         assert solved >= 90 and largest >= 500
         assert min(found[kind] for kind in (*SORTED_SCANS, *WHOLE_SCANS)) >= 1
-        assert found["TwoConsecutiveThreePaths"] >= 1 and found["oriented sponsors"] >= 1
+        assert found["TwoConsecutiveThreePaths"] >= 1 and found["sponsor runs"] >= 1
         assert found["memoized d*"] >= 10_000
         assert steps >= 1000
 
