@@ -233,64 +233,69 @@ def _peel(adj: list[set[int]], vertices: set[int], k: int) -> tuple[set[int], li
     return live, order
 
 
-def _dsatur_pick(adj: list[set[int]], pool, colors: dict[int, int], degree) -> int | None:
-    """DSATUR choice: the uncolored vertex of ``pool`` seeing the most
-    distinct colors, then with the largest ``degree[v]``, then the smallest
-    id; None when every vertex of ``pool`` is colored."""
-    best = None
-    best_key = None
-    for v in pool:
-        if v in colors:
-            continue
-        sat = len({colors[w] for w in adj[v] if w in colors})
-        key = (-sat, -degree[v], v)
-        if best_key is None or key < best_key:
-            best, best_key = v, key
-    return best
+def _decide_k_colorable(adj: list[set[int]], core: set[int], k: int, budget: int | None,
+                        counter: list[int]) -> dict[int, int] | None:
+    """Exact decision search on the core: depth first, symmetry broken by
+    capping fresh colors at max-used+1, with DSATUR's saturation kept up to
+    date as colors are set and unset (Brélaz, CACM 22(4), 1979).
 
-
-def _decide_k_colorable(
-    adj: list[set[int]],
-    core: set[int],
-    k: int,
-    budget: int | None,
-    counter: list[int],
-) -> dict[int, int] | None:
-    """Exact decision search on the core; DSATUR order, symmetry broken by
-    capping fresh colors at max-used+1.  Raises SearchBudgetExceeded."""
+    Core vertices sit in a fixed rank order by (-degree in the core, id).
+    For rank i, ``nbrs[i]`` holds its neighbors' ranks, bit c of ``seen[i]``
+    is set while a neighbor holds color c (so it bans c at i), and
+    ``sat[i]`` counts those bits, or is -1 while rank i is colored.  Setting
+    a color touches only the neighbors that gain it, and the path keeps
+    them, so unsetting it undoes exactly that.  The first maximum of ``sat``
+    is the least key (-saturation, -degree, id): pick order, color order and
+    node count are those of DSATUR recomputed at every node.  Raises
+    SearchBudgetExceeded."""
     if not core:
         return {}
-    order_pool = sorted(core)
-    colors: dict[int, int] = {}
-    live_deg = {v: len(adj[v] & core) for v in core}
-
-    def backtrack(max_used: int) -> bool:
+    ids = sorted(core, key=lambda v: (-len(adj[v] & core), v))
+    rank = {v: i for i, v in enumerate(ids)}
+    nbrs = [[rank[w] for w in adj[v] if w in rank] for v in ids]
+    seen, sat, color = [0] * len(ids), [0] * len(ids), [0] * len(ids)
+    path: list[tuple[int, int, int, list[int]]] = []  # (rank, color, max used before, gained)
+    max_used = 0
+    while True:
         counter[0] += 1
         if budget is not None and counter[0] > budget:
             raise SearchBudgetExceeded(counter[0])
-        v = _dsatur_pick(adj, order_pool, colors, live_deg)
-        if v is None:
-            return True
-        banned = {colors[w] for w in adj[v] if w in colors}
-        cap = min(k, max_used + 1)
-        for c in range(1, cap + 1):
-            if c in banned:
-                continue
-            colors[v] = c
-            if backtrack(max(max_used, c)):
-                return True
-            del colors[v]
-        return False
-
-    return dict(colors) if backtrack(0) else None
+        top, c = max(sat), 0
+        if top < 0:
+            return dict(zip(ids, color))
+        i = sat.index(top)
+        while True:  # the next free color for rank i, backing up while none is left
+            free = ~(seen[i] | ((2 << c) - 1))  # set bits: the colors above c not banned
+            c = (free & -free).bit_length() - 1
+            if c <= min(k, max_used + 1):
+                break
+            if not path:
+                return None
+            i, c, max_used, gained = path.pop()
+            color[i], sat[i], bit = 0, seen[i].bit_count(), 1 << c
+            for j in gained:
+                seen[j] ^= bit
+                if not color[j]:
+                    sat[j] -= 1
+        bit = 1 << c
+        gained = [j for j in nbrs[i] if not seen[j] & bit]
+        for j in gained:
+            seen[j] |= bit
+            if not color[j]:
+                sat[j] += 1
+        color[i], sat[i] = c, -1
+        path.append((i, c, max_used, gained))
+        max_used = max(max_used, c)
 
 
 def color_2distance(g: Graph, k: int, budget: int | None = None) -> Coloring | None:
     """A valid 2-distance coloring with at most k colors, or None if no
     such coloring exists.  Budget exhaustion raises SearchBudgetExceeded,
-    distinctly from a proven None."""
+    distinctly from a proven None; a negative budget is a ValueError."""
     if k < 1:
         raise ValueError("palette size must be at least 1")
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative node budget {budget}")
     adj = square_adjacency(g)
     core, peel_order = _peel(adj, set(g.vertices()), k)
     counter = [0]
@@ -316,34 +321,29 @@ def _greedy_clique(adj: list[set[int]], seed: int) -> set[int]:
 
 
 def _greedy_square_coloring(adj: list[set[int]], n: int) -> dict[int, int]:
-    """DSATUR greedy; an upper bound, not necessarily optimal."""
-    colors: dict[int, int] = {}
-    degree = [len(a) for a in adj]
-    for _ in range(n):
-        best = _dsatur_pick(adj, range(n), colors, degree)
-        banned = {colors[w] for w in adj[best] if w in colors}
-        colors[best] = next(c for c in range(1, n + 2) if c not in banned)
-    return colors
+    """DSATUR greedy, an upper bound: the search with k = n, where color
+    max-used+1 is always free, so each node takes its smallest free color."""
+    return _decide_k_colorable(adj, set(range(n)), n, None, [0])
 
 
 def chi2_exact(g: Graph, budget: int | None = None):
     """Exact 2-distance chromatic number, or a proven (low, high) interval
-    if the node budget runs out first.
+    if the node budget runs out first (a negative budget is a ValueError).
 
     Lower bounds come from greedy cliques in the square (every closed
     neighborhood of g is one such clique); upper bounds from DSATUR greedy.
     The gap is closed by exact k-colorability decisions with peeling.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"negative node budget {budget}")
     if g.n == 0:
         return 0
     adj = square_adjacency(g)
-    greedy = _greedy_square_coloring(adj, g.n)
-    high = max(greedy.values())
+    high = max(_greedy_square_coloring(adj, g.n).values())
     seeds = sorted(range(g.n), key=lambda v: -len(adj[v]))[:8]
     low = max(1, max(len(_greedy_clique(adj, s)) for s in seeds))
     counter = [0]
-    k = low
-    while k < high:
+    for k in range(low, high):
         core, _ = _peel(adj, set(g.vertices()), k)
         try:
             found = _decide_k_colorable(adj, core, k, budget, counter)
@@ -351,7 +351,6 @@ def chi2_exact(g: Graph, budget: int | None = None):
             return (k, high)
         if found is not None:
             return k
-        k += 1
     return high
 
 

@@ -1,7 +1,11 @@
 """Coloring: validity, exact chi^2, decision search, Hall machinery."""
 
+import functools
+import hashlib
 import itertools
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +13,25 @@ from hypothesis import given, settings, strategies as st
 from sparse2dc.coloring import (
     Coloring,
     SearchBudgetExceeded,
+    _greedy_square_coloring,
     available_colors,
     chi2_exact,
     color_2distance,
     hall_check,
     is_valid_2distance,
     seen_colors,
+    square_adjacency,
 )
-from sparse2dc.families import cycle, path, petersen, star
-from sparse2dc.graph import Graph
+from sparse2dc.families import (
+    cycle,
+    hoffman_singleton,
+    path,
+    petersen,
+    random_hub_network,
+    random_skeleton,
+    star,
+)
+from sparse2dc.graph import Graph, subdivide
 from sparse2dc.reductions import ExtensionError, _greedy_seq, _sdr_seq
 
 from conftest import bfs_distances, random_graph
@@ -114,14 +128,101 @@ class TestChi2:
             assert chi2_exact(g) >= g.max_degree() + 1
 
     def test_budget_interval(self):
-        g = random_graph(random.Random(5), 14, 0.5)
-        result = chi2_exact(g, budget=1)
-        exact = chi2_exact(g)
-        if isinstance(result, tuple):
-            low, high = result
-            assert low <= exact <= high
+        """The smallest budget B that proves χ2 gives the exact value, and
+        B − 1 gives an interval that contains it."""
+        for record in search_records():
+            exact, smallest, below = record["chi2"], record["budget"], record["interval"]
+            assert chi2_exact(record["graph"], budget=smallest) == exact
+            if smallest == 0:  # the bounds meet, so no search runs
+                assert below is None
+            else:
+                low, high = below
+                assert low <= exact <= high
+
+
+def random_cubic(rng: random.Random, n: int) -> Graph:
+    """A simple 3-regular graph by the pairing model (retried until simple)."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i:i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) == len(points) // 2 and all(u != v for u, v in edges):
+            return Graph(n, sorted(edges))
+
+
+def search_corpus():
+    """Moore fixtures, pairing-model cubic graphs, small hub networks,
+    2-subdivided skeletons and sparse random graphs, all seeded."""
+    yield from (cycle(5), petersen(), hoffman_singleton())
+    rng = random.Random(2222)
+    for i in range(16):
+        yield random_cubic(rng, 20 + 2 * (i % 13))
+    for hubs in (4, 4, 6, 6):
+        while True:
+            try:
+                g = random_hub_network(rng, hubs)
+            except ValueError:
+                continue  # a bad shuffle of the leftover hub slots
+            yield g
+            break
+    for n in (8, 9, 10, 12):
+        yield subdivide(random_skeleton(rng, n, 7, 2), 2)
+    for n in (20, 24, 28, 32):
+        yield random_graph(rng, n, 3 / n)
+        yield random_graph(rng, n, 4 / n)
+
+
+def smallest_budget(g: Graph) -> int:
+    """The smallest node budget at which chi2_exact returns an integer,
+    found by doubling and bisection on the public API."""
+    failed, budget = -1, 0
+    while isinstance(chi2_exact(g, budget=budget), tuple):
+        failed, budget = budget, max(1, 2 * budget)
+    while budget - failed > 1:
+        mid = (failed + budget) // 2
+        if isinstance(chi2_exact(g, budget=mid), tuple):
+            failed = mid
         else:
-            assert result == exact
+            budget = mid
+    return budget
+
+
+@functools.lru_cache(maxsize=None)
+def search_records() -> tuple:
+    """Per corpus graph: χ2 with no budget, the smallest budget B that
+    proves it, the interval at B − 1, the χ2-coloring of
+    ``color_2distance``, and the greedy upper-bound coloring."""
+    records = []
+    for g in search_corpus():
+        exact = chi2_exact(g)
+        smallest = smallest_budget(g)
+        phi = color_2distance(g, exact)
+        assert is_valid_2distance(g, phi)[0]
+        records.append({
+            "graph": g,
+            "chi2": exact,
+            "budget": smallest,
+            "interval": chi2_exact(g, budget=smallest - 1) if smallest else None,
+            "colors": [phi.get(v) for v in g.vertices()],
+            "greedy": sorted(_greedy_square_coloring(square_adjacency(g), g.n).items()),
+        })
+    return tuple(records)
+
+
+class TestSearchTree:
+    """The exact search visits the same tree, node for node: the smallest
+    proving budget is its node count, so the digest pins the count with
+    every answer and coloring, and the greedy bound's pick order with its
+    coloring."""
+
+    #: Computed with the from-scratch DSATUR pick.
+    PINNED_SEARCH = "de73a831cd82"
+
+    def test_search_digest(self):
+        rows = [[r["graph"].n, r["graph"].edges(), r["chi2"], r["budget"],
+                 r["interval"], r["colors"], r["greedy"]] for r in search_records()]
+        blob = json.dumps(rows)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_SEARCH
 
 
 class TestDecision:
@@ -143,6 +244,13 @@ class TestDecision:
         c = color_2distance(g, k)
         assert c is not None
         assert is_valid_2distance(g, c)[0]
+
+    def test_core_deeper_than_the_recursion_limit(self):
+        """The search keeps its path on a list, so a core with more vertices
+        than the interpreter's recursion limit is colored, not overflowed."""
+        g = random_cubic(random.Random(3), 2 * (sys.getrecursionlimit() // 2) + 200)
+        c = color_2distance(g, 7, budget=5000)
+        assert c is not None and is_valid_2distance(g, c)[0]
 
     def test_budget_exhaustion_is_distinct(self):
         g = random_graph(random.Random(11), 16, 0.45)

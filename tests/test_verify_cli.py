@@ -420,13 +420,20 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, message",
         [(["gen", "--kind", "fixtures", "--count", "-2"], "negative record count -2"),
-         (["hunt", "--seed", "0", "--budget", "-1"], "negative instance budget -1")],
-        ids=["gen", "hunt"],
+         (["hunt", "--seed", "0", "--budget", "-1"], "negative instance budget -1"),
+         (["chi2", "--input", "C5", "--budget", "-1"], "negative node budget -1"),
+         (["color", "--input", "C5", "--k", "4", "--budget", "-1"], "negative node budget -1"),
+         (["verify", "--input", "C5", "--budget", "-3"], "negative node budget -3")],
+        ids=["gen", "hunt", "chi2", "color", "verify"],
     )
-    def test_negative_counts_exit_2(self, argv, message, capsys):
+    def test_negative_counts_exit_2(self, argv, message, capsys, tmp_path):
+        """A negative count or node budget is an input error, also where no
+        search would run: the χ2 bounds of C5 meet."""
         from sparse2dc import cli
 
-        assert cli.main(argv) == 2
+        path = tmp_path / "c5.txt"
+        path.write_text(write_edge_list(cycle(5)))
+        assert cli.main([str(path) if a == "C5" else a for a in argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
