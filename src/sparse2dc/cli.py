@@ -105,6 +105,8 @@ def _cmd_chi2(args) -> int:
 def _cmd_color(args) -> int:
     g = _load_graph(args.input)
     if args.constructive:
+        if args.budget < 0:  # no search runs, but the budget is still checked
+            raise ValueError(f"negative node budget {args.budget}")
         coloring = constructive_color(g)
         k = coloring.k
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Iterable, Sequence
 
 INFINITE_GIRTH = float("inf")
@@ -28,7 +29,9 @@ class Graph:
     """Simple undirected graph with sorted adjacency lists.
 
     Invariants: no self-loops, no parallel edges, symmetric adjacency,
-    vertex ids exactly ``0..n-1``.
+    vertex ids exactly ``0..n-1``.  Built from one sorted list per vertex,
+    where a parallel edge shows as a repeat; a bad edge raises the error of
+    the first one in input order.
     """
 
     __slots__ = ("n", "adjacency", "_edges", "_closure")
@@ -36,24 +39,23 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        canon: set[tuple[int, int]] = set()
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        ids = list(range(n))  # one int per vertex; the caller's ints are not kept
+        adj: list[list[int]] = [[] for _ in ids]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in canon:
-                raise ValueError(f"parallel edge ({e[0]},{e[1]})")
-            canon.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise _first_bad_edge(n, edges)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
+        for a in adj:
+            a.sort()
+        canon = [(u, v) for u, a in zip(ids, adj) for v in a if v > u]
+        if any(map(eq, canon, canon[1:])):
+            raise _first_bad_edge(n, edges)
         self.n = n
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._edges: tuple[tuple[int, int], ...] = tuple(canon)
         self._closure: dict = {}  # kept by potential._closure_minimum
 
     @property
@@ -98,6 +100,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _first_bad_edge(n: int, edges: Sequence[tuple[int, int]]) -> ValueError:
+    """The error for the first out-of-range, self-loop or parallel edge."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            return ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return ValueError(f"parallel edge ({e[0]},{e[1]})")
+        seen.add(e)
+    raise AssertionError("no bad edge")
 
 
 @dataclass(frozen=True, order=True)

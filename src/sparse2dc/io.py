@@ -3,7 +3,6 @@ form of reports."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import isqrt
@@ -18,8 +17,11 @@ _MAX_N = 258047
 _G6_BYTES = bytes(range(63, 127))
 #: A ``bytes.translate`` table from six bits to their graph6 byte.
 _G6_SIX_TO_BYTE = _G6_BYTES.ljust(256, b"\0")
-#: A body byte other than ``?`` (all six bits clear) holds at least one edge.
-_G6_NONZERO = re.compile(rb"[^?]")
+#: A ``bytes.translate`` table: ``?`` (no bit set) stays and any other byte
+#: becomes ``!``, so ``bytes.find`` jumps from one edge-holding byte to the next.
+_G6_MARKS = bytes(63 if b == 63 else 33 for b in range(256))
+#: The set bits of each graph6 byte value, as offsets from its top bit.
+_G6_SET_BITS = [tuple(s for s in range(6) if b - 63 >> 5 - s & 1) for b in range(256)]
 
 
 def parse_edge_list(text: str) -> tuple[Graph, list[int]]:
@@ -121,16 +123,14 @@ def from_graph6(line: str) -> Graph:
     # pad the last byte and are ignored.
     total = n * (n - 1) // 2
     edges = []
-    for hit in _G6_NONZERO.finditer(body):
-        i = hit.start()
-        val = body[i] - 63
-        for s in range(5, -1, -1):
-            if val >> s & 1:
-                k = 6 * i + 5 - s
-                if k >= total:
-                    break
-                v = (1 + isqrt(8 * k + 1)) // 2
-                edges.append((k - v * (v - 1) // 2, v))
+    marks, i = body.translate(_G6_MARKS), -1
+    while (i := marks.find(b"!", i + 1)) >= 0:
+        for s in _G6_SET_BITS[body[i]]:
+            k = 6 * i + s
+            if k >= total:
+                break
+            v = (1 + isqrt(8 * k + 1)) // 2
+            edges.append((k - v * (v - 1) // 2, v))
     return Graph(n, edges)
 
 
@@ -141,7 +141,7 @@ def autodetect(text: str) -> Graph:
     """
     stripped = text.strip()
     first = stripped.split("\n", 1)[0].strip()
-    parts = first.split()
+    parts = first.split(None, 2)
     if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
         return parse_edge_list(stripped)[0]
     if "\n" in stripped:  # a second non-empty line: another graph

@@ -61,6 +61,92 @@ class TestGraphBasics:
                 assert v in g.adjacency[w]
 
 
+def _graph_by_sets(n, edges) -> Graph:
+    """The former constructor body, kept as an oracle: one set per vertex,
+    one set of canonical edges, each checked edge by edge in input order."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    canon: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in canon:
+            raise ValueError(f"parallel edge ({e[0]},{e[1]})")
+        canon.add(e)
+        adj[u].add(v)
+        adj[v].add(u)
+    g = object.__new__(Graph)
+    g.n = n
+    g.adjacency = tuple(tuple(sorted(s)) for s in adj)
+    g._edges = tuple(sorted(canon))
+    g._closure = {}
+    return g
+
+
+def _built(make, n, edges):
+    try:
+        return make(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _edge_lists(seed):
+    """Seeded shuffled edge lists with random endpoint order, n = 0..60."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(0, 60)
+        g = random_graph(rng, n, rng.choice((0.0, 0.05, 0.2, 0.6)))
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rng.shuffle(edges)
+        yield rng, n, edges
+
+
+def _containers(edges):
+    """``edges`` as each kind of iterable the constructor takes, twice
+    over, so each build reads its own copy (a generator is read once)."""
+    for wrap in (list, tuple, set, lambda es: (e for e in es)):
+        yield wrap(edges), wrap(edges)
+
+
+class TestConstructorOracle:
+    def test_builds_the_oracle_graph(self):
+        for _rng, n, edges in _edge_lists(11):
+            for mine, theirs in _containers(edges):
+                g, h = Graph(n, mine), _graph_by_sets(n, theirs)
+                assert g.adjacency == h.adjacency
+                assert g.edges() == h.edges()
+                assert g.m == h.m == len(edges)
+                assert g == h and hash(g) == hash(h)
+
+    def test_rejects_the_first_bad_edge_with_the_oracle_message(self):
+        for rng, n, edges in _edge_lists(12):
+            n = max(n, 1)
+            bad = list(edges)
+            for _ in range(rng.randint(1, 4)):
+                fault = rng.choice(("parallel", "loop", "high", "negative")[not bad:])
+                u, v = rng.randrange(n), rng.randrange(n)
+                if fault == "parallel":
+                    u, v = rng.choice(bad)
+                    edge = (v, u) if rng.random() < 0.5 else (u, v)
+                elif fault == "loop":
+                    edge = (u, u)
+                elif fault == "high":
+                    edge = (u, n + rng.randrange(3))
+                else:
+                    edge = (-1 - rng.randrange(3), v)
+                if rng.random() < 0.5:
+                    edge = edge[::-1]
+                bad.insert(rng.randint(0, len(bad)), edge)
+            assert isinstance(_built(_graph_by_sets, n, bad), str)
+            # a set may merge a planted parallel edge into its twin
+            for mine, theirs in _containers(bad):
+                assert _built(Graph, n, mine) == _built(_graph_by_sets, n, theirs)
+
+
 class TestSquare:
     def test_c5_squares_to_k5(self):
         assert square(cycle(5)) == complete(5)

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse2dc.families import petersen
-from sparse2dc.graph import Graph
+from sparse2dc.families import petersen, random_hub_network, random_skeleton
+from sparse2dc.graph import Graph, subdivide
 from sparse2dc.io import (
     autodetect,
     from_graph6,
@@ -207,6 +207,37 @@ def test_graph6_decoder_matches_the_bit_list_oracle_on_random_bodies():
         for _ in range(3):
             line = header + "".join(chr(rng.randrange(63, 127)) for _ in range(size))
             assert from_graph6(line) == _from_graph6_by_bit_list(line)
+
+
+def _sparse_long_header_graphs():
+    """Hub networks with 112-224 hubs and 2-subdivided skeletons: bodies of
+    about 25-340 KB, nearly all ``?``, as the benchmark feeds the decoder."""
+    rng = random.Random(9)
+    for hubs in (112, 168, 224):
+        g = None
+        while g is None:
+            try:
+                g = random_hub_network(rng, hubs)
+            except ValueError:
+                pass
+        yield g
+    for size in (160, 320):
+        yield subdivide(random_skeleton(rng, size, 7, rng.randint(0, 4)), 2)
+
+
+def test_graph6_decoder_matches_the_bit_list_oracle_on_sparse_long_bodies():
+    padded_bodies = 0
+    for g in _sparse_long_header_graphs():
+        line = to_graph6(g)
+        assert line.startswith("~") and g.n > 500
+        # the oracle walks all n(n-1)/2 pairs, so it reads each body once,
+        # with every padding bit of the last byte set where it has any
+        pad = -g.n * (g.n - 1) // 2 % 6
+        if pad:
+            line = line[:-1] + chr((ord(line[-1]) - 63 | (1 << pad) - 1) + 63)
+            padded_bodies += 1
+        assert from_graph6(line) == _from_graph6_by_bit_list(line) == g
+    assert padded_bodies >= 3
 
 
 @pytest.mark.parametrize(

@@ -423,8 +423,10 @@ class TestCli:
          (["hunt", "--seed", "0", "--budget", "-1"], "negative instance budget -1"),
          (["chi2", "--input", "C5", "--budget", "-1"], "negative node budget -1"),
          (["color", "--input", "C5", "--k", "4", "--budget", "-1"], "negative node budget -1"),
+         (["color", "--input", "C5", "--constructive", "--budget", "-1"],
+          "negative node budget -1"),
          (["verify", "--input", "C5", "--budget", "-3"], "negative node budget -3")],
-        ids=["gen", "hunt", "chi2", "color", "verify"],
+        ids=["gen", "hunt", "chi2", "color", "color-constructive", "verify"],
     )
     def test_negative_counts_exit_2(self, argv, message, capsys, tmp_path):
         """A negative count or node budget is an input error, also where no
