@@ -94,8 +94,11 @@ class Configuration:
         be the ones recomputed for it.  So a hand-made witness in an order
         no detector produces is refused.  The witnesses of the two kinds
         that are not local, ThreePathCycle and ThreeConsecutiveThreePaths,
-        are read back run by run.  Raises ValueError naming the kind.
+        are read back run by run.  Raises ValueError naming the kind, also
+        for an unknown kind or malformed data.
         """
+        _require(self.kind in KINDS and isinstance(self.data, dict), self.kind,
+                 "unknown kind, or data not a dict")
         _BY_KIND[self.kind].validate(g, _index(g), self)
 
 
@@ -248,7 +251,8 @@ class _RunIndex:
     pushed whenever it is walked or an anchor of it is edited, so a
     detector may drop a run it does not fire on.  The later detectors read
     ``three_adj`` and ``cycle_of``, kept with the runs, and ``reach``, d*
-    memoized per vertex until an edit lands next to it.
+    memoized per vertex until an edit lands next to it.  ``found`` keeps
+    the configuration ``detect_configuration`` found, until the next edit.
     """
 
     def __init__(self, g: Graph):
@@ -261,6 +265,7 @@ class _RunIndex:
         self.cycle_of: dict[int, frozenset[int]] = {}  # the cycles of 2-vertices
         self.ds: dict[int, int] = {}  # the d* values read so far
         self.pendants: list[int] = []
+        self.found: Configuration | None = None
         self.worklists = {name: [] for names in _WORKLISTS.values() for name in names}
         self._walk(g.vertices())
 
@@ -270,6 +275,7 @@ class _RunIndex:
         if not dirty:
             return
         g.dirty = set()
+        self.found = None
         run_of, ds = self.run_of, self.ds
         for x in dirty:
             # an edit changes d* only at the vertices it touches and next to them
@@ -338,6 +344,11 @@ class _RunIndex:
         for name in _WORKLISTS.get(min(len(r.internal), 4), ()):
             heapq.heappush(self.worklists[name], (r.endpoints, r.internal))
 
+    def holds(self, r) -> bool:
+        """Whether ``r`` is a run the index holds, as the index holds it."""
+        ints = r.internal if isinstance(r, PathDescriptor) else ()
+        return bool(ints) and self.run_of.get(ints[0]) == r
+
     def pendant(self) -> int | None:
         """The smallest degree-1 vertex, or None."""
         heap, adj = self.pendants, self.g.adjacency
@@ -380,6 +391,13 @@ def _capped(g: Graph, u: int, slot, cap: int) -> bool:
     has degree at most ``cap``."""
     _, ints, far = slot
     return ints is not None and len(ints) == 2 and far != u and g.degree(far) <= cap
+
+
+def _two_kind(g: Graph, v: int) -> str:
+    """The role of the 2-vertex ``v``: large, medium or small as 0, 1 or 2
+    of its neighbours are 2-vertices."""
+    a, b = g.adjacency[v]
+    return ("large", "medium", "small")[(g.degree(a) == 2) + (g.degree(b) == 2)]
 
 
 def _lower_end(g: Graph, r: PathDescriptor) -> int:
@@ -451,8 +469,8 @@ def _two_path_chord_at(g, idx, r):
             yield {"run": r, "seven": hi, "other": lo}
 
 
-def _three_path_cycle(adj) -> Configuration | None:
-    """A cycle in the multigraph ``adj`` whose edges are the open 3-runs.
+def _three_path_cycle(g: Graph, idx: _RunIndex) -> Configuration | None:
+    """A cycle in the index's multigraph ``three_adj`` of the open 3-runs.
 
     Returns anchors (a_0..a_{m-1}) and runs (r_0..r_{m-1}) with r_i joining
     a_i to a_{i+1 mod m}.
@@ -466,6 +484,7 @@ def _three_path_cycle(adj) -> Configuration | None:
             out.append(x)
         return out, links
 
+    adj = idx.three_adj
     visited: set[int] = set()
     for start in sorted(adj):
         if start in visited:
@@ -502,10 +521,8 @@ def _small_vertex_at(g, idx, v):
     if any(g.degree(w) != 2 for w in g.adjacency[v]) or idx.reach(v) > ANCHOR + 1:
         return
     for w in g.adjacency[v]:
-        if idx.reach(w) <= ANCHOR:
-            a, b = g.adjacency[w]
-            if g.degree(b if a == v else a) == 2:
-                yield {"v": v, "w": w}
+        if idx.reach(w) <= ANCHOR and _two_kind(g, w) == "medium":
+            yield {"v": v, "w": w}
 
 
 def _counting_pair_at(g, idx, w):
@@ -557,6 +574,16 @@ def _potential_without(g: Graph, dropped, query) -> int:
     return rho_star(g, query, without=dropped).value
 
 
+def _end_potentials(g: Graph, ints, u: int, v: int) -> tuple[int, int]:
+    """The potentials of u and v, the ends of a run, once its internals
+    ``ints`` are removed.  The tie rule: the detectors take u as the
+    constrained end, the sponsor, when pot(u) <= pot(v); classification
+    roots the end of larger potential, on a tie the smaller id, so the
+    larger id sponsors."""
+    dropped = set(ints)
+    return _potential_without(g, dropped, {u}), _potential_without(g, dropped, {v})
+
+
 def _two_consecutive_at(g, idx, v):
     # the open 3-runs at v, as (internals from v, far end), in the order of
     # their first internals
@@ -572,8 +599,9 @@ def _bridge(g, idx, data) -> dict | None:
     return {"bridge": value} if value >= 1 else None
 
 
-def _three_consecutive_three_paths(adj) -> Configuration | None:
-    """Three open 3-runs chaining four distinct anchors in ``adj``."""
+def _three_consecutive_three_paths(g: Graph, idx: _RunIndex) -> Configuration | None:
+    """Three open 3-runs chaining four distinct anchors in ``three_adj``."""
+    adj = idx.three_adj
     for v in sorted(adj):
         for w, r2 in sorted(adj[v]):
             for u, r1 in sorted(adj[v]):
@@ -607,10 +635,9 @@ def _seven_seven_at(g, idx, u):
 
 
 def _orientation(g, idx, data) -> dict | None:
-    """The potentials of u and v once the run p between them is removed,
-    when they orient p with u as the constrained end."""
-    center = _potential_without(g, set(data["p"]), {data["u"]})
-    far = _potential_without(g, set(data["p"]), {data["v"]})
+    """The end potentials of the run p from u to v, when they orient p with
+    u as the constrained end."""
+    center, far = _end_potentials(g, data["p"], data["u"], data["v"])
     return {"center": center, "far": far} if center <= far else None
 
 
@@ -681,13 +708,14 @@ def _index(g) -> _RunIndex:
 
 def detect_configuration(g: Graph) -> Configuration | None:
     """First firing configuration in dispatch order (that of ``KINDS``),
-    or None."""
+    or None.  On a working graph the run index keeps the configuration
+    until the next edit, so detecting again before it runs no detector."""
     idx = _index(g)
-    for kind in _REGISTRY:
-        cfg = kind.detect(g, idx)
-        if cfg is not None:
-            return cfg
-    return None
+    for kind in _REGISTRY if idx.found is None else ():
+        idx.found = kind.detect(g, idx)
+        if idx.found is not None:
+            break
+    return idx.found
 
 
 # ---------------------------------------------------------------------------
@@ -1427,72 +1455,55 @@ class VertexClasses:
 
 def classify_vertices(g: Graph) -> VertexClasses:
     """Label 2-vertices small/medium/large, find bridge structures, and
-    assign sponsors.
+    assign sponsors, reading the run index the detectors read.
 
-    Requires the 3-paths to form a forest of stars: single-path trees root
-    at the endpoint with the larger potential once the path's interior is
-    removed (smaller id on ties); star centers root their stars; every
-    non-root 3-path endpoint sponsors the path's middle vertex.
+    Requires the 3-paths to form a forest of stars: a closed 3-path, or
+    what the ThreePathCycle or ThreeConsecutiveThreePaths detector finds,
+    is refused.  Star centers root their stars; a single-path tree roots
+    at an end chosen by ``_end_potentials``; every non-root 3-path endpoint
+    sponsors the path's middle vertex.  The runs are taken in (first
+    endpoint, first internal) order, that of ``degree_two_runs``.
     """
-    runs, _ = degree_two_runs(g)
-    runs3 = [r for r in runs if r.length == 3 and not r.closed]
-    three_adj: dict[int, list[tuple[int, PathDescriptor]]] = {}
-    for r in runs3:
-        u, v = r.endpoints
-        three_adj.setdefault(u, []).append((v, r))
-        three_adj.setdefault(v, []).append((u, r))
+    idx = _index(g)
+    key = lambda r: (r.endpoints[0], r.internal[0])  # noqa: E731
+    runs = sorted((r for x, r in idx.run_of.items() if x == r.internal[0]), key=key)
     for r in runs:
         if r.length == 3 and r.closed:
             raise ForestOfStarsError("a 3-path closes on its own anchor", r)
-    cyc = _three_path_cycle(three_adj)
-    if cyc is not None:
-        raise ForestOfStarsError("the 3-paths contain a cycle", cyc.data)
-    chain = _three_consecutive_three_paths(three_adj)
-    if chain is not None:
-        raise ForestOfStarsError("three consecutive 3-paths", chain.data)
+    for kind, message in (("ThreePathCycle", "the 3-paths contain a cycle"),
+                          ("ThreeConsecutiveThreePaths", "three consecutive 3-paths")):
+        cfg = _BY_KIND[kind].detect(g, idx)
+        if cfg is not None:
+            raise ForestOfStarsError(message, cfg.data)
 
-    two_kind: dict[int, str] = {}
-    for v in g.vertices():
-        if g.degree(v) == 2:
-            n2 = sum(1 for w in g.adjacency[v] if g.degree(w) == 2)
-            two_kind[v] = ("large", "medium", "small")[n2]
-
+    two_kind = {v: _two_kind(g, v) for v in g.vertices() if g.degree(v) == 2}
     one_path: set[int] = set()
     pairs: list[dict] = []
     for r in runs:
-        a, b = r.endpoints
-        if r.closed:
-            continue
+        (a, b), ints = r.endpoints, r.internal
         da, db = g.degree(a), g.degree(b)
         if r.length == 1 and ((da == 3 and db >= 6) or (db == 3 and da >= 6)):
-            one_path.add(r.internal[0])
-        if r.length == 2:
-            if da == 7 and db <= 5:
-                pairs.append(
-                    {"seven": a, "low": b,
-                     "near_seven": r.internal[0], "near_low": r.internal[1]}
-                )
-            elif db == 7 and da <= 5:
-                pairs.append(
-                    {"seven": b, "low": a,
-                     "near_seven": r.internal[1], "near_low": r.internal[0]}
-                )
+            one_path.add(ints[0])
+        for seven, first in ((a, ints[0]), (b, ints[-1])) if r.length == 2 else ():
+            slot = (first, *idx.from_edge[(seven, first)])
+            if g.degree(seven) == 7 and _capped(g, seven, slot, 5):
+                _, (near_seven, near_low), low = slot
+                pairs.append({"seven": seven, "low": low,
+                              "near_seven": near_seven, "near_low": near_low})
 
     sponsors: dict[int, int] = {}
     roots: set[int] = set()
-    for anchor in sorted(three_adj):
-        if len(three_adj[anchor]) >= 2:
+    for anchor, links in sorted(idx.three_adj.items()):
+        if len(links) >= 2:
             roots.add(anchor)
-            for other, r in three_adj[anchor]:
+            for other, r in sorted(links, key=lambda link: key(link[1])):
                 sponsors[other] = r.internal[1]
-    for r in runs3:
+    for r in runs:
         a, b = r.endpoints
-        if a in roots or b in roots:
+        if r.length != 3 or a in roots or b in roots:
             continue
-        pa = _potential_without(g, set(r.internal), {a})
-        pb = _potential_without(g, set(r.internal), {b})
-        root = a if pa >= pb else b
-        other = b if root == a else a
+        pa, pb = _end_potentials(g, r.internal, a, b)
+        root, other = (a, b) if pa >= pb else (b, a)
         roots.add(root)
         sponsors[other] = r.internal[1]
 
@@ -1587,28 +1598,22 @@ def _require(cond: bool, kind: str, message: str) -> None:
         raise ValueError(f"{kind} witness invalid: {message}")
 
 
-def _validate_three_cycle(g, idx, cfg):
-    anchors, runs = cfg.data["anchors"], cfg.data["runs"]
+def _validate_three_runs(g, idx, cfg):
+    """The check of ThreePathCycle and ThreeConsecutiveThreePaths: each run
+    is a 3-run the index holds, run i joins anchors i and i + 1 (cyclically
+    for a cycle), and no anchor or run repeats, so no run is closed."""
+    kind, cycle = cfg.kind, cfg.kind == "ThreePathCycle"
+    anchors, runs = cfg.data.get("anchors"), cfg.data.get("runs")
+    _require(isinstance(anchors, tuple) and isinstance(runs, tuple), kind, "not tuples")
     m = len(anchors)
-    _require(m == len(runs) and m >= 2, cfg.kind, "shape mismatch")
-    _require(len(set(anchors)) == len(set(runs)) == m, cfg.kind, "anchor or run repeated")
+    shape = len(runs) == m >= 2 if cycle else len(runs) + 1 == m == 4
+    _require(shape, kind, "shape mismatch")
     for i, r in enumerate(runs):
-        r.validate(g)
-        _require(r.length == 3, cfg.kind, "run length")
-        pair = {anchors[i], anchors[(i + 1) % m]}
-        _require(set(r.endpoints) == pair, cfg.kind, "anchors do not chain")
-
-
-def _validate_three_consecutive(g, idx, cfg):
-    anchors = cfg.data["anchors"]
-    runs = cfg.data["runs"]
-    _require(len(set(anchors)) == 4 == len(runs) + 1, cfg.kind, "anchors not distinct")
-    for i, r in enumerate(runs):
-        r.validate(g)
-        _require(r.length == 3, cfg.kind, "run length")
-        _require(
-            set(r.endpoints) == {anchors[i], anchors[i + 1]}, cfg.kind, "chain break"
-        )
+        a, b = anchors[i], anchors[(i + 1) % m]
+        _require(idx.holds(r) and r.length == 3, kind, "run length: not a 3-run of the graph")
+        _require(r.endpoints in ((a, b), (b, a)), kind, "anchors do not chain")
+    _require(len(set(anchors)) == m and len(set(runs)) == len(runs), kind,
+             "anchor or run repeated")
 
 
 class _Kind(NamedTuple):
@@ -1645,12 +1650,7 @@ def _local(name: str, centre: str, centres, at, apply, potentials=None) -> _Kind
 
     def validate(g, idx, cfg):
         c = cfg.data.get(centre)
-        if centre == "run":  # a run the index holds, as the index holds it
-            live = isinstance(c, PathDescriptor) and c.internal and (
-                idx.run_of.get(c.internal[0]) == c
-            )
-        else:
-            live = isinstance(c, int) and 0 <= c < g.n
+        live = idx.holds(c) if centre == "run" else isinstance(c, int) and 0 <= c < g.n
         if not (live and cfg.data in at(g, idx, c)):
             raise ValueError(f"{name} witness invalid: no such witness at {centre} {c}")
         pots = {} if potentials is None else potentials(g, idx, cfg.data)
@@ -1672,8 +1672,8 @@ _REGISTRY: tuple[_Kind, ...] = (
     _local("TwoPathBadEnds", "run", None, _two_path_bad_ends_at,
            _apply_two_path_bad_ends),
     _local("TwoPathChord", "run", None, _two_path_chord_at, _apply_two_path_chord),
-    _Kind("ThreePathCycle", lambda g, idx: _three_path_cycle(idx.three_adj),
-          _apply_three_path_cycle, _validate_three_cycle),
+    _Kind("ThreePathCycle", _three_path_cycle, _apply_three_path_cycle,
+          _validate_three_runs),
     _local("SmallVertex", "v", _of_degree(3, (ANCHOR + 1) // 2), _small_vertex_at,
            _apply_small_vertex),
     _local("CountingPair", "w", _vertices, _counting_pair_at, _apply_counting_pair),
@@ -1681,9 +1681,8 @@ _REGISTRY: tuple[_Kind, ...] = (
     _local("WeirdSix", "u", _of_degree(6, 6), _weird_six_at, _apply_weird_six),
     _local("TwoConsecutiveThreePaths", "v", _three_anchors, _two_consecutive_at,
            _apply_two_consecutive, _bridge),
-    _Kind("ThreeConsecutiveThreePaths",
-          lambda g, idx: _three_consecutive_three_paths(idx.three_adj),
-          _apply_three_consecutive, _validate_three_consecutive),
+    _Kind("ThreeConsecutiveThreePaths", _three_consecutive_three_paths,
+          _apply_three_consecutive, _validate_three_runs),
     _local("SevenSevenTwoPaths", "u", _of_degree(7, 7), _seven_seven_at,
            _apply_seven_seven, _orientation),
     _local("SponsorManyBridges", "u", _three_anchors, _sponsor_bridges_at,

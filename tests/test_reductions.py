@@ -536,7 +536,28 @@ class TestWitnessReadBack:
             fx.three_path_cycle, "ThreePathCycle",
             lambda d: {"anchors": d["anchors"] * 2, "runs": d["runs"] * 2},
         ),
+        # each of these raised KeyError or AttributeError
+        "a cycle of 3-runs without its runs": (
+            fx.three_path_cycle, "ThreePathCycle", lambda d: {"anchors": d["anchors"]},
+        ),
+        "a run given as an int": (
+            fx.three_path_cycle, "ThreePathCycle",
+            lambda d: {**d, "runs": (7, *d["runs"][1:])},
+        ),
+        "a run given as None": (
+            fx.three_path_cycle, "ThreePathCycle",
+            lambda d: {**d, "runs": (*d["runs"][:-1], None)},
+        ),
     }
+
+    @staticmethod
+    def refused_before_any_edit(g, bad, kind):
+        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
+            bad.validate(g)
+        wg = _WorkGraph(g)
+        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
+            apply_reduction(wg, bad)
+        assert wg.adjacency == list(g.adjacency) and not wg._log
 
     @pytest.mark.parametrize("case", sorted(TAMPERED))
     def test_tampered_witness_is_refused_before_any_edit(self, case):
@@ -547,12 +568,49 @@ class TestWitnessReadBack:
         cfg.validate(g)
         bad = replace(cfg, data=tamper(cfg.data))
         assert bad.data != cfg.data
-        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
-            bad.validate(g)
-        wg = _WorkGraph(g)
-        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
-            apply_reduction(wg, bad)
-        assert wg.adjacency == list(g.adjacency) and not wg._log
+        self.refused_before_any_edit(g, bad, kind)
+
+    # (graph, a witness no detector produces on it)
+    MALFORMED = {
+        # these three raised KeyError or AttributeError
+        "an unknown kind": (cycle(8), Configuration("Bogus", {})),
+        "a witness that is not a dict": (cycle(8), Configuration("DegreeOne", [("v", 0)])),
+        "a consecutive witness without its anchors": (
+            fx.three_path_cycle(),
+            Configuration("ThreeConsecutiveThreePaths", {"runs": ()}),
+        ),
+        # C8 has no runs, only a cycle of 2-vertices; apply_reduction deleted
+        # six of its vertices
+        "two halves of a cycle of 2-vertices": (
+            cycle(8),
+            Configuration("ThreePathCycle", {
+                "anchors": (0, 4),
+                "runs": (PathDescriptor((0, 4), (1, 2, 3)), PathDescriptor((0, 4), (7, 6, 5))),
+            }),
+        ),
+        # apply_reduction spliced a k = 3 path into C16
+        "three quarters of a cycle of 2-vertices": (
+            cycle(16),
+            Configuration("ThreeConsecutiveThreePaths", {
+                "anchors": (0, 4, 8, 12),
+                "runs": tuple(PathDescriptor((a, a + 4), (a + 1, a + 2, a + 3))
+                              for a in (0, 4, 8)),
+            }),
+        ),
+        # runs of the graph, but 2-runs: hubs 0 and 1 joined by 0-2-3-1 and 0-4-5-1
+        "a cycle of two 2-runs": (
+            Graph(8, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (1, 7)]),
+            Configuration("ThreePathCycle", {
+                "anchors": (0, 1),
+                "runs": (PathDescriptor((0, 1), (2, 3)), PathDescriptor((0, 1), (4, 5))),
+            }),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_witness_is_refused_before_any_edit(self, case):
+        g, bad = self.MALFORMED[case]
+        self.refused_before_any_edit(g, bad, bad.kind)
 
     #: The most ``rho_star`` queries one witness check may ask, per kind;
     #: the kinds not listed ask none.
@@ -663,6 +721,74 @@ class TestClassification:
     def test_three_consecutive_refused(self):
         with pytest.raises(ForestOfStarsError):
             classify_vertices(three_consecutive_chain())
+
+    def test_roles_agree_with_the_detectors(self):
+        """On the output-identity corpus and relabelled copies of it: each
+        bridge pair is a 2-run slot capped at 5 at a 7-vertex, and each such
+        slot is one; the sponsor of a 3-run outside the stars passes the
+        sponsor kinds' orientation as u, the larger id on a tie; bridge
+        pairs, then the stars' sponsors by centre and the other sponsors,
+        come in ``degree_two_runs`` order; a refusal carries the first closed
+        3-run in that order, or what the registry's own detector returns."""
+        from sparse2dc import reductions as module
+
+        rng = random.Random(24)
+        seen = Counter()
+        for _, g in TestOutputIdentity().corpus():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            for h in (g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])):
+                self.check_roles(module, h, seen)
+        # every refusal message, bridge pairs, sponsors, and potential ties
+        assert len(seen) == 6 and min(seen.values()) >= 1, seen
+
+    @staticmethod
+    def check_roles(module, g, seen):
+        idx = _RunIndex(g)
+        runs = degree_two_runs(g)[0]
+        order = {x: i for i, r in enumerate(runs) for x in r.internal}
+        closed = [r for r in runs if r.length == 3 and r.closed]
+        refusals = [("a 3-path closes on its own anchor", closed[0] if closed else None)]
+        for kind, message in (("ThreePathCycle", "the 3-paths contain a cycle"),
+                              ("ThreeConsecutiveThreePaths", "three consecutive 3-paths")):
+            cfg = module._BY_KIND[kind].detect(g, idx)
+            refusals.append((message, cfg and cfg.data))
+        expected = next(((m, w) for m, w in refusals if w is not None), None)
+        try:
+            c = classify_vertices(g)
+        except ForestOfStarsError as exc:
+            assert (str(exc), exc.witness) == expected
+            seen[str(exc)] += 1
+            return
+        assert expected is None
+        capped = {
+            (u, s) for u in g.vertices() if g.degree(u) == 7
+            for s in module._slot_kinds(g, idx, u) if module._capped(g, u, s, 5)
+        }
+        pairs = {(p["seven"], (p["near_seven"], (p["near_seven"], p["near_low"]), p["low"]))
+                 for p in c.bridge_pairs}
+        assert pairs == capped and len(pairs) == len(c.bridge_pairs)
+        assert [order[p["near_seven"]] for p in c.bridge_pairs] == sorted(
+            order[p["near_seven"]] for p in c.bridge_pairs
+        )
+        seen["bridge pairs"] += len(pairs)
+        keys = []
+        for sponsor, mid in c.sponsors.items():
+            centre = next(x for x in idx.run_of[mid].endpoints if x != sponsor)
+            star = len(idx.three_adj[centre]) >= 2
+            keys.append((0, centre, order[mid]) if star else (1, 0, order[mid]))
+        assert keys == sorted(keys)
+        for r in {r for links in idx.three_adj.values() for _, r in links}:
+            if any(len(idx.three_adj[x]) >= 2 for x in r.endpoints):
+                continue  # a star's runs are sponsored by the ends away from its centre
+            [u] = [x for x in r.endpoints if c.sponsors.get(x) == r.internal[1]]
+            [v] = [x for x in r.endpoints if x != u and x in c.roots]
+            data = {"u": u, "v": v, "p": module._oriented_from(r, u)}
+            assert module._orientation(g, idx, data) is not None
+            pu, pv = module._end_potentials(g, r.internal, u, v)
+            assert pu < pv or u > v
+            seen["sponsors"] += 1
+            seen["ties"] += pu == pv
 
 
 class TestConstructive:

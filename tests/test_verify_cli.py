@@ -119,11 +119,13 @@ class TestHunt:
 
     def test_one_run_index_per_solved_instance(self, monkeypatch):
         """The coverage check and the solve share one working graph, so each
-        solved instance walks its runs into one ``_RunIndex``."""
+        solved instance walks its runs into one ``_RunIndex``; classification
+        walks the discharged ``Graph`` into one more."""
         from sparse2dc import reductions, verify
 
-        built, solved = [], []
+        built, solved, discharged = [], [], []
         index_init, solve = reductions._RunIndex.__init__, verify.constructive_color
+        discharge = verify.run_discharge
 
         def counted_index(self, g):
             built.append(g)
@@ -133,13 +135,61 @@ class TestHunt:
             solved.append(g)
             return solve(g, **kwargs)
 
+        def counted_discharge(g):
+            discharged.append(g)
+            return discharge(g)
+
         monkeypatch.setattr(reductions._RunIndex, "__init__", counted_index)
         monkeypatch.setattr(verify, "constructive_color", counted_solve)
+        monkeypatch.setattr(verify, "run_discharge", counted_discharge)
         report = hunt(seed=1, budget=8)
         assert report.ok, report.findings
-        assert len(solved) == report.instances
+        assert len(solved) == report.instances and discharged
         assert [sum(g is wg for g in built) for wg in solved] == [1] * len(solved)
-        assert len(built) == len(solved)
+        assert [sum(b is g for b in built) for g in discharged] == [1] * len(discharged)
+        assert len(built) == len(solved) + len(discharged)
+
+    def test_the_solve_reuses_the_coverage_detection(self, monkeypatch):
+        """The solve's first detection on the working graph the coverage
+        check detected on runs no detector and returns the same
+        configuration; every later detection follows an edit and runs the
+        detectors again."""
+        from sparse2dc import reductions, verify
+
+        calls = 0
+        log = []  # (caller, detectors run, configuration) per detection
+
+        def counted(detect):
+            def wrapper(g, idx):
+                nonlocal calls
+                calls += 1
+                return detect(g, idx)
+            return wrapper
+
+        def logged(caller, detect):
+            def wrapper(g):
+                before = calls
+                cfg = detect(g)
+                log.append((caller, calls - before, cfg))
+                return cfg
+            return wrapper
+
+        detect = reductions.detect_configuration
+        monkeypatch.setattr(reductions, "_REGISTRY", tuple(
+            k._replace(detect=counted(k.detect)) for k in reductions._REGISTRY
+        ))
+        monkeypatch.setattr(verify, "detect_configuration", logged("coverage", detect))
+        monkeypatch.setattr(reductions, "detect_configuration", logged("solve", detect))
+        report = hunt(seed=1, budget=8)
+        assert report.ok, report.findings
+        reused = 0
+        for (caller, _, cfg), (then, ran, cfg_then) in zip(log, log[1:]):
+            if (caller, then) == ("coverage", "solve"):
+                assert ran == 0 and cfg_then is cfg is not None
+                reused += 1
+            else:
+                assert ran >= 1
+        assert reused >= 3
 
     @staticmethod
     def block_solver(monkeypatch):
