@@ -64,14 +64,20 @@ def is_valid_2distance(g: Graph, c: Coloring):
 
     The violation, when present, is ``(u, v, dist)`` with dist 1 or 2.
     """
-    colors = c.colors
+    colors, adjacency = c.colors, g.adjacency
+    get = colors.__getitem__
+    try:  # one set per closed neighbourhood; the loops below find the first clash
+        if all(len({get(v), *map(get, adjacency[v])}) > len(adjacency[v])
+               for v in g.vertices()):
+            return True, None
+    except KeyError:
+        pass
     if not c.is_total(g):
         missing = next(v for v in g.vertices() if v not in colors)
         raise ValueError(f"coloring is partial (vertex {missing} unassigned)")
     for u, v in g.edges():
         if colors[u] == colors[v]:
             return False, (u, v, 1)
-    adjacency = g.adjacency
     for v in g.vertices():
         nbrs = adjacency[v]
         for i in range(len(nbrs)):
@@ -166,10 +172,16 @@ def _local_violation(g, phi: Coloring, t) -> tuple[int, int, int] | None:
     around = set(t)
     for v in t:
         around.update(g.adjacency[v])
-    colors = phi.colors
+    colors, adjacency = phi.colors, g.adjacency
+    get = colors.__getitem__
     for x in sorted(around):
+        try:  # distinct colors on N[x]: no clash here
+            if len({get(x), *map(get, adjacency[x])}) > len(adjacency[x]):
+                continue
+        except KeyError:
+            pass
         first: dict[int, int] = {}
-        for y in (x, *g.adjacency[x]):
+        for y in (x, *adjacency[x]):
             c = colors.get(y)
             if c is None:
                 raise ValueError(f"coloring is partial (vertex {y} unassigned)")
@@ -255,37 +267,45 @@ def _decide_k_colorable(adj: list[set[int]], core: set[int], k: int, budget: int
     nbrs = [[rank[w] for w in adj[v] if w in rank] for v in ids]
     seen, sat, color = [0] * len(ids), [0] * len(ids), [0] * len(ids)
     path: list[tuple[int, int, int, list[int]]] = []  # (rank, color, max used before, gained)
-    max_used = 0
+    push, pop = path.append, path.pop
+    nodes, max_used, cap = counter[0], 0, min(k, 1)  # cap: min(k, max_used + 1)
     while True:
-        counter[0] += 1
-        if budget is not None and counter[0] > budget:
-            raise SearchBudgetExceeded(counter[0])
+        nodes += 1
+        if budget is not None and nodes > budget:
+            counter[0] = nodes
+            raise SearchBudgetExceeded(nodes)
         top, c = max(sat), 0
         if top < 0:
+            counter[0] = nodes
             return dict(zip(ids, color))
         i = sat.index(top)
         while True:  # the next free color for rank i, backing up while none is left
             free = ~(seen[i] | ((2 << c) - 1))  # set bits: the colors above c not banned
             c = (free & -free).bit_length() - 1
-            if c <= min(k, max_used + 1):
+            if c <= cap:
                 break
             if not path:
+                counter[0] = nodes
                 return None
-            i, c, max_used, gained = path.pop()
+            i, c, max_used, gained = pop()
+            cap = max_used + 1 if max_used < k else k
             color[i], sat[i], bit = 0, seen[i].bit_count(), 1 << c
             for j in gained:
                 seen[j] ^= bit
                 if not color[j]:
                     sat[j] -= 1
         bit = 1 << c
-        gained = [j for j in nbrs[i] if not seen[j] & bit]
-        for j in gained:
-            seen[j] |= bit
-            if not color[j]:
-                sat[j] += 1
+        gained = []
+        for j in nbrs[i]:
+            if not seen[j] & bit:
+                seen[j] |= bit
+                gained.append(j)
+                if not color[j]:
+                    sat[j] += 1
         color[i], sat[i] = c, -1
-        path.append((i, c, max_used, gained))
-        max_used = max(max_used, c)
+        push((i, c, max_used, gained))
+        if c > max_used:
+            max_used, cap = c, c + 1 if c < k else k
 
 
 def color_2distance(g: Graph, k: int, budget: int | None = None) -> Coloring | None:
@@ -310,13 +330,26 @@ def color_2distance(g: Graph, k: int, budget: int | None = None) -> Coloring | N
     return out
 
 
-def _greedy_clique(adj: list[set[int]], seed: int) -> set[int]:
-    clique = {seed}
-    candidates = set(adj[seed])
+def _greedy_clique(masks: list[int], seed: int) -> int:
+    """A clique of the square containing ``seed``, as a bitmask: bit x of
+    ``masks[v]`` is set when x is a square-neighbor of v.  Each step adds
+    the candidate with the most candidate neighbors, the least on a tie;
+    one adjacent to all the others cannot be beaten, so the scan stops."""
+    clique, candidates = 1 << seed, masks[seed]
     while candidates:
-        v = max(candidates, key=lambda x: (len(adj[x] & candidates), -x))
-        clique.add(v)
-        candidates &= adj[v]
+        best = most = -1
+        rest, full = candidates, candidates.bit_count() - 1
+        while rest:  # the candidates in ascending order
+            low = rest & -rest
+            x = low.bit_length() - 1
+            count = (masks[x] & candidates).bit_count()
+            if count > most:
+                best, most = x, count
+                if count == full:
+                    break
+            rest ^= low
+        clique |= 1 << best
+        candidates &= masks[best]
     return clique
 
 
@@ -330,8 +363,9 @@ def chi2_exact(g: Graph, budget: int | None = None):
     """Exact 2-distance chromatic number, or a proven (low, high) interval
     if the node budget runs out first (a negative budget is a ValueError).
 
-    Lower bounds come from greedy cliques in the square (every closed
-    neighborhood of g is one such clique); upper bounds from DSATUR greedy.
+    Lower bounds come from greedy cliques in the square, on one bitmask per
+    vertex (every closed neighborhood of g is one such clique); upper bounds
+    from DSATUR greedy.
     The gap is closed by exact k-colorability decisions with peeling.
     """
     if budget is not None and budget < 0:
@@ -340,8 +374,9 @@ def chi2_exact(g: Graph, budget: int | None = None):
         return 0
     adj = square_adjacency(g)
     high = max(_greedy_square_coloring(adj, g.n).values())
+    masks = [sum(1 << w for w in nbrs) for nbrs in adj]
     seeds = sorted(range(g.n), key=lambda v: -len(adj[v]))[:8]
-    low = max(1, max(len(_greedy_clique(adj, s)) for s in seeds))
+    low = max(1, max(_greedy_clique(masks, s).bit_count() for s in seeds))
     counter = [0]
     for k in range(low, high):
         core, _ = _peel(adj, set(g.vertices()), k)

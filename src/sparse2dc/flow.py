@@ -18,9 +18,13 @@ class FlowNetwork:
         self.cap: list[int] = []
 
     def add_arc(self, u: int, v: int, capacity: int, reverse: int = 0) -> None:
-        """Arc u -> v with ``capacity``, paired with v -> u of ``reverse``."""
-        if capacity < 0 or reverse < 0:
-            raise ValueError("negative capacity")
+        """Arc u -> v with ``capacity``, paired with v -> u of ``reverse``.
+        A node outside 0..size-1 or a negative capacity is a ValueError, and
+        leaves the network unchanged."""
+        if capacity < 0 or reverse < 0 or not (0 <= u < self.size and 0 <= v < self.size):
+            bad = [x for x in (u, v) if not 0 <= x < self.size]
+            raise ValueError(f"node {bad[0]} outside 0..{self.size - 1}" if bad
+                             else "negative capacity")
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(capacity)
@@ -39,33 +43,41 @@ class FlowNetwork:
 
     def max_flow(self, s: int, t: int) -> int:
         """Exact max-flow value from s to t (Dinic's algorithm), augmenting
-        whatever flow the network already carries; returns the flow added."""
+        whatever flow the network already carries; returns the flow added.
+        A node outside 0..size-1, or s = t, is a ValueError."""
+        size = self.size
+        for x in (s, t):
+            if not 0 <= x < size:
+                raise ValueError(f"node {x} outside 0..{size - 1}")
+        if s == t:
+            raise ValueError(f"source and sink are both node {s}")
         head, to, cap = self.head, self.to, self.cap
         flow = 0
         while True:
             # BFS levels; nodes beyond t's level cannot lie on a shortest path
-            level = [-1] * self.size
+            level = [-1] * size
             level[s] = 0
             queue = [s]
             for u in queue:
                 next_level = level[u] + 1
                 for i in head[u]:
-                    v = to[i]
-                    if cap[i] and level[v] < 0:
-                        level[v] = next_level
-                        queue.append(v)
+                    if cap[i]:
+                        v = to[i]
+                        if level[v] < 0:
+                            level[v] = next_level
+                            queue.append(v)
                 if level[t] >= 0:
                     break
             if level[t] < 0:
                 return flow
             # blocking flow by depth-first search along the level graph;
             # ``it[u]`` skips the arcs of u already found saturated or dead
-            it = [0] * self.size
+            it = [0] * size
             path: list[int] = []
             u = s
             while True:
                 if u == t:
-                    pushed = min(cap[i] for i in path)
+                    pushed = min(map(cap.__getitem__, path))
                     for i in path:
                         cap[i] -= pushed
                         cap[i ^ 1] += pushed
@@ -78,15 +90,15 @@ class FlowNetwork:
                     u = to[i ^ 1]
                     continue
                 arcs = head[u]
-                j = it[u]
+                j, end = it[u], len(arcs)
                 next_level = level[u] + 1
-                while j < len(arcs):
+                while j < end:
                     i = arcs[j]
                     if cap[i] and level[to[i]] == next_level:
                         break
                     j += 1
                 it[u] = j
-                if j < len(arcs):
+                if j < end:
                     path.append(i)
                     u = to[i]
                 elif path:

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 from sparse2dc.coloring import (
     Coloring,
     SearchBudgetExceeded,
+    _greedy_clique,
     _greedy_square_coloring,
+    _local_violation,
     available_colors,
     chi2_exact,
     color_2distance,
@@ -138,6 +140,47 @@ class TestChi2:
             else:
                 low, high = below
                 assert low <= exact <= high
+
+
+def reference_clique(adj: list[set[int]], seed: int) -> set[int]:
+    """The greedy square clique as first written, on Python sets."""
+    clique = {seed}
+    candidates = set(adj[seed])
+    while candidates:
+        v = max(candidates, key=lambda x: (len(adj[x] & candidates), -x))
+        clique.add(v)
+        candidates &= adj[v]
+    return clique
+
+
+def bitmask_clique(adj: list[set[int]], seed: int) -> set[int]:
+    masks = [sum(1 << w for w in nbrs) for nbrs in adj]
+    clique = _greedy_clique(masks, seed)
+    return {x for x in range(len(adj)) if clique >> x & 1}
+
+
+class TestCliqueBound:
+    """The bitmask clique is the set clique, so every ``low`` is kept."""
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_squares(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        adj = square_adjacency(random_graph(rng, n, rng.uniform(0.02, 0.3)))
+        for v in range(n):
+            assert bitmask_clique(adj, v) == reference_clique(adj, v)
+
+    @pytest.mark.parametrize("g, chi2", [(cycle(5), 5), (petersen(), 10), (hoffman_singleton(), 50)],
+                             ids=["C5", "Petersen", "Hoffman-Singleton"])
+    def test_moore_fixtures(self, g, chi2):
+        adj = square_adjacency(g)
+        for v in g.vertices():
+            assert bitmask_clique(adj, v) == reference_clique(adj, v)
+        seeds = sorted(range(g.n), key=lambda v: -len(adj[v]))[:8]
+        low = max(len(reference_clique(adj, s)) for s in seeds)
+        assert low == max(len(bitmask_clique(adj, s)) for s in seeds) == chi2
+        assert chi2_exact(g) == chi2
 
 
 def random_cubic(rng: random.Random, n: int) -> Graph:
@@ -331,6 +374,75 @@ class TestListExtend:
         assert info.value.vertex in (0, 2)
         assert info.value.state == {0: (1,), 2: (1,)}
         assert partial.get(0) is None and partial.get(2) is None
+
+
+def reference_validity(g, c: Coloring):
+    """``is_valid_2distance`` as first written: all edges, then every pair
+    of neighbors."""
+    colors = c.colors
+    if not c.is_total(g):
+        missing = next(v for v in g.vertices() if v not in colors)
+        raise ValueError(f"coloring is partial (vertex {missing} unassigned)")
+    for u, v in g.edges():
+        if colors[u] == colors[v]:
+            return False, (u, v, 1)
+    for v in g.vertices():
+        nbrs = g.adjacency[v]
+        for i in range(len(nbrs)):
+            for j in range(i + 1, len(nbrs)):
+                a, b = nbrs[i], nbrs[j]
+                if colors[a] == colors[b] and b not in g.adjacency[a]:
+                    return False, ((a, b, 2) if a < b else (b, a, 2))
+    return True, None
+
+
+def reference_local(g, phi: Coloring, t):
+    """``_local_violation`` as first written: every N[x] scanned in order."""
+    around = set(t)
+    for v in t:
+        around.update(g.adjacency[v])
+    for x in sorted(around):
+        first: dict[int, int] = {}
+        for y in (x, *g.adjacency[x]):
+            c = phi.colors.get(y)
+            if c is None:
+                raise ValueError(f"coloring is partial (vertex {y} unassigned)")
+            if c in first:
+                u, v = sorted((first[c], y))
+                return u, v, 1 if g.has_edge(u, v) else 2
+            first[c] = y
+    return None
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as error:
+        return "ValueError", str(error)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_solver_checks_match_reference_loops(seed):
+    """On valid, invalid and partial colorings, both checks report the
+    first violation or the partial-coloring error the loops report, and
+    ``available_colors`` the same colors, v colored or not."""
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.1, 0.4))
+    k = rng.randint(1, 3 * g.n)
+    base = color_2distance(g, g.n) if rng.random() < 0.5 else None
+    colors = {v: (base.get(v) if base else rng.randint(1, k)) for v in g.vertices()}
+    for v in rng.sample(range(g.n), rng.randint(0, min(2, g.n))):
+        colors[v] = rng.randint(1, max(k, g.n))  # a recolor may clash
+    if rng.random() < 0.3:
+        del colors[rng.randrange(g.n)]
+    c = Coloring(max(colors.values(), default=1), colors)
+    assert outcome(is_valid_2distance, g, c) == outcome(reference_validity, g, c)
+    t = rng.sample(range(g.n), rng.randint(0, g.n))
+    assert outcome(_local_violation, g, c, t) == outcome(reference_local, g, c, t)
+    for v in g.vertices():
+        seen = {c.get(x) for x, d in bfs_distances(g, v).items() if 1 <= d <= 2}
+        assert available_colors(g, c, v) == [col for col in range(1, c.k + 1) if col not in seen]
 
 
 def test_parallel_calls_are_pure():
