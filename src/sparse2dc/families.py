@@ -114,6 +114,7 @@ def random_skeleton(
     if n < hub_degree + 1:
         raise ValueError("skeleton too small for the requested hub degree")
     edges = set()
+    degree = [0] * n
 
     def add(u: int, v: int) -> bool:
         if u == v:
@@ -122,31 +123,30 @@ def random_skeleton(
         if e in edges:
             return False
         edges.add(e)
+        degree[u] += 1
+        degree[v] += 1
         return True
 
     for e in _random_tree(rng, n):
         add(*e)
 
-    def degree(v: int) -> int:
-        return sum(1 for e in edges if v in e)
-
     hub = 0
     others = [v for v in range(n) if v != hub]
     rng.shuffle(others)
     for v in others:
-        if degree(hub) >= hub_degree:
+        if degree[hub] >= hub_degree:
             break
         add(hub, v)
 
     # pair up remaining degree-1 vertices so the minimum degree reaches 2
-    leaves = [v for v in range(n) if degree(v) == 1]
+    leaves = [v for v in range(n) if degree[v] == 1]
     rng.shuffle(leaves)
     for i in range(0, len(leaves) - 1, 2):
         if not add(leaves[i], leaves[i + 1]):
             add(leaves[i], rng.randrange(n))
     for v in range(n):
         tries = 0
-        while degree(v) < 2 and tries < 20:
+        while degree[v] < 2 and tries < 20:
             add(v, rng.randrange(n))
             tries += 1
 

@@ -108,7 +108,10 @@ class FlowNetwork:
                     break
 
     def source_side(self, s: int) -> frozenset[int]:
-        """Nodes reachable from s in the residual network (a min cut side)."""
+        """Nodes reachable from s in the residual network (a min cut side).
+        A node outside 0..size-1 is a ValueError."""
+        if not 0 <= s < self.size:
+            raise ValueError(f"node {s} outside 0..{self.size - 1}")
         head, to, cap = self.head, self.to, self.cap
         seen = {s}
         queue = [s]

@@ -73,10 +73,10 @@ class Graph:
         return v in self.adjacency[u]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max(map(len, self.adjacency), default=0)
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adjacency), default=0)
+        return min(map(len, self.adjacency), default=0)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -137,16 +137,6 @@ class PathDescriptor:
     @property
     def closed(self) -> bool:
         return self.endpoints[0] == self.endpoints[1]
-
-    def validate(self, g: Graph) -> None:
-        u, v = self.endpoints
-        chain = [u, *self.internal, v]
-        for x in self.internal:
-            if g.degree(x) != 2:
-                raise ValueError(f"internal vertex {x} has degree {g.degree(x)}")
-        for a, b in zip(chain, chain[1:]):
-            if not g.has_edge(a, b):
-                raise ValueError(f"missing path edge ({a},{b})")
 
 
 @dataclass(frozen=True)

@@ -81,7 +81,7 @@ class _Structure:
     A cycle of 2-vertices with no anchor is a loop run on its smallest
     vertex.  Without ``shrink`` every edge is a run."""
 
-    __slots__ = ("anchors", "node", "runs", "_where")
+    __slots__ = ("anchors", "node", "runs", "_where", "_starts")
 
     def __init__(self, g: Graph, shrink: bool, excluded: Iterable[int] = ()):
         adjacency = g.adjacency
@@ -93,7 +93,7 @@ class _Structure:
                 degree[w] -= 1
         inner = [shrink and alive[v] and degree[v] == 2 for v in range(g.n)]
         self.anchors = [v for v in g.vertices() if alive[v] and not inner[v]]
-        self.runs, self._where = [], None
+        self.runs, self._where, self._starts = [], None, None
         reverse = set()  # where the walk back along each run walked would start
         loops = []
         # then each 2-vertex no walk has reached when the scan gets to it:
@@ -123,6 +123,15 @@ class _Structure:
             self._where = {v: (r, i) for r, (_, _, run) in enumerate(self.runs)
                            for i, v in enumerate(run)}
         return self._where
+
+    def starts(self) -> dict[int, list[tuple[int, int, list[int]]]]:
+        """Anchor x -> (run number, z, inner) of each run (x, z, inner),
+        built on first use."""
+        if self._starts is None:
+            self._starts = {}
+            for r, (x, z, run) in enumerate(self.runs):
+                self._starts.setdefault(x, []).append((r, z, run))
+        return self._starts
 
 
 def _terminal(net: FlowNetwork, i: int, weight: int) -> int:
@@ -257,8 +266,8 @@ def _closure_minimum(
         cut += net.max_flow(0, 1)
     labels = structure.anchors + loose
     side = frozenset(labels[i - 2] for i in net.source_side(0) if i)
-    inside = [run for (x, z, run), gain in zip(structure.runs, gains)
-              if gain > 0 and x in side and z in side]
+    starts = structure.starts()
+    inside = [run for x in side for r, z, run in starts.get(x, ()) if gains[r] > 0 and z in side]
     inside += [piece for x, z, piece in pieces if x in side and z in side]
     return (cut - feed) // 2, side.union(*inside)
 

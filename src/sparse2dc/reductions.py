@@ -188,15 +188,19 @@ class _WorkGraph:
         self.dirty.add(v)
 
     def remove_edge(self, u: int, v: int) -> None:
-        if not self.has_edge(u, v):
+        a, b = self.adjacency[u], self.adjacency[v]
+        if v not in a:
             raise ValueError(f"edge {(u, v)} not present")
-        self._set(u, tuple(x for x in self.adjacency[u] if x != v))
-        self._set(v, tuple(x for x in self.adjacency[v] if x != u))
+        i, j = a.index(v), b.index(u)
+        self._set(u, a[:i] + a[i + 1:])
+        self._set(v, b[:j] + b[j + 1:])
         self.m -= 1
 
     def remove_vertex(self, v: int) -> None:
         for w in self.adjacency[v]:
-            self._set(w, tuple(x for x in self.adjacency[w] if x != v))
+            a = self.adjacency[w]
+            i = a.index(v)
+            self._set(w, a[:i] + a[i + 1:])
         self.m -= self.degree(v)
         self._set(v, ())
         del self._ids[bisect_left(self._ids, v)]
@@ -205,7 +209,7 @@ class _WorkGraph:
     def add_path(self, u: int, v: int, k: int) -> range:
         """Join u and v by a path through k fresh vertices; their ids."""
         fresh = range(self.n, self.n + k)
-        self.adjacency.extend(() for _ in fresh)
+        self.adjacency += [()] * k
         self._ids.extend(fresh)
         self.n += k
         chain = [u, *fresh, v]
@@ -221,9 +225,9 @@ class _WorkGraph:
         for v, adj in saved.items():
             self.adjacency[v] = adj
         del self.adjacency[n:]
-        del self._ids[len(self._ids) - (self.n - n):]
         for v in gone:
             insort(self._ids, v)
+        del self._ids[bisect_left(self._ids, n):]  # the fresh ids, live or removed
         self.n, self.m = n, m
         self._index = None
 
@@ -232,10 +236,8 @@ class _WorkGraph:
 # run bookkeeping
 
 #: The worklists, one per structural run detector, that runs of each
-#: length feed (4 stands for 4 or more).
-_WORKLISTS = {
-    2: ("TwoPathBadEnds", "TwoPathChord"), 3: ("ThreePathBadEnd",), 4: ("FourPlusPath",)
-}
+#: length 0..4 feed (4 stands for 4 or more).
+_WORKLISTS = ((), (), ("TwoPathBadEnds", "TwoPathChord"), ("ThreePathBadEnd",), ("FourPlusPath",))
 
 
 class _RunIndex:
@@ -266,7 +268,7 @@ class _RunIndex:
         self.ds: dict[int, int] = {}  # the d* values read so far
         self.pendants: list[int] = []
         self.found: Configuration | None = None
-        self.worklists = {name: [] for names in _WORKLISTS.values() for name in names}
+        self.worklists = {name: [] for names in _WORKLISTS for name in names}
         self._walk(g.vertices())
 
     def sync(self) -> None:
@@ -276,19 +278,19 @@ class _RunIndex:
             return
         g.dirty = set()
         self.found = None
-        run_of, ds = self.run_of, self.ds
+        run_at, forget, cycle_of, adj = self.run_of.get, self.ds.pop, self.cycle_of, g.adjacency
         for x in dirty:
             # an edit changes d* only at the vertices it touches and next to them
-            ds.pop(x, None)
-            for z in self.cycle_of.get(x, ()):
-                del self.cycle_of[z]
-            r = run_of.get(x)
+            forget(x, None)
+            for z in cycle_of.get(x, ()):
+                del cycle_of[z]
+            r = run_at(x)
             if r is not None:
                 self._drop(r)
-            nbrs = g.adjacency[x]
+            nbrs = adj[x]
             for y in nbrs:
-                ds.pop(y, None)
-                r = run_of.get(y)
+                forget(y, None)
+                r = run_at(y)
                 if r is None:
                     continue
                 if len(nbrs) == 2:  # x was an anchor of r: its runs merge
@@ -322,8 +324,7 @@ class _RunIndex:
         self.from_edge[(u, ints[0])] = (ints, v)
         self.from_edge[(v, ints[-1])] = (ints[::-1], u)
         r = _canonical_run(u, v, internal)
-        for x in ints:
-            self.run_of[x] = r
+        self.run_of.update(dict.fromkeys(ints, r))
         if len(ints) == 3 and u != v:
             self.three_adj.setdefault(u, []).append((v, r))
             self.three_adj.setdefault(v, []).append((u, r))
@@ -341,7 +342,7 @@ class _RunIndex:
                     del self.three_adj[a]
 
     def _push(self, r: PathDescriptor) -> None:
-        for name in _WORKLISTS.get(min(len(r.internal), 4), ()):
+        for name in _WORKLISTS[min(len(r.internal), 4)]:
             heapq.heappush(self.worklists[name], (r.endpoints, r.internal))
 
     def holds(self, r) -> bool:
@@ -785,17 +786,18 @@ def _apply_degree_one(g, cfg):
     and every other vertex within distance 2 of it is colored alike.
     """
     v, u = cfg.data["v"], cfg.data["u"]
-    idx = g.run_index()
+    adj, heap, live = g.adjacency, g.run_index().pendants, len(g.vertices())
     dropped = []
-    while True:
+    while True:  # only edges go, so the live count stays and size() is live + m
         g.remove_edge(v, u)
         dropped.append((v, u))
-        if g.degree(u) == 1:
-            heapq.heappush(idx.pendants, u)
-        v = idx.pendant()
-        if v is None or g.size() <= BASE_THRESHOLD:
+        if len(adj[u]) == 1:
+            heapq.heappush(heap, u)
+        while heap and len(adj[heap[0]]) != 1:
+            heapq.heappop(heap)
+        if not heap or live + g.m <= BASE_THRESHOLD:
             break
-        u = g.adjacency[v][0]
+        v, u = heap[0], adj[heap[0]][0]
     recorded = {"removed_edges": tuple(dropped)}
     order = tuple(v for v, _ in reversed(dropped))
     return Reduction(g, (), (), "greedy", recorded, {"order": order})
@@ -1103,11 +1105,25 @@ def _dense(red: Reduction) -> Reduction:
 
 
 def _greedy_seq(g: Graph, phi: Coloring, order, tag: str) -> None:
+    """Color ``order`` in turn, each with the first of ``available_colors``."""
+    colors, adjacency, get = phi.colors, g.adjacency, phi.colors.get
+    touched = phi.touched if isinstance(phi, _Tracked) else set()
     for v in order:
-        avail = available_colors(g, phi, v)
-        if not avail:
+        own = colors.pop(v, None)  # v's own color does not block it
+        used = set()
+        for w in adjacency[v]:
+            used.add(get(w))
+            for x in adjacency[w]:
+                used.add(get(x))
+        c = 1
+        while c in used:
+            c += 1
+        if c > phi.k:
+            if own is not None:
+                colors[v] = own
             raise ExtensionError(tag, v, seen_colors(g, phi, v))
-        phi.set(v, avail[0])
+        colors[v] = c
+        touched.add(v)
 
 
 def _sdr_seq(g: Graph, phi: Coloring, targets, tag: str) -> None:

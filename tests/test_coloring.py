@@ -34,7 +34,7 @@ from sparse2dc.families import (
     star,
 )
 from sparse2dc.graph import Graph, subdivide
-from sparse2dc.reductions import ExtensionError, _greedy_seq, _sdr_seq
+from sparse2dc.reductions import ExtensionError, _greedy_seq, _sdr_seq, _Tracked
 
 from conftest import bfs_distances, random_graph
 
@@ -325,6 +325,15 @@ class TestHall:
         assert hall_check(lists) == sdr_oracle(lists)
 
 
+def greedy_seq_reference(g, phi, order, tag):
+    """The greedy extension step as first written, one color list per vertex."""
+    for v in order:
+        avail = available_colors(g, phi, v)
+        if not avail:
+            raise ExtensionError(tag, v, seen_colors(g, phi, v))
+        phi.set(v, avail[0])
+
+
 class TestListExtend:
     """The solver's two list extensions: ``_greedy_seq`` colors vertices in
     order with the smallest free color, ``_sdr_seq`` colors a set of
@@ -344,6 +353,30 @@ class TestListExtend:
         assert info.value.vertex == 0
         assert set(info.value.state.values()) == set(range(1, 8))
         assert partial.get(0) is None
+
+    def test_greedy_step_matches_the_list_built_reference(self):
+        """The one-loop greedy step colors, touches and blocks exactly as
+        the first-of-``available_colors`` loop it replaced, on palettes of
+        3 to 8 colors, with vertices of the order colored or not."""
+        rng = random.Random(26)
+        outcomes = set()
+        for trial in range(600):
+            g = random_graph(rng, rng.randint(1, 14), rng.choice((0.15, 0.3, 0.5)))
+            k = 3 + trial % 6
+            start = {v: rng.randint(1, k) for v in g.vertices() if rng.random() < 0.5}
+            order = rng.sample(range(g.n), rng.randint(0, g.n))
+            runs = []
+            for greedy in (_greedy_seq, greedy_seq_reference):
+                phi = _Tracked(k, start)
+                try:
+                    greedy(g, phi, order, "greedy")
+                    blocked = None
+                except ExtensionError as e:
+                    blocked = (e.tag, e.vertex, e.state)
+                runs.append((phi.colors, phi.touched, blocked))
+            assert runs[0] == runs[1]
+            outcomes.add(runs[0][2] is None)
+        assert outcomes == {True, False}
 
     def test_available_colors_skip_every_color_within_distance_two(self):
         rng = random.Random(29)

@@ -91,6 +91,14 @@ def test_bad_terminals_rejected(s, t, message):
     assert net.cap == [4, 0]
 
 
+@pytest.mark.parametrize("s", [-1, 5])
+def test_bad_source_side_node_rejected(s):
+    net = FlowNetwork(2)
+    net.add_arc(0, 1, 4)
+    with pytest.raises(ValueError, match=f"node {s} outside 0..1"):
+        net.source_side(s)
+
+
 def reference_max_flow(net: FlowNetwork, s: int, t: int) -> int:
     """Dinic's loop as first written, kept to pin the augmenting order."""
     head, to, cap = net.head, net.to, net.cap

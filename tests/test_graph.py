@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse2dc.families import complete, cycle, path, petersen, star
+from sparse2dc.families import (
+    _random_tree,
+    complete,
+    cycle,
+    path,
+    petersen,
+    random_skeleton,
+    star,
+)
 from sparse2dc.graph import (
     INFINITE_GIRTH,
     Graph,
@@ -253,7 +261,12 @@ class TestRuns:
         two_vertices = [v for v in g.vertices() if g.degree(v) == 2]
         assert sorted(seen) == sorted(two_vertices)
         for r in runs:
-            r.validate(g)
+            u, v = r.endpoints
+            chain = [u, *r.internal, v]
+            for x in r.internal:
+                assert g.degree(x) == 2
+            for a, b in zip(chain, chain[1:]):
+                assert g.has_edge(a, b)
 
 
 class TestVertexSignature:
@@ -362,3 +375,69 @@ def test_three_path_middle_reach():
 
     g = spider(3, 4)  # legs 0-1-2-3-4; vertex 2 is a 3-run middle
     assert d_star(g, 2) == 4
+
+
+def random_skeleton_reference(rng, n, hub_degree, extra_edges):
+    """``random_skeleton`` as first written, counting each degree by a scan
+    of the edge set."""
+    if n < hub_degree + 1:
+        raise ValueError("skeleton too small for the requested hub degree")
+    edges = set()
+
+    def add(u, v):
+        if u == v:
+            return False
+        e = (min(u, v), max(u, v))
+        if e in edges:
+            return False
+        edges.add(e)
+        return True
+
+    for e in _random_tree(rng, n):
+        add(*e)
+
+    def degree(v):
+        return sum(1 for e in edges if v in e)
+
+    hub = 0
+    others = [v for v in range(n) if v != hub]
+    rng.shuffle(others)
+    for v in others:
+        if degree(hub) >= hub_degree:
+            break
+        add(hub, v)
+    leaves = [v for v in range(n) if degree(v) == 1]
+    rng.shuffle(leaves)
+    for i in range(0, len(leaves) - 1, 2):
+        if not add(leaves[i], leaves[i + 1]):
+            add(leaves[i], rng.randrange(n))
+    for v in range(n):
+        tries = 0
+        while degree(v) < 2 and tries < 20:
+            add(v, rng.randrange(n))
+            tries += 1
+    for _ in range(extra_edges):
+        add(rng.randrange(n), rng.randrange(n))
+    return Graph(n, sorted(edges))
+
+
+def test_skeleton_generator_matches_the_edge_scan_reference():
+    """Kept degree counts build the same skeletons from the same draws and
+    leave the generator where the edge-scanning version left it."""
+    sizes = random.Random(26)
+    for seed in range(300):
+        hub = sizes.randint(2, 7)
+        n, extra = sizes.randint(hub + 1, 60), sizes.randint(0, 4)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        g = random_skeleton(ours, n, hub, extra)
+        assert g == random_skeleton_reference(theirs, n, hub, extra)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_degree_extremes_match_a_scan():
+    rng = random.Random(26)
+    assert (Graph(0, []).max_degree(), Graph(0, []).min_degree()) == (0, 0)
+    for _ in range(50):
+        g = random_graph(rng, rng.randint(1, 12), 0.3)
+        degrees = [g.degree(v) for v in g.vertices()]
+        assert (g.max_degree(), g.min_degree()) == (max(degrees), min(degrees))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 
@@ -1418,6 +1419,93 @@ def _apply_degree_one_per_edge(g, cfg):
     """The single-edge DegreeOne surgery that batched peeling replaced."""
     v, u = cfg.data["v"], cfg.data["u"]
     return _edge_removal(g, [(v, u)], "greedy", {"order": (v,)})
+
+
+class ReferenceWorkGraph(_WorkGraph):
+    """The working graph's edits as first written: each new adjacency is
+    filtered from the old one through ``_set``."""
+
+    __slots__ = ()
+
+    def remove_edge(self, u, v):
+        if not self.has_edge(u, v):
+            raise ValueError(f"edge {(u, v)} not present")
+        self._set(u, tuple(x for x in self.adjacency[u] if x != v))
+        self._set(v, tuple(x for x in self.adjacency[v] if x != u))
+        self.m -= 1
+
+    def remove_vertex(self, v):
+        for w in self.adjacency[v]:
+            self._set(w, tuple(x for x in self.adjacency[w] if x != v))
+        self.m -= self.degree(v)
+        self._set(v, ())
+        del self._ids[bisect_left(self._ids, v)]
+        self._log[-1][3].append(v)
+
+
+class TestWorkGraphEdits:
+    """Random edit sequences on the working graph agree, after every
+    operation, with an edge-set model and with the filter-built edits."""
+
+    @staticmethod
+    def state(wg):
+        return (list(wg.adjacency), wg.n, wg.m, list(wg._ids), list(wg.dirty),
+                [(n, m, dict(saved), list(gone)) for n, m, saved, gone in wg._log])
+
+    def test_edits_match_the_model_and_the_reference(self):
+        rng = random.Random(26)
+        counts = Counter()
+        for trial in range(150):
+            g = random_sparse_graph(rng, rng.randint(2, 16), extra=rng.randint(0, 6))
+            ours, theirs = _WorkGraph(g), ReferenceWorkGraph(g)
+            edges, live = set(g.edges()), set(g.vertices())
+            stack = []  # per open step: the model and the adjacency at ``begin``
+            for _ in range(40):
+                op = rng.choice(("begin", "edge", "missing", "vertex", "path", "undo"))
+                if op == "begin" or not stack:
+                    op = "begin"
+                    stack.append((set(edges), set(live), list(ours.adjacency)))
+                    for wg in (ours, theirs):
+                        wg.begin()
+                elif op == "undo":
+                    edges, live, before = stack.pop()
+                    for wg in (ours, theirs):
+                        wg.undo()
+                    assert all(a is b for a, b in zip(ours.adjacency, before, strict=True))
+                elif op == "edge" and edges:
+                    u, v = rng.choice(sorted(edges))
+                    u, v = (u, v) if rng.random() < 0.5 else (v, u)
+                    edges.discard((min(u, v), max(u, v)))
+                    for wg in (ours, theirs):
+                        wg.remove_edge(u, v)
+                elif op == "missing":
+                    u, v = rng.randrange(ours.n), rng.randrange(ours.n)
+                    if (min(u, v), max(u, v)) in edges:
+                        continue
+                    before = self.state(ours)
+                    with pytest.raises(ValueError, match=re.escape(f"edge {(u, v)} not present")):
+                        ours.remove_edge(u, v)
+                    assert self.state(ours) == before
+                elif op == "vertex" and live:
+                    v = rng.choice(sorted(live))
+                    live.discard(v)
+                    edges = {e for e in edges if v not in e}
+                    for wg in (ours, theirs):
+                        wg.remove_vertex(v)
+                elif op == "path" and len(live) >= 2:
+                    u, v = rng.sample(sorted(live), 2)
+                    k = rng.randint(0 if (min(u, v), max(u, v)) not in edges else 1, 3)
+                    chain = [u, *range(ours.n, ours.n + k), v]
+                    for wg in (ours, theirs):
+                        wg.add_path(u, v, k)
+                    live.update(chain)
+                    edges.update((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
+                counts[op] += 1
+                assert self.state(ours) == self.state(theirs)
+                assert ours.adjacency == list(Graph(ours.n, sorted(edges)).adjacency)
+                assert all(list(a) == sorted(a) for a in ours.adjacency)
+                assert (ours.m, ours.vertices()) == (len(edges), sorted(live))
+        assert min(counts.values()) >= 200
 
 
 class TestBatchedPeeling:
