@@ -36,7 +36,6 @@ from .graph import (
     PathDescriptor,
     _canonical_run,
     _walk_run,
-    connected_components,
     d_star,
     degree_two_runs,
     remove_vertices,
@@ -160,6 +159,12 @@ class _WorkGraph:
 
     def vertices(self) -> list[int]:
         return self._ids
+
+    def max_degree(self) -> int:  # live ids only: a removed id is no 0-vertex
+        return max(map(len, map(self.adjacency.__getitem__, self._ids)), default=0)
+
+    def min_degree(self) -> int:
+        return min(map(len, map(self.adjacency.__getitem__, self._ids)), default=0)
 
     edge_count_inside = Graph.edge_count_inside
 
@@ -1138,9 +1143,9 @@ def _sdr_seq(g: Graph, phi: Coloring, targets, tag: str) -> None:
 
 
 def _extend_greedy(g, red, phi):
-    order = red.detail["order"]
-    for v in order:
-        phi.unset(v)
+    order, pop = red.detail["order"], phi.colors.pop
+    for v in order:  # _greedy_seq touches each vertex it colors
+        pop(v, None)
     _greedy_seq(g, phi, order, red.tag)
 
 
@@ -1532,29 +1537,32 @@ def classify_vertices(g: Graph) -> VertexClasses:
 # the constructive solver
 
 
-def _base_color(g: Graph) -> Coloring:
-    """Color a residual graph on which no configuration fires."""
-    phi = Coloring(PALETTE)
-    if g.n == 0:
-        return phi
-    if g.n + g.m <= BASE_THRESHOLD:
-        c = color_2distance(g, PALETTE)
+def _base_color(g: _WorkGraph) -> dict[int, int]:
+    """Color the residual working graph, on which no configuration fires,
+    by stable id: an isolated vertex 1, a cycle of 2-vertices by
+    ``cycle_pattern``, any other component by search on its snapshot."""
+    if g.size() <= BASE_THRESHOLD:
+        h, remap = remove_vertices(g, ())
+        c = color_2distance(h, PALETTE)
         if c is None:
             raise ConstructiveFailure("exhaustive base case found no 8-coloring")
-        return c
-    _, cycles = degree_two_runs(g)
-    cycle_by_set = {frozenset(c): c for c in cycles}
-    for comp in connected_components(g):
-        if len(comp) == 1:
-            phi.set(comp[0], 1)
+        return {v: c.colors[remap[v]] for v in g.vertices()}
+    colors: dict[int, int] = {}
+    for ring in degree_two_runs(g)[1]:
+        colors.update(zip(ring, cycle_pattern(len(ring))))
+    adj = g.adjacency
+    for v in g.vertices():
+        if v in colors:
             continue
-        key = frozenset(comp)
-        if key in cycle_by_set:
-            ring = cycle_by_set[key]
-            for v, c in zip(ring, cycle_pattern(len(ring))):
-                phi.set(v, c)
+        if not adj[v]:
+            colors[v] = 1
             continue
-        sub, remap = remove_vertices(g, set(g.vertices()) - key)
+        comp, todo = {v}, [v]
+        while todo:
+            new = set(adj[todo.pop()]) - comp
+            comp |= new
+            todo += new
+        sub, remap = remove_vertices(g, set(g.vertices()) - comp)
         if sub.max_degree() == 7:
             raise InternalContradiction(
                 "no configuration fires on an irreducible max-degree-7 component"
@@ -1564,9 +1572,9 @@ def _base_color(g: Graph) -> Coloring:
             raise ConstructiveFailure(
                 "irreducible low-degree component admits no 8-coloring"
             )
-        for v in comp:
-            phi.set(v, c.get(remap[v]))
-    return phi
+        for x in comp:
+            colors[x] = c.colors[remap[x]]
+    return colors
 
 
 def constructive_color(g: Graph | _WorkGraph, verify_preconditions: bool = True) -> Coloring:
@@ -1576,8 +1584,8 @@ def constructive_color(g: Graph | _WorkGraph, verify_preconditions: bool = True)
     density at most 18/7, which holds exactly when no vertex set has a
     negative potential.  Emits InternalContradiction if no detector fires
     on a non-base max-degree-7 instance, which the underlying result rules
-    out.  ``g`` may be a working graph that only detection has read yet, so
-    a caller that detected first shares its run index; the coloring is of,
+    out.  ``g`` may be a working graph that only detection or classification
+    has read yet, so such a caller shares its run index; the coloring is of,
     and validated against, the ``Graph`` it was built from.
     """
     wg = g if isinstance(g, _WorkGraph) else _WorkGraph(g)
@@ -1593,9 +1601,7 @@ def constructive_color(g: Graph | _WorkGraph, verify_preconditions: bool = True)
         if cfg is None:
             break
         steps.append((cfg, apply_reduction(wg, cfg)))
-    base, remap = remove_vertices(wg, ())
-    colors = _base_color(base).colors
-    phi = _Tracked(PALETTE, {v: colors[remap[v]] for v in wg.vertices()})
+    phi = _Tracked(PALETTE, _base_color(wg))
     for cfg, red in reversed(steps):
         phi = extend_coloring(wg, cfg, red, phi)
     phi = Coloring(PALETTE, phi.colors)

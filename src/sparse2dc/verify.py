@@ -341,7 +341,7 @@ def hunt(
         if g.max_degree() > 7 or (g.m and rho_star(g, ()).value < 0):
             continue
         pure_cycle = g.n and all(g.degree(v) == 2 for v in g.vertices())
-        wg = _WorkGraph(g)  # the coverage check and the solve share its run index
+        wg = _WorkGraph(g)  # every check reads its one run index
         if g.min_degree() >= 2 and not pure_cycle and g.max_degree() == 7:
             try:
                 if detect_configuration(wg) is None:
@@ -349,23 +349,26 @@ def hunt(
             except Exception as exc:
                 _record_finding(report, g, "coverage", _named(exc))
                 wg = _WorkGraph(g)
+        later = []  # the discharge's findings, reported after the coloring's
+        if g.n and g.min_degree() >= 2:  # discharged before the solve edits wg
+            try:
+                total = run_discharge(wg).total_final()
+            except ForestOfStarsError:  # the charge rules do not apply
+                pass
+            except Exception as exc:
+                later.append(("discharge", _named(exc)))
+                wg = _WorkGraph(g)
+            else:
+                if total != 28 * g.m - 36 * g.n:
+                    later.append(("conservation", "total drifted"))
+                if total > 0:
+                    later.append(("conservation", "positive total"))
         try:  # constructive_color validates its coloring and raises if it fails
             constructive_color(wg, verify_preconditions=False)
         except Exception as exc:
             _record_finding(report, g, "coloring", _named(exc))
-        if g.n and g.min_degree() >= 2 and g.max_degree() <= 7:
-            try:
-                ledger = run_discharge(g)
-            except ForestOfStarsError:  # the charge rules do not apply
-                ledger = None
-            except Exception as exc:
-                _record_finding(report, g, "discharge", _named(exc))
-                ledger = None
-            if ledger is not None:
-                if ledger.total_final() != 28 * g.m - 36 * g.n:
-                    _record_finding(report, g, "conservation", "total drifted")
-                if ledger.total_final() > 0:
-                    _record_finding(report, g, "conservation", "positive total")
+        for check, detail in later:
+            _record_finding(report, g, check, detail)
     if findings_dir is not None and report.findings:
         path = Path(findings_dir)
         path.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from sparse2dc.graph import (
     Graph,
     PathDescriptor,
     _walk_run as walk_run,
+    connected_components,
     d_star,
     degree_two_runs,
     girth,
@@ -1115,6 +1116,164 @@ class TestBaseComponents:
         assert detect_configuration(g) is None
         phi = constructive_color(g, verify_preconditions=False)
         assert is_valid_2distance(g, phi)[0] and phi.is_total(g)
+
+
+def reference_base_color(g: Graph) -> Coloring:
+    """``_base_color`` as it was, on a whole ``Graph`` snapshot of the
+    residual: one component at a time."""
+    phi = Coloring(8)
+    if g.n == 0:
+        return phi
+    if g.n + g.m <= BASE_THRESHOLD:
+        c = color_2distance(g, 8)
+        if c is None:
+            raise ConstructiveFailure("exhaustive base case found no 8-coloring")
+        return c
+    _, cycles = degree_two_runs(g)
+    cycle_by_set = {frozenset(c): c for c in cycles}
+    for comp in connected_components(g):
+        if len(comp) == 1:
+            phi.set(comp[0], 1)
+            continue
+        key = frozenset(comp)
+        if key in cycle_by_set:
+            ring = cycle_by_set[key]
+            for v, c in zip(ring, cycle_pattern(len(ring))):
+                phi.set(v, c)
+            continue
+        sub, remap = remove_vertices(g, set(g.vertices()) - key)
+        if sub.max_degree() == 7:
+            raise InternalContradiction(
+                "no configuration fires on an irreducible max-degree-7 component"
+            )
+        c = color_2distance(sub, 8, budget=5_000_000)
+        if c is None:
+            raise ConstructiveFailure(
+                "irreducible low-degree component admits no 8-coloring"
+            )
+        for v in comp:
+            phi.set(v, c.get(remap[v]))
+    return phi
+
+
+def gapped_residual(rng, pieces) -> _WorkGraph:
+    """A working graph whose live part is the ``pieces``, with gaps in its
+    ids: removed ghost vertices sit between and next to them, and some
+    cycles close through fresh ids.  A piece is "isolated", ("cycle", L),
+    ("low", n) (a random connected graph of maximum degree at most 6),
+    "seven" (the star K_{1,7}), "star8" (K_{1,8}) or "petersen"."""
+    b = fx.GraphBuilder()
+    ghosts, closes = [], []
+
+    def place(n, edges):
+        ids = [b.vertex() for _ in range(n)]
+        rng.shuffle(ids)
+        for u, v in edges:
+            b.edge(ids[u], ids[v])
+        return ids
+
+    for piece in pieces:
+        for _ in range(rng.randint(0, 2)):
+            ghost = b.vertex()
+            ghosts.append(ghost)
+            if ghost and rng.random() < 0.5:  # its removal edits a neighbour
+                b.edge(rng.randrange(ghost), ghost)
+        kind, size = piece if isinstance(piece, tuple) else (piece, 0)
+        if kind == "isolated":
+            place(1, [])
+        elif kind == "cycle":
+            fresh = rng.randint(0, size - 2)
+            ids = place(size - fresh, [(i, i + 1) for i in range(size - fresh - 1)])
+            if fresh:
+                closes.append((ids[-1], ids[0], fresh))
+            else:
+                b.edge(ids[-1], ids[0])
+        elif kind == "low":
+            deg = [0] * size
+            edges = []
+            for v in range(1, size):
+                u = rng.choice([u for u in range(v) if deg[u] < 6])
+                edges.append((u, v))
+                deg[u] += 1
+                deg[v] += 1
+            for _ in range(2):
+                u, v = rng.sample(range(size), 2)
+                if max(deg[u], deg[v]) < 6 and (u, v) not in edges and (v, u) not in edges:
+                    edges.append((u, v))
+                    deg[u] += 1
+                    deg[v] += 1
+            place(size, edges)
+        elif kind in ("seven", "star8"):
+            leaves = 7 if kind == "seven" else 8
+            place(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+        else:
+            place(10, petersen().edges())
+    wg = _WorkGraph(b.build())
+    wg.begin()
+    for ghost in ghosts:
+        wg.remove_vertex(ghost)
+    for u, v, k in closes:
+        wg.add_path(u, v, k)
+    return wg
+
+
+class TestBaseCase:
+    """The base case colors the residual working graph in place, by stable
+    id, exactly as the whole-snapshot version did."""
+
+    @staticmethod
+    def outcome(color, wg):
+        try:
+            return color(wg)
+        except (InternalContradiction, ConstructiveFailure) as exc:
+            return type(exc).__name__, str(exc)
+
+    @staticmethod
+    def by_snapshot(wg):
+        h, remap = remove_vertices(wg, ())
+        colors = reference_base_color(h).colors
+        return {v: colors[remap[v]] for v in wg.vertices()}
+
+    def test_colors_as_the_snapshot_did(self, monkeypatch):
+        from sparse2dc import reductions
+
+        cuts = []
+        cut = reductions.remove_vertices
+
+        def counted_cut(g, drop):
+            cuts.append(frozenset(g.vertices()) - frozenset(drop))  # the kept ids
+            return cut(g, drop)
+
+        monkeypatch.setattr(reductions, "remove_vertices", counted_cut)
+        rng = random.Random(27)
+        seen = Counter()
+        for trial in range(160):
+            pieces = ["isolated"] * rng.randint(0, 6)
+            pieces += [("cycle", rng.randint(3, 12)) for _ in range(rng.randint(0, 3))]
+            pieces += [("low", rng.randint(3, 9)) for _ in range(rng.randint(0, 2))]
+            pieces += rng.sample(["seven", "petersen", "star8"], rng.choice((0, 0, 0, 1, 2)))
+            rng.shuffle(pieces)
+            wg = gapped_residual(rng, pieces)
+            cuts.clear()
+            got = self.outcome(reductions._base_color, wg)
+            assert got == self.outcome(self.by_snapshot, wg), pieces
+            small = wg.size() <= BASE_THRESHOLD
+            seen[small, got if isinstance(got, tuple) else "colored"] += 1
+            if not small:  # each search cuts out its component, and nothing else
+                h, ids = remove_vertices(wg, ())
+                live = {new: old for old, new in ids.items()}
+                searched = {frozenset(map(live.get, c)) for c in connected_components(h)
+                            if len(c) > 1 and any(h.degree(v) != 2 for v in c)}
+                assert len(set(cuts)) == len(cuts) and set(cuts) <= searched
+                assert set(cuts) == searched or not isinstance(got, dict)
+        assert set(seen) == {
+            (True, "colored"), (False, "colored"),
+            (True, ("ConstructiveFailure", "exhaustive base case found no 8-coloring")),
+            (False, ("ConstructiveFailure",
+                     "irreducible low-degree component admits no 8-coloring")),
+            (False, ("InternalContradiction",
+                     "no configuration fires on an irreducible max-degree-7 component")),
+        }, seen
 
 
 class TestBoundaryFuzz:

@@ -1,5 +1,6 @@
 """Corpus records, theorem verdicts, the hunt, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -118,36 +119,61 @@ class TestHunt:
         assert report.ok, report.findings
 
     def test_one_run_index_per_solved_instance(self, monkeypatch):
-        """The coverage check and the solve share one working graph, so each
-        solved instance walks its runs into one ``_RunIndex``; classification
-        walks the discharged ``Graph`` into one more."""
+        """Coverage, discharge and solve share one working graph, so each
+        instance walks its runs into exactly one ``_RunIndex``.  At Δ = 7
+        the coverage check builds it; on pure cycles and at Δ < 7, where
+        coverage is skipped, the discharge builds it and the solve reuses
+        it."""
         from sparse2dc import reductions, verify
 
-        built, solved, discharged = [], [], []
-        index_init, solve = reductions._RunIndex.__init__, verify.constructive_color
-        discharge = verify.run_discharge
+        phase = [None]
+        built, solved, discharged = [], [], []  # built: (graph, phase)
+        index_init = reductions._RunIndex.__init__
 
         def counted_index(self, g):
-            built.append(g)
+            built.append((g, phase[0]))
             index_init(self, g)
 
-        def counted_solve(g, **kwargs):
-            solved.append(g)
-            return solve(g, **kwargs)
-
-        def counted_discharge(g):
-            discharged.append(g)
-            return discharge(g)
+        def in_phase(name, log, call):
+            def wrapper(g, *args, **kwargs):
+                log.append(g)
+                phase[0] = name
+                try:
+                    return call(g, *args, **kwargs)
+                finally:
+                    phase[0] = None
+            return wrapper
 
         monkeypatch.setattr(reductions._RunIndex, "__init__", counted_index)
-        monkeypatch.setattr(verify, "constructive_color", counted_solve)
-        monkeypatch.setattr(verify, "run_discharge", counted_discharge)
-        report = hunt(seed=1, budget=8)
-        assert report.ok, report.findings
-        assert len(solved) == report.instances and discharged
-        assert [sum(g is wg for g in built) for wg in solved] == [1] * len(solved)
-        assert [sum(b is g for b in built) for g in discharged] == [1] * len(discharged)
-        assert len(built) == len(solved) + len(discharged)
+        monkeypatch.setattr(verify, "detect_configuration",
+                            in_phase("coverage", [], verify.detect_configuration))
+        monkeypatch.setattr(verify, "run_discharge",
+                            in_phase("discharge", discharged, verify.run_discharge))
+        monkeypatch.setattr(verify, "constructive_color",
+                            in_phase("solve", solved, verify.constructive_color))
+        def builder(g):  # the first check to read the instance's runs
+            if g.min_degree() < 2:
+                return "solve"
+            pure_cycle = all(g.degree(v) == 2 for v in g.vertices())
+            return "coverage" if g.max_degree() == 7 and not pure_cycle else "discharge"
+
+        seen = set()
+        for spec, kind in ((None, "mixed"),
+                           ({"kind": "subdivision", "hub_degree": 6}, "Δ = 6"),
+                           ({"kind": "subdivision", "hub_degree": 2}, "pure cycles")):
+            built.clear(), solved.clear(), discharged.clear()
+            report = hunt(seed=1, budget=8, spec=spec)
+            assert report.ok, report.findings
+            assert len(solved) == report.instances >= 6
+            expected = [[builder(wg.graph)] for wg in solved]
+            assert [[p for b, p in built if b is wg] for wg in solved] == expected
+            assert len(built) == len(solved)
+            assert discharged and all(any(d is wg for wg in solved) for d in discharged)
+            seen.update((kind, p) for [p] in expected)
+            if kind == "pure cycles":
+                assert all(wg.graph.max_degree() == 2 == wg.graph.min_degree() for wg in solved)
+        assert seen == {("mixed", "coverage"), ("mixed", "solve"),
+                        ("Δ = 6", "discharge"), ("pure cycles", "discharge")}
 
     def test_the_solve_reuses_the_coverage_detection(self, monkeypatch):
         """The solve's first detection on the working graph the coverage
@@ -321,6 +347,146 @@ class TestHuntChecks:
         found = self.findings(report, "conservation")
         assert found and len(found) == len(report.findings)
         assert [f["detail"] for f in found] == details * (len(found) // len(details))
+
+
+class TestHuntReport:
+    """The hunt discharges each instance on the working graph the coverage
+    check read, before the solve edits it, and still reports coverage,
+    coloring, discharge and conservation findings in that order."""
+
+    @staticmethod
+    def instances():
+        """Hunt instances the discharge accepts as input, from every
+        generator at hub degrees 5 to 7."""
+        from sparse2dc.verify import GenerationError, _generator
+
+        rng = random.Random(27)
+        for hub_degree in (5, 6, 7):
+            for kind in ("subdivision", "tree", "hub"):
+                make = _generator({"hub_degree": hub_degree}, kind)
+                for _ in range(12):
+                    try:
+                        g, _ = make(rng)
+                    except GenerationError:
+                        continue
+                    if g.n and g.min_degree() >= 2 and g.max_degree() <= 7:
+                        yield g
+
+    def test_the_unedited_working_graph_discharges_as_its_graph(self):
+        """Initial charges, transfers and final charges, or the
+        ForestOfStarsError refusal with its witness, are those of the
+        ``Graph``, also after a detection has read the working graph."""
+        from sparse2dc.discharging import run_discharge
+        from sparse2dc.reductions import ForestOfStarsError, _WorkGraph, detect_configuration
+
+        def outcome(g):
+            try:
+                ledger = run_discharge(g)
+            except ForestOfStarsError as exc:
+                return "refused", str(exc), exc.witness
+            return "ledger", ledger.initial, ledger.transfers, ledger.final
+
+        seen = {"ledger": 0, "refused": 0}
+        for g in self.instances():
+            expected = outcome(g)
+            detected = _WorkGraph(g)
+            detect_configuration(detected)
+            for wg in (_WorkGraph(g), detected):
+                assert outcome(wg) == expected
+                assert wg.size() == g.n + g.m  # the discharge edits nothing
+            seen[expected[0]] += 1
+        assert seen["ledger"] >= 20 and seen["refused"] >= 20, seen
+
+    #: The findings of the planted faults below, as first reported when
+    #: the discharge ran after the solve.
+    PINNED_FINDINGS = "628c628b2c6d"
+
+    def test_planted_faults_come_out_in_order(self, monkeypatch):
+        """Faults planted in coverage, coloring, discharge and conservation
+        give the same findings and replay lines, in the same order."""
+        from collections import Counter
+        from dataclasses import replace
+
+        from sparse2dc import verify
+
+        solve, discharge = verify.constructive_color, verify.run_discharge
+        calls = Counter()
+
+        def coverage(wg):
+            calls["coverage"] += 1
+            if calls["coverage"] % 2:
+                return None
+            raise RuntimeError("coverage probe")
+
+        def faulty_solve(g, **kwargs):
+            calls["solve"] += 1
+            if calls["solve"] % 2:
+                raise ExtensionError("probe", 0, {})
+            return solve(g, **kwargs)
+
+        def faulty_discharge(g):
+            calls["discharge"] += 1
+            fault = calls["discharge"] % 3
+            if fault == 0:
+                raise RuntimeError("discharge probe")
+            ledger = discharge(g)
+            by = -2 if fault == 1 else 2 - ledger.total_final()
+            return replace(ledger, final=(ledger.final[0] + by, *ledger.final[1:]))
+
+        monkeypatch.setattr(verify, "detect_configuration", coverage)
+        monkeypatch.setattr(verify, "constructive_color", faulty_solve)
+        monkeypatch.setattr(verify, "run_discharge", faulty_discharge)
+        report = hunt(seed=3, budget=12)
+        rank = {"coverage": 0, "coloring": 1, "discharge": 2, "conservation": 2}
+        for before, after in zip(report.findings, report.findings[1:]):
+            if before["graph6"] == after["graph6"]:
+                assert rank[before["check"]] <= rank[after["check"]]
+        for f in report.findings:
+            assert f["replay"] == f"printf '%s\\n' '{f['graph6']}' | sparse2dc verify --input -"
+        assert {(f["check"], f["detail"]) for f in report.findings} == {
+            ("coverage", "no configuration fires"),
+            ("coverage", "RuntimeError: coverage probe"),
+            ("coloring", "ExtensionError: extension probe blocked at 0: {}"),
+            ("discharge", "RuntimeError: discharge probe"),
+            ("conservation", "total drifted"),
+            ("conservation", "positive total"),
+        }
+        blob = json.dumps(report.findings)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_FINDINGS
+
+    def test_work_graph_degree_bounds_range_over_live_ids(self):
+        """A removed id is no 0-vertex: on edited working graphs the
+        degree bounds are those of the live graph's snapshot."""
+        from sparse2dc.graph import remove_vertices
+        from sparse2dc.reductions import _WorkGraph
+
+        from conftest import random_sparse_graph
+
+        wg = _WorkGraph(cycle(6))
+        wg.begin()
+        wg.remove_vertex(0)
+        assert (wg.max_degree(), wg.min_degree()) == (2, 1)
+        for v in list(wg.vertices()):
+            wg.remove_vertex(v)
+        assert (wg.max_degree(), wg.min_degree()) == (0, 0)
+        wg.undo()
+        assert (wg.max_degree(), wg.min_degree()) == (2, 2)
+
+        rng = random.Random(27)
+        for _ in range(60):
+            g = random_sparse_graph(rng, rng.randint(4, 16))
+            wg = _WorkGraph(g)
+            for _ in range(rng.randint(1, 4)):
+                wg.begin()
+                live = wg.vertices()
+                if rng.random() < 0.5 and len(live) > 1:
+                    wg.remove_vertex(rng.choice(live))
+                elif wg.m and rng.random() < 0.6:
+                    wg.remove_edge(*rng.choice(wg.edges()))
+                elif len(live) > 1:
+                    wg.add_path(*rng.sample(live, 2), rng.randint(1, 3))
+                h, _ = remove_vertices(wg, ())
+                assert (wg.max_degree(), wg.min_degree()) == (h.max_degree(), h.min_degree())
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
