@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .graph import Graph, square, two_distance_neighborhood
-from .matching import has_distinct_representatives
+from .matching import maximum_bipartite_matching
 
 
 class SearchBudgetExceeded(Exception):
@@ -392,4 +392,5 @@ def chi2_exact(g: Graph, budget: int | None = None):
 def hall_check(lists: Sequence[Iterable[int]]) -> bool:
     """Whether pairwise-conflicting vertices with these color lists can be
     simultaneously colored (system of distinct representatives)."""
-    return has_distinct_representatives([tuple(l) for l in lists])
+    lists = [tuple(l) for l in lists]
+    return len(maximum_bipartite_matching(lists)) == len(lists)

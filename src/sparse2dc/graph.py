@@ -216,27 +216,6 @@ def girth(g: Graph):
     return best
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in g.vertices():
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
-
-
 def degree_two_runs(g: Graph) -> tuple[list[PathDescriptor], list[list[int]]]:
     """Decompose the degree-2 vertices into maximal runs and pure cycles.
 

@@ -62,7 +62,3 @@ def maximum_bipartite_matching(
                 dfs(u)
     return pair_left
 
-
-def has_distinct_representatives(lists: Sequence[Sequence[Hashable]]) -> bool:
-    """Whether the set system admits a system of distinct representatives."""
-    return len(maximum_bipartite_matching(lists)) == len(lists)

@@ -109,7 +109,9 @@ class Reduction:
     only edges were deleted); ``added`` the ids of spliced-in vertices.
     ``graph`` numbers the kept vertices 0.. in ascending order and the
     spliced ones after them; inside the solver it is the working graph
-    itself, edited in place, and every id is stable.
+    itself, edited in place, and every id is stable.  ``recipe`` lifts a
+    coloring back: the steps ``_run_recipe`` runs, which name a spliced
+    vertex by its position in ``added``.
     """
 
     graph: Graph
@@ -118,6 +120,7 @@ class Reduction:
     tag: str
     recorded: dict
     detail: dict
+    recipe: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -734,17 +737,17 @@ class ConstructiveFailure(Exception):
     """The exhaustive fallback could not produce an 8-coloring."""
 
 
-def _edge_removal(g: _WorkGraph, edges, tag: str, detail: dict) -> Reduction:
+def _edge_removal(g: _WorkGraph, edges, tag: str, detail: dict, recipe: tuple) -> Reduction:
     for u, v in edges:
         g.remove_edge(u, v)
-    return Reduction(g, (), (), tag, {"removed_edges": tuple(edges)}, detail)
+    return Reduction(g, (), (), tag, {"removed_edges": tuple(edges)}, detail, recipe)
 
 
-def _vertex_removal(g: _WorkGraph, dropped, tag: str, detail: dict) -> Reduction:
+def _vertex_removal(g: _WorkGraph, dropped, tag: str, detail: dict, recipe: tuple) -> Reduction:
     removed = tuple(sorted(dropped))
     for v in removed:
         g.remove_vertex(v)
-    return Reduction(g, removed, (), tag, {}, detail)
+    return Reduction(g, removed, (), tag, {}, detail, recipe)
 
 
 def _surgery(
@@ -753,6 +756,7 @@ def _surgery(
     paths: list[tuple[int, int, int]],
     tag: str,
     detail: dict,
+    recipe: tuple,
 ) -> Reduction:
     """Remove ``dropped`` and splice in the given (u, v, k) paths in order.
 
@@ -761,7 +765,7 @@ def _surgery(
     skipped, since the adjacency already enforces the constraint the edge
     would add.
     """
-    red = _vertex_removal(g, dropped, tag, detail)
+    red = _vertex_removal(g, dropped, tag, detail, recipe)
     red.recorded["splices"] = []
     added: list[int] = []
     for u, v, k in paths:
@@ -778,6 +782,12 @@ def _surgery(
         added.extend(g.add_path(u, v, k))
     red.added = tuple(added)
     return red
+
+
+def _greedy(order) -> tuple:
+    """The tag, detail and recipe of a greedy kind: color ``order`` back
+    greedily, in that order."""
+    return "greedy", {"order": order}, (("greedy", order),)
 
 
 def _apply_degree_one(g, cfg):
@@ -803,74 +813,58 @@ def _apply_degree_one(g, cfg):
         if not heap or live + g.m <= BASE_THRESHOLD:
             break
         v, u = heap[0], adj[heap[0]][0]
-    recorded = {"removed_edges": tuple(dropped)}
-    order = tuple(v for v, _ in reversed(dropped))
-    return Reduction(g, (), (), "greedy", recorded, {"order": order})
+    tag, detail, recipe = _greedy(tuple(v for v, _ in reversed(dropped)))
+    return Reduction(g, (), (), tag, {"removed_edges": tuple(dropped)}, detail, recipe)
 
 
 def _apply_four_plus_path(g, cfg):
     chain = cfg.data["chain"]
-    return _edge_removal(
-        g, [(chain[2], chain[3])], "greedy", {"order": (chain[3], chain[2])}
-    )
+    return _edge_removal(g, [(chain[2], chain[3])], *_greedy((chain[3], chain[2])))
 
 
 def _apply_three_path_bad_end(g, cfg):
     r: PathDescriptor = cfg.data["run"]
     if cfg.data["case"] == "closed":
         i0, i1, i2 = r.internal
-        return _vertex_removal(
-            g, set(r.internal), "greedy", {"order": (i0, i2, i1)}
-        )
-    low = cfg.data["low"]
-    ints = _oriented_from(r, low)
-    return _edge_removal(
-        g, [(ints[0], ints[1])], "greedy", {"order": (ints[0], ints[1])}
-    )
+        return _vertex_removal(g, set(r.internal), *_greedy((i0, i2, i1)))
+    ints = _oriented_from(r, cfg.data["low"])
+    return _edge_removal(g, [(ints[0], ints[1])], *_greedy((ints[0], ints[1])))
 
 
 def _apply_two_path_bad_ends(g, cfg):
     r: PathDescriptor = cfg.data["run"]
     if cfg.data["case"] == "closed":
-        return _vertex_removal(g, set(r.internal), "greedy", {"order": r.internal})
-    low = cfg.data["low"]
-    ints = _oriented_from(r, low)
+        return _vertex_removal(g, set(r.internal), *_greedy(r.internal))
+    ints = _oriented_from(r, cfg.data["low"])
     # keep-first vertex is the internal far from the low-degree endpoint
-    return _edge_removal(
-        g, [(ints[0], ints[1])], "greedy", {"order": (ints[1], ints[0])}
-    )
+    return _edge_removal(g, [(ints[0], ints[1])], *_greedy((ints[1], ints[0])))
 
 
 def _apply_two_path_chord(g, cfg):
     r: PathDescriptor = cfg.data["run"]
-    ints = _oriented_from(r, cfg.data["seven"])
-    return _vertex_removal(g, set(r.internal), "greedy", {"order": ints})
+    return _vertex_removal(g, set(r.internal), *_greedy(_oriented_from(r, cfg.data["seven"])))
 
 
 def _apply_small_vertex(g, cfg):
     v, w = cfg.data["v"], cfg.data["w"]
-    return _edge_removal(g, [(v, w)], "greedy", {"order": (v, w)})
+    return _edge_removal(g, [(v, w)], *_greedy((v, w)))
 
 
 def _apply_counting_pair(g, cfg):
     w = cfg.data["w"]
     removed = cfg.data["removed_neighbors"]
     order = (w,) + tuple(reversed(removed))
-    return _edge_removal(g, [(w, u) for u in removed], "greedy", {"order": order})
+    return _edge_removal(g, [(w, u) for u in removed], *_greedy(order))
 
 
 def _apply_three_path_cycle(g, cfg):
     anchors = cfg.data["anchors"]
-    runs = cfg.data["runs"]
-    dropped = set()
-    triples = []
-    for a, r in zip(anchors, runs):
-        ints = _oriented_from(r, a)
-        triples.append(ints)
-        dropped.update(ints)
-    return _vertex_removal(
-        g, dropped, "cycle-threepaths", {"anchors": anchors, "triples": tuple(triples)}
-    )
+    triples = tuple(_oriented_from(r, a) for a, r in zip(anchors, cfg.data["runs"]))
+    # the run ends make an even cycle, colored from their lists; the middles last
+    recipe = (("ring", tuple(v for a, _, b in triples for v in (a, b))),
+              ("greedy", tuple(y for _, y, _ in triples)))
+    return _vertex_removal(g, set(chain(*triples)), "cycle-threepaths",
+                           {"anchors": anchors, "triples": triples}, recipe)
 
 
 def _w_triples(g: Graph, wvertices):
@@ -883,25 +877,26 @@ def _w_triples(g: Graph, wvertices):
 
 
 def _first_fit(g: _WorkGraph, templates, message: str) -> Reduction:
-    """The surgery of the first ``(dropped, paths, tag, detail)`` template
-    that fits.  ``_surgery`` re-proves each splice, so a template fits when
-    it does not raise; one that falls short is undone before the next is
-    tried, and the step keeps one undo record."""
-    for dropped, paths, tag, detail in templates:
+    """The surgery of the first ``(dropped, paths, tag, detail, recipe)``
+    template that fits.  ``_surgery`` re-proves each splice, so a template
+    fits when it does not raise; one that falls short is undone before the
+    next is tried, and the step keeps one undo record."""
+    for template in templates:
         try:
-            return _surgery(g, dropped, paths, tag, detail)
+            return _surgery(g, *template)
         except InternalContradiction:  # a certificate fell short: next template
             g.undo()
             g.begin()
     raise InternalContradiction(message)
 
 
-def _far_templates(dropped, v: int, triples, tag: str, detail: dict):
+def _far_templates(dropped, v: int, triples, tag: str, detail: dict, recipe):
     """The k=2 splice templates from ``v`` to each far end of ``triples``
-    other than ``v``, in order; ``chosen`` is the far end's position."""
+    other than ``v``, in order; ``chosen`` is the far end's position, and
+    ``recipe(chosen)`` the template's recipe."""
     for pos, (_, _, far) in enumerate(triples):
         if far != v:
-            yield dropped, [(v, far, 2)], tag, dict(detail, chosen=pos)
+            yield dropped, [(v, far, 2)], tag, dict(detail, chosen=pos), recipe(pos)
 
 
 def _apply_weird_seven(g, cfg):
@@ -909,20 +904,25 @@ def _apply_weird_seven(g, cfg):
     six = cfg.data["six"]
     case = cfg.data["case"]
     dropped = {u}
-    for a, ints, c in six:
+    for _, ints, _ in six:
         dropped.update(ints)
-    detail = {"u": u, "six": six, "case": case}
     w, ints, far = cfg.data["extra"]
-    if case == "three-path":
+    if case == "deg-three":  # a 3-neighbor with two capped runs
+        extra = _w_triples(g, [w])[0]
+        dropped.update(extra)
+    else:
+        extra = (ints[0], ints[1], far)
         dropped.update(ints[:2])
-        detail["extra"] = (ints[0], ints[1], far)
-    elif case == "two-path":
-        dropped.update(ints)
-        detail["extra"] = (ints[0], ints[1], far)
-    else:  # deg-three neighbor with two capped runs
-        detail["extra"] = _w_triples(g, [w])[0]
-        dropped.update(detail["extra"])
-    return _vertex_removal(g, dropped, "weird-seven", detail)
+    a, b, c = extra
+    core = (*sorted(s[1][0] for s in six), u, *sorted(s[1][1] for s in six))
+    if case == "three-path":
+        recipe = (("greedy", (a, *core, b)),)
+    elif case == "two-path":  # a color from beyond the far end c, so b sees a repeat
+        recipe = (("repeat", a, c, b), ("greedy", (*core, b)))
+    else:
+        recipe = (("greedy", (a, *core, b, c)),)
+    detail = {"u": u, "six": six, "case": case, "extra": extra}
+    return _vertex_removal(g, dropped, "weird-seven", detail, recipe)
 
 
 def _apply_weird_six(g, cfg):
@@ -932,23 +932,31 @@ def _apply_weird_six(g, cfg):
     for _, ints, _ in paths:
         dropped.update(ints)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in paths)
-    return _vertex_removal(g, dropped, "weird-six", {"u": u, "paths": triples})
+    firsts, seconds = [t[0] for t in triples], [t[1] for t in triples]
+    recipe = (("share", seconds[0], firsts[1]),
+              ("greedy", (*seconds[1:], u, *firsts[2:], firsts[0])))
+    return _vertex_removal(g, dropped, "weird-six", {"u": u, "paths": triples}, recipe)
+
+
+def _bridge_template(u, v, w, pu, pw):
+    """The two-consecutive splice of u to w past v, whose 3-runs ``pu`` and
+    ``pw`` run from u and from w."""
+    recipe = (("copy", pu[0], ("added", 0)), ("copy", pw[0], ("added", 2)),
+              ("sdr", (pu[2], pw[2])), ("greedy", (pu[1], pw[1])))
+    detail = {"u": u, "v": v, "w": w, "pu": pu, "pw": pw}
+    return set(pu) | set(pw), [(u, w, 3)], "two-consecutive", detail, recipe
 
 
 def _apply_two_consecutive(g, cfg):
-    u, v, w = cfg.data["u"], cfg.data["v"], cfg.data["w"]
-    pu, pw = cfg.data["pu"], cfg.data["pw"]
-    dropped = set(pu) | set(pw)
-    detail = {"u": u, "v": v, "w": w, "pu": pu, "pw": pw}
-    return _surgery(g, dropped, [(u, w, 3)], "two-consecutive", detail)
+    d = cfg.data
+    return _surgery(g, *_bridge_template(d["u"], d["v"], d["w"], d["pu"], d["pw"]))
 
 
 def _apply_three_consecutive(g, cfg):
     a, b, c, d = cfg.data["anchors"]
     r1, r2, r3 = cfg.data["runs"]
     templates = (
-        (set(ru.internal) | set(rw.internal), [(u, w, 3)], "two-consecutive",
-         {"u": u, "v": v, "w": w, "pu": _oriented_from(ru, u), "pw": _oriented_from(rw, w)})
+        _bridge_template(u, v, w, _oriented_from(ru, u), _oriented_from(rw, w))
         for (u, v, w), (ru, rw) in (((a, b, c), (r1, r2)), ((b, c, d), (r2, r3)))
     )
     return _first_fit(
@@ -965,7 +973,10 @@ def _apply_seven_seven(g, cfg):
         dropped.update(ints)
     six_ends = tuple((ints[0], ints[1], f) for _, ints, f in six)
     detail = {"u": u, "v": v, "p": p, "six": six_ends}
-    templates = _far_templates(dropped, v, six_ends, "seven-seven", detail)
+    recipe = (("unset", (u,)), ("copy", p[1], ("added", 0)),
+              ("sdr", (p[0], u, *(t[0] for t in six_ends))),
+              ("greedy", tuple(t[1] for t in six_ends)))
+    templates = _far_templates(dropped, v, six_ends, "seven-seven", detail, lambda _: recipe)
     return _first_fit(g, templates, "no splice endpoint for the capped 7-vertex")
 
 
@@ -977,42 +988,66 @@ def _apply_sponsor_bridges(g, cfg):
     for _, ints, _ in qpaths:
         dropped.update(ints)
     triples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
+    q1, q2 = tuple(t[0] for t in triples), tuple(t[1] for t in triples)
     detail = {"u": u, "v": v, "p": p, "q": triples}
+    splice = (("copy", p[2], ("added", 0)), ("sdr", (p[0], *q1)), ("greedy", (p[1], *q2)))
+    edge = (("copy", p[2], u), ("greedy", (*q1, p[0], p[1], *q2)))
     templates = chain(
-        _far_templates(dropped, v, triples, "sponsor-bridges-a", detail),
-        [(dropped, [(u, v, 0)], "sponsor-bridges-b", detail)],
+        _far_templates(dropped, v, triples, "sponsor-bridges-a", detail, lambda _: splice),
+        [(dropped, [(u, v, 0)], "sponsor-bridges-b", detail, edge)],
     )
     return _first_fit(g, templates, "no splice available at the bridged sponsor")
+
+
+def _sponsor_parts(g, cfg):
+    """What the saturated sponsors' recipes read: the (w, r, s) triple of
+    each capped 3-vertex w, the (first, second, far) triple of each capped
+    2-run, its firsts and its seconds, and the r's and s's, which the
+    recipes color last."""
+    wtriples = tuple(_w_triples(g, cfg.data["wvertices"]))
+    qtriples = tuple((ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"])
+    q1, q2 = [t[0] for t in qtriples], [t[1] for t in qtriples]
+    rs = [x for _, r, s in wtriples for x in (r, s)]
+    return wtriples, qtriples, q1, q2, rs
+
+
+def _others(xs, *skip) -> list:
+    """The entries of ``xs`` whose positions are not in ``skip``."""
+    return [x for t, x in enumerate(xs) if t not in skip]
 
 
 def _apply_sponsor_all_bad(g, cfg):
     u, v = cfg.data["u"], cfg.data["v"]
     p = cfg.data["p"]
-    qpaths = cfg.data["qpaths"]
     ws = cfg.data["wvertices"]
-    k = len(qpaths)
-    wtriples = _w_triples(g, ws)
-    qtriples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
-    detail = {"u": u, "v": v, "p": p, "q": qtriples, "w": tuple(wtriples)}
+    wtriples, qtriples, q1, q2, rs = _sponsor_parts(g, cfg)
+    k = len(qtriples)
+    detail = {"u": u, "v": v, "p": p, "q": qtriples, "w": wtriples}
 
-    w_local = {x for triple in wtriples for x in triple}
+    local = [x for triple in wtriples for x in triple]
     if k == 0:
-        dropped = {u, p[0], p[1]} | w_local
-        return _vertex_removal(g, dropped, "sponsor-allbad-k0", detail)
+        dropped = {u, p[0], p[1], *local}
+        recipe = (("greedy", (*ws, p[0], u, p[1], *rs)),)
+        return _vertex_removal(g, dropped, "sponsor-allbad-k0", detail, recipe)
 
     if k == 1:
-        dropped = {u, *p, qtriples[0][0], qtriples[0][1]} | w_local
+        dropped = {u, *p, q1[0], q2[0], *local}
+        recipe = (("copy", p[2], ("added", 0)), ("copy", q2[0], ("added", 2)),
+                  ("greedy", (*ws, q1[0])), ("sdr", (u, p[0])), ("greedy", (p[1], *rs)))
         return _surgery(
-            g, dropped, [(v, qtriples[0][2], 3)], "sponsor-allbad-k1", detail
+            g, dropped, [(v, qtriples[0][2], 3)], "sponsor-allbad-k1", detail, recipe
         )
 
-    dropped = {u, *p}
-    for q1, q2, _ in qtriples:
-        dropped.update((q1, q2))
+    dropped = {u, *p, *q1, *q2}
     far = [t[2] for t in qtriples]
 
+    def keep(*kept):
+        """Uncolor the capped 3-vertices and their runs' first internals,
+        except the 3-vertices ``kept``, whose colors the recipe copies."""
+        return ("unset", tuple(x for x in local if x not in kept))
+
     def templates():
-        """(dropped, paths, tag, detail) per template, in order."""
+        """(dropped, paths, tag, detail, recipe) per template, in order."""
         # two capped-path far ends splice plus a direct edge to a w
         for i in range(k):
             for ip in range(i + 1, k):
@@ -1020,17 +1055,31 @@ def _apply_sponsor_all_bad(g, cfg):
                     continue
                 for j, w in enumerate(ws):
                     if w != v:
+                        mids = sorted(_others(ws, j) + _others(q1, i, ip))
                         yield (dropped, [(far[i], far[ip], 2), (v, w, 0)],
-                               "sponsor-allbad-claim2", dict(detail, i=i, ip=ip, j=j))
-        # two direct edges into distinct w's
+                               "sponsor-allbad-claim2", dict(detail, i=i, ip=ip, j=j),
+                               (keep(w), ("copy", p[2], w), ("copy", q2[i], ("added", 0)),
+                                ("copy", q2[ip], ("added", 1)),
+                                ("greedy", (*_others(q2, i, ip), u, *mids)),
+                                ("sdr", (q1[i], q1[ip])), ("greedy", (p[0], p[1], *rs))))
+        # two direct edges into distinct w's; when w_j and w_j' share a
+        # color, nothing in the reduced graph parted these two neighbors of
+        # u, so w_j is recolored: it sees at most 3 colors here (w_j' and
+        # the second vertices of its two capped runs), and p[2] and q_i[1]
+        # still repeat the color of w_j' at p[0] and q_i[0]
         for jp, wjp in enumerate(ws):
             if wjp == v:
                 continue
             for i in range(k):
                 for j, wj in enumerate(ws):
                     if j != jp and far[i] != wj:
+                        mids = sorted(_others(ws, j, jp) + _others(q1, i))
                         yield (dropped, [(v, wjp, 0), (far[i], wj, 0)],
-                               "sponsor-allbad-claim3", dict(detail, i=i, j=j, jp=jp))
+                               "sponsor-allbad-claim3", dict(detail, i=i, j=j, jp=jp),
+                               (keep(wj, wjp), ("copy", p[2], wjp), ("copy", q2[i], wj),
+                                ("part", wj, wjp),
+                                ("greedy", (*_others(q2, i), u, *mids, q1[i], p[0], p[1],
+                                            *rs))))
         # two capped-path splices
         for i in range(k):
             for ip in range(i + 1, k):
@@ -1039,7 +1088,12 @@ def _apply_sponsor_all_bad(g, cfg):
                 for ipp in range(k):
                     if ipp not in (i, ip) and far[ipp] != v:
                         yield (dropped, [(far[i], far[ip], 2), (v, far[ipp], 2)],
-                               "sponsor-allbad-claim4", dict(detail, i=i, ip=ip, ipp=ipp))
+                               "sponsor-allbad-claim4", dict(detail, i=i, ip=ip, ipp=ipp),
+                               (keep(), ("copy", p[2], ("added", 2)),
+                                ("copy", q2[ipp], ("added", 3)),
+                                ("copy", q2[i], ("added", 0)), ("copy", q2[ip], ("added", 1)),
+                                ("greedy", tuple(_others(q2, i, ip, ipp))),
+                                ("sdr", (u, p[0], *ws, *q1)), ("greedy", (p[1], *rs))))
         # one capped-path splice at v plus a far-to-w edge
         for ip in range(k):
             if far[ip] == v:
@@ -1048,7 +1102,12 @@ def _apply_sponsor_all_bad(g, cfg):
                 for j, wj in enumerate(ws):
                     if i != ip and far[i] != wj:
                         yield (dropped, [(v, far[ip], 2), (far[i], wj, 0)],
-                               "sponsor-allbad-claim5", dict(detail, i=i, ip=ip, j=j))
+                               "sponsor-allbad-claim5", dict(detail, i=i, ip=ip, j=j),
+                               (keep(wj), ("copy", p[2], ("added", 0)),
+                                ("copy", q2[ip], ("added", 1)), ("copy", q2[i], wj),
+                                ("greedy", tuple(_others(q2, i, ip))),
+                                ("sdr", (u, p[0], *_others(ws, j), *q1)),
+                                ("greedy", (p[1], *rs))))
 
     return _first_fit(g, templates(), "no splice template fits the saturated sponsor")
 
@@ -1056,17 +1115,27 @@ def _apply_sponsor_all_bad(g, cfg):
 def _apply_sponsor_small_x(g, cfg):
     u, v, x = cfg.data["u"], cfg.data["v"], cfg.data["x"]
     p = cfg.data["p"]
-    qpaths = cfg.data["qpaths"]
     ws = cfg.data["wvertices"]
-    wtriples = _w_triples(g, ws)
-    qtriples = tuple((ints[0], ints[1], far) for _, ints, far in qpaths)
-    dropped = {u, *p}
-    for q1, q2, _ in qtriples:
-        dropped.update((q1, q2))
-    detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": tuple(wtriples)}
+    wtriples, qtriples, q1, q2, rs = _sponsor_parts(g, cfg)
+    dropped = {u, *p, *q1, *q2}
+    detail = {"u": u, "v": v, "x": x, "p": p, "q": qtriples, "w": wtriples}
+    local = (*(y for triple in wtriples for y in triple), x)
+    last = (p[1], q2[0], *rs)  # the capped 2-run q_0 plays the first slot
+
+    def splice(i0):
+        copies = (("copy", q2[i0], ("added", 1)),) if i0 else ()
+        return (("unset", local), ("copy", p[2], ("added", 0)), *copies,
+                ("greedy", tuple(_others(q2, 0, i0))), ("sdr", (u, x, p[0], *q1, *ws)),
+                ("greedy", last))
+
+    def edge(z):
+        hall = (u, *q1, *(w for w in ws if w != z), *((x,) if x != z else ()))
+        return (("unset", tuple(y for y in local if y != z)), ("copy", p[2], z),
+                ("greedy", tuple(q2[1:])), ("sdr", hall), ("greedy", (p[0], *last)))
+
     templates = chain(
-        _far_templates(dropped, v, qtriples, "sponsor-smallx-a", detail),
-        ((dropped, [(v, z, 0)], "sponsor-smallx-b", dict(detail, z=z))
+        _far_templates(dropped, v, qtriples, "sponsor-smallx-a", detail, splice),
+        ((dropped, [(v, z, 0)], "sponsor-smallx-b", dict(detail, z=z), edge(z))
          for z in sorted(set(ws) | {x}) if z != v),
     )
     return _first_fit(g, templates, "no splice available at the small-reach sponsor")
@@ -1142,297 +1211,93 @@ def _sdr_seq(g: Graph, phi: Coloring, targets, tag: str) -> None:
         phi.set(t, match[i])
 
 
-def _extend_greedy(g, red, phi):
-    order, pop = red.detail["order"], phi.colors.pop
-    for v in order:  # _greedy_seq touches each vertex it colors
-        pop(v, None)
-    _greedy_seq(g, phi, order, red.tag)
+def _run_recipe(g: Graph, phi: Coloring, red: Reduction) -> None:
+    """Run ``red.recipe`` on ``g``, the graph before the step, extending
+    ``phi`` from the reduced graph's coloring.  Its steps, in order:
 
+    - ``("unset", vs)``: uncolor the vertices ``vs``;
+    - ``("greedy", order)``: uncolor ``order``, then ``_greedy_seq``: each
+      of its vertices in turn gets its first free color;
+    - ``("sdr", targets)``: ``_sdr_seq``, distinct free colors by matching;
+    - ``("copy", v, src)``: v takes the color of ``src``, a vertex or
+      ``("added", i)`` for the spliced vertex ``red.added[i]``;
+    - ``("ring", cycle)``: list-color the even cycle from its free colors;
+    - ``("share", a, b)``: a and b take the least color free at both;
+    - ``("part", a, b)``: when a repeats b's color, recolor a greedily;
+    - ``("repeat", t, z, t2)``: t takes the least color that a neighbor of
+      z other than t2 holds and z does not, so that t2 sees a repeat, or
+      else its first free color.
 
-def _extend_cycle_threepaths(g, red, phi):
-    triples = red.detail["triples"]
-    ring: list[int] = []
-    for x, y, z in triples:
-        ring.extend((x, z))
-    lists = [available_colors(g, phi, v) for v in ring]
-    if any(len(l) < 2 for l in lists):
-        bad = ring[next(i for i, l in enumerate(lists) if len(l) < 2)]
-        raise ExtensionError(red.tag, bad, seen_colors(g, phi, bad))
-    chosen = _list_color_cycle(lists)
-    if chosen is None:
-        raise ExtensionError(red.tag, ring[0], dict(zip(ring, lists)))
-    for v, c in zip(ring, chosen):
-        phi.set(v, c)
-    _greedy_seq(g, phi, [y for _, y, _ in triples], red.tag)
-
-
-def _extend_weird_seven(g, red, phi):
-    d = red.detail
-    u = d["u"]
-    firsts = [slot[1][0] for slot in d["six"]]
-    seconds = [slot[1][1] for slot in d["six"]]
-    case = d["case"]
-    if case == "three-path":
-        x1, x2, _far = d["extra"]
-        _greedy_seq(g, phi, [x1], red.tag)
-        _greedy_seq(g, phi, sorted(firsts) + [u] + sorted(seconds), red.tag)
-        _greedy_seq(g, phi, [x2], red.tag)
-    elif case == "deg-three":
-        y, r1, s1 = d["extra"]
-        _greedy_seq(g, phi, [y] + sorted(firsts) + [u] + sorted(seconds), red.tag)
-        _greedy_seq(g, phi, [r1, s1], red.tag)
-    else:
-        t1, t2, z = d["extra"]
-        # copy a color from beyond z so the final vertex sees a repeat
-        nearby = sorted(
-            phi.get(zz) for zz in g.adjacency[z] if zz != t2 and phi.get(zz) is not None
-        )
-        usable = [c for c in nearby if c != phi.get(z)]
-        if usable:
-            phi.set(t1, usable[0])
+    A blocked step raises ExtensionError with the tag and the blocked
+    vertex; an unknown step raises ValueError.
+    """
+    tag, colors = red.tag, phi.colors
+    touched = phi.touched if isinstance(phi, _Tracked) else set()
+    for step in red.recipe:
+        op = step[0]
+        if op == "greedy":
+            for v in step[1]:
+                colors.pop(v, None)
+            _greedy_seq(g, phi, step[1], tag)
+        elif op == "unset":
+            for v in step[1]:
+                colors.pop(v, None)
+            touched.update(step[1])
+        elif op == "sdr":
+            _sdr_seq(g, phi, step[1], tag)
+        elif op == "copy":
+            src = step[2]
+            phi.set(step[1], phi.get(red.added[src[1]] if isinstance(src, tuple) else src))
+        elif op == "ring":
+            cycle = step[1]
+            lists = [available_colors(g, phi, v) for v in cycle]
+            bad = next((v for v, l in zip(cycle, lists) if len(l) < 2), None)
+            if bad is not None:
+                raise ExtensionError(tag, bad, seen_colors(g, phi, bad))
+            chosen = _list_color_cycle(lists)
+            if chosen is None:
+                raise ExtensionError(tag, cycle[0], dict(zip(cycle, lists)))
+            for v, c in zip(cycle, chosen):
+                phi.set(v, c)
+        elif op == "share":
+            _, a, b = step
+            la, lb = available_colors(g, phi, a), available_colors(g, phi, b)
+            common = min(set(la).intersection(lb), default=None)
+            if common is None:
+                raise ExtensionError(tag, a, {"deep": la, "near": lb})
+            phi.set(a, common)
+            phi.set(b, common)
+        elif op == "part":
+            _, a, b = step
+            if phi.get(a) == phi.get(b):  # a's own color does not block it
+                _greedy_seq(g, phi, (a,), tag)
+        elif op == "repeat":
+            _, t, z, t2 = step
+            usable = {phi.get(y) for y in g.adjacency[z] if y != t2} - {None, phi.get(z)}
+            if usable:
+                phi.set(t, min(usable))
+            else:
+                _greedy_seq(g, phi, (t,), tag)
         else:
-            _greedy_seq(g, phi, [t1], red.tag)
-        _greedy_seq(g, phi, sorted(firsts) + [u] + sorted(seconds) + [t2], red.tag)
-
-
-def _extend_weird_six(g, red, phi):
-    paths = red.detail["paths"]
-    u = red.detail["u"]
-    (p1_1, p2_1, _v1), (p1_2, _p2_2, _v2) = paths[0], paths[1]
-    l_deep = available_colors(g, phi, p2_1)
-    l_near = available_colors(g, phi, p1_2)
-    common = sorted(set(l_deep) & set(l_near))
-    if not common:
-        raise ExtensionError(red.tag, p2_1, {"deep": l_deep, "near": l_near})
-    phi.set(p2_1, common[0])
-    phi.set(p1_2, common[0])
-    _greedy_seq(g, phi, [p2 for _, p2, _ in paths[1:]], red.tag)
-    _greedy_seq(g, phi, [u], red.tag)
-    _greedy_seq(g, phi, [p1 for p1, _, _ in paths[2:]], red.tag)
-    _greedy_seq(g, phi, [p1_1], red.tag)
-
-
-def _extend_two_consecutive(g, red, phi):
-    d = red.detail
-    pu, pw = d["pu"], d["pw"]
-    phi.set(pu[0], phi.get(red.added[0]))
-    phi.set(pw[0], phi.get(red.added[2]))
-    _sdr_seq(g, phi, [pu[2], pw[2]], red.tag)
-    _greedy_seq(g, phi, [pu[1], pw[1]], red.tag)
-
-
-def _extend_seven_seven(g, red, phi):
-    d = red.detail
-    u, p, six = d["u"], d["p"], d["six"]
-    phi.unset(u)
-    phi.set(p[1], phi.get(red.added[0]))
-    _sdr_seq(g, phi, [p[0], u] + [q1 for q1, _, _ in six], red.tag)
-    _greedy_seq(g, phi, [q2 for _, q2, _ in six], red.tag)
-
-
-def _extend_sponsor_bridges_a(g, red, phi):
-    d = red.detail
-    p, q = d["p"], d["q"]
-    phi.set(p[2], phi.get(red.added[0]))
-    _sdr_seq(g, phi, [p[0]] + [q1 for q1, _, _ in q], red.tag)
-    _greedy_seq(g, phi, [p[1]] + [q2 for _, q2, _ in q], red.tag)
-
-
-def _extend_sponsor_bridges_b(g, red, phi):
-    d = red.detail
-    u, p, q = d["u"], d["p"], d["q"]
-    phi.set(p[2], phi.get(u))
-    _greedy_seq(g, phi, [q1 for q1, _, _ in q], red.tag)
-    _greedy_seq(g, phi, [p[0], p[1]] + [q2 for _, q2, _ in q], red.tag)
-
-
-def _sponsor_tail(g, red, phi, p, q_last, wtriples):
-    order = [p[1]]
-    order.extend(q_last)
-    for _, r1, s1 in wtriples:
-        order.extend((r1, s1))
-    _greedy_seq(g, phi, order, red.tag)
-
-
-def _extend_sponsor_allbad_k0(g, red, phi):
-    d = red.detail
-    u, p, wtriples = d["u"], d["p"], d["w"]
-    _greedy_seq(g, phi, [w for w, _, _ in wtriples], red.tag)
-    _greedy_seq(g, phi, [p[0], u], red.tag)
-    _sponsor_tail(g, red, phi, p, [], wtriples)
-
-
-def _extend_sponsor_allbad_k1(g, red, phi):
-    d = red.detail
-    u, p, q, wtriples = d["u"], d["p"], d["q"], d["w"]
-    phi.set(p[2], phi.get(red.added[0]))
-    phi.set(q[0][1], phi.get(red.added[2]))
-    _greedy_seq(g, phi, [w for w, _, _ in wtriples] + [q[0][0]], red.tag)
-    _sdr_seq(g, phi, [u, p[0]], red.tag)
-    _sponsor_tail(g, red, phi, p, [], wtriples)
-
-
-def _unset_sponsor_locals(phi, wtriples, extra=()):
-    for w, r1, s1 in wtriples:
-        phi.unset(w)
-        phi.unset(r1)
-        phi.unset(s1)
-    for v in extra:
-        phi.unset(v)
-
-
-def _extend_sponsor_allbad_claim2(g, red, phi):
-    d = red.detail
-    u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
-    i, ip, j = d["i"], d["ip"], d["j"]
-    wj = wt[j][0]
-    keep_wj = phi.get(wj)
-    _unset_sponsor_locals(phi, wt)
-    phi.set(wj, keep_wj)
-    phi.set(p[2], keep_wj)
-    phi.set(q[i][1], phi.get(red.added[0]))
-    phi.set(q[ip][1], phi.get(red.added[1]))
-    _greedy_seq(g, phi, [q[t][1] for t in range(len(q)) if t not in (i, ip)], red.tag)
-    _greedy_seq(g, phi, [u], red.tag)
-    mids = [wt[t][0] for t in range(len(wt)) if t != j]
-    mids += [q[t][0] for t in range(len(q)) if t not in (i, ip)]
-    _greedy_seq(g, phi, sorted(mids), red.tag)
-    _sdr_seq(g, phi, [q[i][0], q[ip][0]], red.tag)
-    _greedy_seq(g, phi, [p[0]], red.tag)
-    _sponsor_tail(g, red, phi, p, [], wt)
-
-
-def _extend_sponsor_allbad_claim3(g, red, phi):
-    d = red.detail
-    u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
-    i, j, jp = d["i"], d["j"], d["jp"]
-    wj, wjp = wt[j][0], wt[jp][0]
-    keep_wj, keep_wjp = phi.get(wj), phi.get(wjp)
-    _unset_sponsor_locals(phi, wt)
-    phi.set(wj, keep_wj)
-    phi.set(wjp, keep_wjp)
-    phi.set(p[2], keep_wjp)
-    phi.set(q[i][1], keep_wj)
-    if keep_wj == keep_wjp:
-        # nothing in the reduced graph parts w_j from w_j', two neighbors
-        # of u: recolor w_j, which sees at most 3 colors here (w_j' and the
-        # second vertices of its two capped runs); p[2] and q_i[1] still
-        # repeat the color of w_j' at p[0] and q_i[0]
-        phi.unset(wj)
-        _greedy_seq(g, phi, [wj], red.tag)
-    _greedy_seq(g, phi, [q[t][1] for t in range(len(q)) if t != i], red.tag)
-    _greedy_seq(g, phi, [u], red.tag)
-    mids = [wt[t][0] for t in range(len(wt)) if t not in (j, jp)]
-    mids += [q[t][0] for t in range(len(q)) if t != i]
-    _greedy_seq(g, phi, sorted(mids), red.tag)
-    _greedy_seq(g, phi, [q[i][0], p[0]], red.tag)
-    _sponsor_tail(g, red, phi, p, [], wt)
-
-
-def _extend_sponsor_allbad_claim4(g, red, phi):
-    d = red.detail
-    u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
-    i, ip, ipp = d["i"], d["ip"], d["ipp"]
-    _unset_sponsor_locals(phi, wt)
-    phi.set(p[2], phi.get(red.added[2]))
-    phi.set(q[ipp][1], phi.get(red.added[3]))
-    phi.set(q[i][1], phi.get(red.added[0]))
-    phi.set(q[ip][1], phi.get(red.added[1]))
-    _greedy_seq(
-        g, phi, [q[t][1] for t in range(len(q)) if t not in (i, ip, ipp)], red.tag
-    )
-    hall = [u, p[0]] + [w for w, _, _ in wt] + [qv[0] for qv in q]
-    _sdr_seq(g, phi, hall, red.tag)
-    _sponsor_tail(g, red, phi, p, [], wt)
-
-
-def _extend_sponsor_allbad_claim5(g, red, phi):
-    d = red.detail
-    u, p, q, wt = d["u"], d["p"], d["q"], d["w"]
-    i, ip, j = d["i"], d["ip"], d["j"]
-    wj = wt[j][0]
-    keep_wj = phi.get(wj)
-    _unset_sponsor_locals(phi, wt)
-    phi.set(wj, keep_wj)
-    phi.set(p[2], phi.get(red.added[0]))
-    phi.set(q[ip][1], phi.get(red.added[1]))
-    phi.set(q[i][1], keep_wj)
-    _greedy_seq(g, phi, [q[t][1] for t in range(len(q)) if t not in (i, ip)], red.tag)
-    hall = [u, p[0]] + [wt[t][0] for t in range(len(wt)) if t != j]
-    hall += [qv[0] for qv in q]
-    _sdr_seq(g, phi, hall, red.tag)
-    _sponsor_tail(g, red, phi, p, [], wt)
-
-
-def _extend_sponsor_smallx_a(g, red, phi):
-    d = red.detail
-    u, x, p, q, wt = d["u"], d["x"], d["p"], d["q"], d["w"]
-    i0 = d["chosen"]
-    _unset_sponsor_locals(phi, wt, extra=(x,))
-    phi.set(p[2], phi.get(red.added[0]))
-    if i0 != 0:
-        phi.set(q[i0][1], phi.get(red.added[1]))
-    _greedy_seq(
-        g, phi, [q[t][1] for t in range(len(q)) if t not in (0, i0)], red.tag
-    )
-    hall = [u, x, p[0]] + [qv[0] for qv in q] + [w for w, _, _ in wt]
-    _sdr_seq(g, phi, hall, red.tag)
-    _sponsor_tail(g, red, phi, p, [q[0][1]], wt)
-
-
-def _extend_sponsor_smallx_b(g, red, phi):
-    d = red.detail
-    u, x, p, q, wt = d["u"], d["x"], d["p"], d["q"], d["w"]
-    z = d["z"]
-    keep_z = phi.get(z)
-    _unset_sponsor_locals(phi, wt, extra=(x,))
-    phi.set(z, keep_z)
-    phi.set(p[2], keep_z)
-    _greedy_seq(g, phi, [q[t][1] for t in range(1, len(q))], red.tag)
-    hall = [u] + [qv[0] for qv in q] + [w for w, _, _ in wt if w != z]
-    if x != z:
-        hall.append(x)
-    _sdr_seq(g, phi, hall, red.tag)
-    _greedy_seq(g, phi, [p[0]], red.tag)
-    _sponsor_tail(g, red, phi, p, [q[0][1]], wt)
-
-
-_EXTENDERS: dict[str, Callable] = {
-    "greedy": _extend_greedy,
-    "cycle-threepaths": _extend_cycle_threepaths,
-    "weird-seven": _extend_weird_seven,
-    "weird-six": _extend_weird_six,
-    "two-consecutive": _extend_two_consecutive,
-    "seven-seven": _extend_seven_seven,
-    "sponsor-bridges-a": _extend_sponsor_bridges_a,
-    "sponsor-bridges-b": _extend_sponsor_bridges_b,
-    "sponsor-allbad-k0": _extend_sponsor_allbad_k0,
-    "sponsor-allbad-k1": _extend_sponsor_allbad_k1,
-    "sponsor-allbad-claim2": _extend_sponsor_allbad_claim2,
-    "sponsor-allbad-claim3": _extend_sponsor_allbad_claim3,
-    "sponsor-allbad-claim4": _extend_sponsor_allbad_claim4,
-    "sponsor-allbad-claim5": _extend_sponsor_allbad_claim5,
-    "sponsor-smallx-a": _extend_sponsor_smallx_a,
-    "sponsor-smallx-b": _extend_sponsor_smallx_b,
-}
+            raise ValueError(f"{tag} recipe: unknown step {op!r}")
 
 
 def extend_coloring(g: Graph, cfg: Configuration, red: Reduction, ch: Coloring) -> Coloring:
     """Lift a total coloring of the reduced graph back onto ``g``.
 
-    The recipe is the configuration's own and runs on ``g`` as it was
-    before the step; it may read the colors of the spliced vertices, which
-    are dropped after it.  A blocked step (impossible when the detector's
-    side conditions held) raises ExtensionError with the full constraint
-    state.  On a ``Graph``, ``ch`` colors ``red.graph`` and the whole
-    result is re-validated.  On the solver's working graph, the step is
-    undone, ``ch`` (keyed by stable id) is extended in place, and only the
-    neighbourhoods the step can reach are checked.
+    ``red.recipe`` runs on ``g`` as it was before the step; it may read the
+    colors of the spliced vertices, which are dropped after it.  A blocked
+    step (impossible when the detector's side conditions held) raises
+    ExtensionError with the full constraint state.  On a ``Graph``, ``ch``
+    colors ``red.graph``, the spliced vertices get the ids after ``g``'s,
+    and the whole result is re-validated.  On the solver's working graph,
+    the step is undone, ``ch`` (keyed by stable id) is extended in place,
+    and only the neighbourhoods the step can reach are checked.
     """
     if isinstance(g, _WorkGraph):
         g.undo()
         ch.touched.clear()
-        _EXTENDERS[red.tag](g, red, ch)
+        _run_recipe(g, ch, red)
         t = ch.touched.union(red.removed)
         for e in red.recorded.get("removed_edges", ()):
             t.update(e)
@@ -1450,7 +1315,7 @@ def extend_coloring(g: Graph, cfg: Configuration, red: Reduction, ch: Coloring) 
     added = tuple(range(g.n, g.n + len(red.added)))
     ids = [v for v in g.vertices() if v not in gone] + list(added)
     phi = Coloring(PALETTE, {v: ch.get(i) for i, v in enumerate(ids)})
-    _EXTENDERS[red.tag](g, replace(red, added=added), phi)
+    _run_recipe(g, phi, replace(red, added=added))
     for v in added:
         phi.unset(v)
     ok, violation = is_valid_2distance(g, phi)

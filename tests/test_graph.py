@@ -19,7 +19,6 @@ from sparse2dc.graph import (
     INFINITE_GIRTH,
     Graph,
     check_girth_mad_bound,
-    connected_components,
     d_star,
     degree_two_runs,
     find_k_paths,
@@ -361,12 +360,6 @@ class TestGirthMadBound:
     def test_rejects_small_girth(self):
         with pytest.raises(ValueError):
             check_girth_mad_bound(Fraction(2), 2)
-
-
-def test_components():
-    g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)])
-    comps = connected_components(g)
-    assert comps == [[0, 1, 2], [3, 4, 5], [6]]
 
 
 def test_three_path_middle_reach():

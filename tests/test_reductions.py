@@ -18,7 +18,6 @@ from sparse2dc.graph import (
     Graph,
     PathDescriptor,
     _walk_run as walk_run,
-    connected_components,
     d_star,
     degree_two_runs,
     girth,
@@ -36,10 +35,9 @@ from sparse2dc.reductions import (
     _RunIndex,
     _Tracked,
     _WorkGraph,
-    _dense,
     _edge_removal,
+    _greedy,
     _local_violation,
-    _surgery,
     apply_reduction,
     classify_vertices,
     constructive_color,
@@ -65,12 +63,20 @@ def run_pipeline(g, cfg, budget=10_000_000):
     return red, phi
 
 
-def surgery(g, dropped, paths, tag, detail):
-    """``_surgery`` on a working copy of ``g``, in the form
-    ``apply_reduction`` returns for a ``Graph``."""
-    wg = _WorkGraph(g)
-    wg.begin()
-    return _dense(_surgery(wg, dropped, paths, tag, detail))
+def only_templates(monkeypatch, tag, **choice):
+    """Let the splice appliers try only their own templates tagged ``tag``
+    whose detail holds ``choice``, to reach a template that the fixtures'
+    exact certificates never leave to the search."""
+    from sparse2dc import reductions as module
+
+    first_fit = module._first_fit
+
+    def chosen(g, templates, message):
+        picked = (t for t in templates
+                  if t[2] == tag and all(t[3].get(k) == x for k, x in choice.items()))
+        return first_fit(g, picked, message)
+
+    monkeypatch.setattr(module, "_first_fit", chosen)
 
 
 class TestDispatchKinds:
@@ -179,21 +185,14 @@ class TestLocalKinds:
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-bridges-a"
 
-    def test_sponsor_bridges_edge_branch_direct(self):
+    def test_sponsor_bridges_edge_branch_direct(self, monkeypatch):
         # the edge branch needs every splice target blocked, which sparse
-        # fixtures cannot arrange; drive the surgery and recipe directly
+        # fixtures cannot arrange; the applier tries its edge template only
         g = fx.sponsor_bridges_local()
         cfg = registry_witness("SponsorManyBridges", g)
-        u, v, p = cfg.data["u"], cfg.data["v"], cfg.data["p"]
-        qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
-        dropped = set(p)
-        for q1, q2, _ in qtr:
-            dropped.update((q1, q2))
-        detail = {"u": u, "v": v, "p": p, "q": tuple(qtr)}
-        red = surgery(g, dropped, [(u, v, 0)], "sponsor-bridges-b", detail)
-        ch = color_2distance(red.graph, 8, budget=10_000_000)
-        phi = extend_coloring(g, cfg, red, ch)
-        assert is_valid_2distance(g, phi)[0]
+        only_templates(monkeypatch, "sponsor-bridges-b")
+        red, _ = run_pipeline(g, cfg)
+        assert red.tag == "sponsor-bridges-b"
 
     def test_sponsor_all_bad_small_k(self):
         for k, tag in ((0, "sponsor-allbad-k0"), (1, "sponsor-allbad-k1")):
@@ -234,35 +233,14 @@ class TestLocalKinds:
         phi = extend_coloring(g, cfg, red, ch)
         assert is_valid_2distance(g, phi)[0]
 
-    def test_sponsor_all_bad_mixed_template_direct(self):
-        # the path-plus-edge splice is unreachable through the search on
-        # leaf fixtures; build its reduction directly and run the recipe
+    def test_sponsor_all_bad_mixed_template_direct(self, monkeypatch):
+        # the path-plus-edge splice is template 29 of 36 on this fixture, and
+        # the first, a claim-2 one, fits; the applier tries claim 5's only
         g = fx.sponsor_all_bad_local(2)
         cfg = registry_witness("SponsorAllBadNeighbors", g)
-        u, v = cfg.data["u"], cfg.data["v"]
-        p = cfg.data["p"]
-        qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
-        wtr = []
-        for w in cfg.data["wvertices"]:
-            starts = [n for n in g.adjacency[w] if g.degree(n) == 2]
-            wtr.append((w, starts[0], starts[1]))
-        dropped = {u, *p}
-        for q1, q2, _ in qtr:
-            dropped.update((q1, q2))
-        detail = {
-            "u": u, "v": v, "p": p, "q": tuple(qtr), "w": tuple(wtr),
-            "i": 0, "ip": 1, "j": 0,
-        }
-        red = surgery(
-            g,
-            dropped,
-            [(v, qtr[1][2], 2), (qtr[0][2], wtr[0][0], 0)],
-            "sponsor-allbad-claim5",
-            detail,
-        )
-        ch = color_2distance(red.graph, 8, budget=10_000_000)
-        phi = extend_coloring(g, cfg, red, ch)
-        assert is_valid_2distance(g, phi)[0]
+        only_templates(monkeypatch, "sponsor-allbad-claim5")
+        red, _ = run_pipeline(g, cfg)
+        assert red.tag == "sponsor-allbad-claim5"
 
     def test_sponsor_small_x_splice_branch(self):
         g = fx.sponsor_small_x_local()
@@ -270,27 +248,13 @@ class TestLocalKinds:
         red, _ = run_pipeline(g, cfg)
         assert red.tag == "sponsor-smallx-a"
 
-    def test_sponsor_small_x_edge_branch_direct(self):
+    def test_sponsor_small_x_edge_branch_direct(self, monkeypatch):
+        # the direct edge to x itself, which leaves x out of the matching
         g = fx.sponsor_small_x_local()
         cfg = registry_witness("SponsorWithSmallX", g)
-        u, v, x = cfg.data["u"], cfg.data["v"], cfg.data["x"]
-        p = cfg.data["p"]
-        qtr = [(ints[0], ints[1], far) for _, ints, far in cfg.data["qpaths"]]
-        wtr = []
-        for w in cfg.data["wvertices"]:
-            starts = [n for n in g.adjacency[w] if g.degree(n) == 2]
-            wtr.append((w, starts[0], starts[1]))
-        dropped = {u, *p}
-        for q1, q2, _ in qtr:
-            dropped.update((q1, q2))
-        detail = {
-            "u": u, "v": v, "x": x, "p": p,
-            "q": tuple(qtr), "w": tuple(wtr), "z": x,
-        }
-        red = surgery(g, dropped, [(v, x, 0)], "sponsor-smallx-b", detail)
-        ch = color_2distance(red.graph, 8, budget=10_000_000)
-        phi = extend_coloring(g, cfg, red, ch)
-        assert is_valid_2distance(g, phi)[0]
+        only_templates(monkeypatch, "sponsor-smallx-b", z=cfg.data["x"])
+        red, _ = run_pipeline(g, cfg)
+        assert red.detail["z"] == cfg.data["x"]
 
 
 def short_certificates(monkeypatch, short):
@@ -945,14 +909,15 @@ class TestLocalCheck:
     def test_a_clash_in_the_chain_names_its_step(self, monkeypatch):
         from sparse2dc import reductions as module
 
-        recipe = module._EXTENDERS["greedy"]
+        run_recipe = module._run_recipe
 
-        def clashing(g, red, phi):
-            recipe(g, red, phi)
-            v = red.detail["order"][-1]
-            phi.set(v, phi.get(g.adjacency[v][0]))
+        def clashing(g, phi, red):
+            run_recipe(g, phi, red)
+            if red.tag == "greedy":
+                v = red.detail["order"][-1]
+                phi.set(v, phi.get(g.adjacency[v][0]))
 
-        monkeypatch.setitem(module._EXTENDERS, "greedy", clashing)
+        monkeypatch.setattr(module, "_run_recipe", clashing)
         with pytest.raises(ExtensionError) as info:
             constructive_color(fx.four_plus_path(), verify_preconditions=False)
         assert info.value.tag == "greedy"
@@ -1116,6 +1081,24 @@ class TestBaseComponents:
         assert detect_configuration(g) is None
         phi = constructive_color(g, verify_preconditions=False)
         assert is_valid_2distance(g, phi)[0] and phi.is_total(g)
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each sorted."""
+    seen, comps = set(), []
+    for s in g.vertices():
+        if s in seen:
+            continue
+        comp, todo = [s], [s]
+        seen.add(s)
+        while todo:
+            for y in g.adjacency[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    todo.append(y)
+        comps.append(sorted(comp))
+    return comps
 
 
 def reference_base_color(g: Graph) -> Coloring:
@@ -1573,11 +1556,136 @@ class TestKindRecipes:
         blob = json.dumps(records, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_KINDS
 
+    PINNED_RELABELLED = "4ea2407552fa"
+
+    def test_relabelled_extensions_digest(self):
+        """Each recipe of the corpus runs on 30 reduced colorings per graph:
+        the reduced graph is relabelled at random, colored by
+        ``color_2distance``, and its palette shuffled.  Those colorings never
+        give claim 3's w_j and w_j' one color, so the fixture
+        ``sponsor_all_bad_same_far(4)`` runs once more with the solver
+        coloring its reduced graph, which does.  The colors, any errors and
+        the count of such ties are pinned."""
+        exact = lambda h: color_2distance(h, 8)  # noqa: E731
+        solver = lambda h: constructive_color(h, verify_preconditions=False)  # noqa: E731
+        inputs = [(kind, name, g, exact) for kind, name, g in self.corpus()]
+        inputs.append(("SponsorAllBadNeighbors", "sponsor_all_bad_same_far(4)",
+                       fx.sponsor_all_bad_same_far(4), solver))
+        records, ties = [], 0
+        for kind, name, g, color in inputs:
+            cfg = registry_witness(kind, g)
+            red = apply_reduction(g, cfg)
+            h = red.graph
+            _, remap = remove_vertices(g, red.removed)
+            for seed in range(30):
+                rng = random.Random(seed)
+                perm = list(range(h.n))
+                rng.shuffle(perm)
+                palette = list(range(1, 9))
+                rng.shuffle(palette)
+                c = color(Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()]))
+                ch = Coloring(8, {v: palette[c.colors[perm[v]] - 1] for v in h.vertices()})
+                if red.tag == "sponsor-allbad-claim3":
+                    d = red.detail
+                    w_j, w_jp = (remap[d["w"][t][0]] for t in (d["j"], d["jp"]))
+                    ties += ch.get(w_j) == ch.get(w_jp)
+                try:
+                    phi = extend_coloring(g, cfg, red, ch)
+                    out = [phi.get(v) for v in g.vertices()]
+                except ExtensionError as exc:
+                    out = [exc.tag, repr(exc.vertex), repr(exc.state)]
+                records.append([name, seed, out])
+        assert ties > 0
+        blob = json.dumps([records, ties], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:12] == self.PINNED_RELABELLED
+
+
+#: The recipe steps, each with the number of arguments it takes.
+STEP_ARITY = {"unset": 1, "greedy": 1, "sdr": 1, "ring": 1,
+              "copy": 2, "share": 2, "part": 2, "repeat": 3}
+
+
+def recipe_ops(recipe, live, n_added, removed):
+    """Check a recipe against the graph before its step: every step is one
+    of the eight, every vertex it names is live there (a copy may read a
+    spliced vertex instead, by a valid position in ``added``), every removed
+    vertex gets colored, and every vertex a step uncolors is colored again
+    by a later one.  Returns the ops used."""
+    painted, uncolored, ops = set(), set(), set()
+    for step in recipe:
+        op, args = step[0], step[1:]
+        assert STEP_ARITY.get(op) == len(args), step
+        ops.add(op)
+        if op == "copy" and isinstance(args[1], tuple):
+            assert args[1][0] == "added" and 0 <= args[1][1] < n_added, step
+            args = args[:1]
+        named = list(args[0]) if STEP_ARITY[op] == 1 else list(args)
+        assert all(isinstance(v, int) and v in live for v in named), step
+        if op == "unset":
+            uncolored.update(named)
+            continue
+        # a copy, part or repeat colors its first vertex and reads the rest
+        colors = named if op in ("greedy", "sdr", "ring", "share") else named[:1]
+        painted.update(colors)
+        uncolored.difference_update(colors)
+    assert set(removed) <= painted and not uncolored, recipe
+    return ops
+
+
+class TestRecipeForm:
+    """Every recipe is data in the eight-step vocabulary of ``_run_recipe``
+    that names only vertices of the graph before its step: on every
+    reduction of the ``PINNED`` and ``PINNED_KINDS`` corpora, and on every
+    template a splice applier offers there, fitting or not."""
+
+    def test_recipes_are_well_formed(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        ops, tags = set(), Counter()
+        apply, first_fit = module.apply_reduction, module._first_fit
+
+        def checked_apply(g, cfg):
+            live = set(g.vertices())
+            red = apply(g, cfg)
+            ops.update(recipe_ops(red.recipe, live, len(red.added), red.removed))
+            tags[red.tag] += 1
+            return red
+
+        def checked_first_fit(g, templates, message):
+            templates, live = list(templates), set(g.vertices())
+            for dropped, paths, tag, _, recipe in templates:
+                ops.update(recipe_ops(recipe, live, sum(k for _, _, k in paths), dropped))
+                tags["template " + tag] += 1
+            return first_fit(g, templates, message)
+
+        monkeypatch.setattr(module, "apply_reduction", checked_apply)
+        monkeypatch.setattr(module, "_first_fit", checked_first_fit)
+        for _, g in TestOutputIdentity().corpus():
+            try:
+                constructive_color(g)
+            except ValueError:  # outside the hypotheses
+                pass
+        for kind, _, g in TestKindRecipes().corpus():
+            module.apply_reduction(g, registry_witness(kind, g))
+        assert ops == set(STEP_ARITY)
+        # 13 tags fire; claim 5 and the two edge templates are only offered
+        assert len({t.removeprefix("template ") for t in tags}) == 16
+        assert len([t for t in tags if not t.startswith("template ")]) == 13
+
+    def test_an_unknown_step_is_refused(self):
+        g = fx.two_consecutive_three_paths()
+        cfg = detect_configuration(g)
+        red = apply_reduction(g, cfg)
+        ch = color_2distance(red.graph, 8)
+        planted = replace(red, recipe=red.recipe[:1] + (("paint", 0, 1),) + red.recipe[1:])
+        with pytest.raises(ValueError, match="^two-consecutive recipe: unknown step 'paint'$"):
+            extend_coloring(g, cfg, planted, ch)
+
 
 def _apply_degree_one_per_edge(g, cfg):
     """The single-edge DegreeOne surgery that batched peeling replaced."""
     v, u = cfg.data["v"], cfg.data["u"]
-    return _edge_removal(g, [(v, u)], "greedy", {"order": (v,)})
+    return _edge_removal(g, [(v, u)], *_greedy((v,)))
 
 
 class ReferenceWorkGraph(_WorkGraph):
