@@ -23,16 +23,13 @@ from .discharging import (
 from .graph import (
     Graph,
     PathDescriptor,
-    VertexSignature,
     check_girth_mad_bound,
     d_star,
     degree_two_runs,
-    find_k_paths,
     girth,
     square,
     subdivide,
     two_distance_neighborhood,
-    vertex_signature,
 )
 from .io import autodetect, from_graph6, parse_edge_list, to_graph6, write_edge_list
 from .potential import (

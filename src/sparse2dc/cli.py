@@ -25,7 +25,7 @@ from .reductions import (
     constructive_color,
     detect_configuration,
 )
-from .verify import generate_corpus, hunt, save_corpus, verify_theorem
+from .verify import GenerationError, generate_corpus, hunt, save_corpus, verify_theorem
 
 OK, VIOLATION, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, ForestOfStarsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, GenerationError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return BUDGET
     except InternalContradiction as exc:

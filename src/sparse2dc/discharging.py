@@ -4,6 +4,10 @@ Every vertex starts with charge 7*deg - 18, stored in exact half-units.
 The transfer rules R0-R2 move charge along local structures (2-vertex
 runs, bridges, sponsors); the ledger records every transfer so that the
 final charges are auditable and conservation is checkable exactly.
+The roles come from ``classify_vertices``; the run signatures that R1-R2
+and the audit report read come from the run index it reads, the one the
+detectors read.  Each call reads one index: the working graph's own when
+``g`` is one, else one built for the call.
 """
 
 from __future__ import annotations
@@ -11,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, degree_two_runs, vertex_signature
+from .graph import Graph, degree_two_runs
 from .io import json_data
 from .potential import DENSITY_BOUND, mad_exact
-from .reductions import classify_vertices, detect_configuration
+from .reductions import _signature, _working, classify_vertices, detect_configuration
 
 #: Transfer amounts in half-units, keyed by rule slot.  R0(i) and R1(iii)
 #: each carry two distinct amounts, so they get two slots.
@@ -76,9 +80,9 @@ def initial_charge_halves(g: Graph, v: int) -> int:
     return 14 * g.degree(v) - 36
 
 
-def _rule_slot(rule: str) -> str:
-    return {"R0i-large": "R0i", "R0i-medium": "R0i",
-            "R1iii-one-paths": "R1iii", "R1iii-two-path": "R1iii"}.get(rule, rule)
+#: The ledger's rule name of each two-amount slot; every other slot is its rule.
+_RULE_OF_SLOT = {"R0i-large": "R0i", "R0i-medium": "R0i",
+                 "R1iii-one-paths": "R1iii", "R1iii-two-path": "R1iii"}
 
 
 def run_discharge(g: Graph, amounts: dict[str, int] | None = None) -> ChargeLedger:
@@ -99,12 +103,14 @@ def run_discharge(g: Graph, amounts: dict[str, int] | None = None) -> ChargeLedg
         if unknown:
             raise ValueError(f"unknown rule slots: {sorted(unknown)}")
         amt.update(amounts)
-    classes = classify_vertices(g)
+    wg = _working(g)
+    classes = classify_vertices(wg)
+    idx = wg.run_index()
 
     transfers: list[Transfer] = []
 
     def give(rule: str, source: int, target: int) -> None:
-        transfers.append(Transfer(_rule_slot(rule), source, target, amt[rule]))
+        transfers.append(Transfer(_RULE_OF_SLOT.get(rule, rule), source, target, amt[rule]))
 
     # R0(i): every 3+-vertex feeds its large and medium 2-neighbors
     for v, kind in sorted(classes.two_kind.items()):
@@ -147,20 +153,17 @@ def run_discharge(g: Graph, amounts: dict[str, int] | None = None) -> ChargeLedg
         for w in g.adjacency[u]:
             if g.degree(w) < 3:
                 continue
-            sig = vertex_signature(g, w)
+            sig = _signature(wg, idx, w)
             for pattern, min_degree, rule in signature_rules:
-                if du >= min_degree and sig.matches(pattern):
+                if du >= min_degree and sig == pattern:
                     give(rule, u, w)
 
-    final = list(initial_charge_halves(g, v) for v in g.vertices())
+    initial = tuple(initial_charge_halves(g, v) for v in g.vertices())
+    final = list(initial)
     for t in transfers:
         final[t.source] -= t.halves
         final[t.target] += t.halves
-    return ChargeLedger(
-        tuple(initial_charge_halves(g, v) for v in g.vertices()),
-        tuple(transfers),
-        tuple(final),
-    )
+    return ChargeLedger(initial, tuple(transfers), tuple(final))
 
 
 @dataclass(frozen=True)
@@ -218,18 +221,16 @@ def verify_ledger(g: Graph, ledger: ChargeLedger) -> LedgerReport:
     if density <= DENSITY_BOUND:
         nonpositive = ledger.total_final() <= 0
 
+    wg = _working(g)  # its run index is built on first read, and only once
+
     def annotate(vs):
-        out = []
-        for v in vs:
-            sig = vertex_signature(g, v).entries if g.degree(v) >= 1 else ()
-            out.append((v, g.degree(v), sig))
-        return tuple(out)
+        return tuple((v, g.degree(v), _signature(wg, wg.run_index(), v)) for v in vs)
 
     negatives = annotate([v for v in g.vertices() if ledger.final[v] < 0])
     positives = annotate([v for v in g.vertices() if ledger.final[v] > 0])
     implies = None
     if negatives:
-        implies = detect_configuration(g) is not None
+        implies = detect_configuration(wg) is not None
     return LedgerReport(
         conserved and ledger.total_initial() == expected,
         ledger.total_final(),

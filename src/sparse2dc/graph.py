@@ -21,9 +21,6 @@ from typing import Iterable, Sequence
 
 INFINITE_GIRTH = float("inf")
 
-#: Runs of consecutive 2-vertices longer than this are reported truncated.
-RUN_CAP = 4
-
 
 class Graph:
     """Simple undirected graph with sorted adjacency lists.
@@ -139,29 +136,6 @@ class PathDescriptor:
         return self.endpoints[0] == self.endpoints[1]
 
 
-@dataclass(frozen=True)
-class VertexSignature:
-    """Run lengths of consecutive 2-vertices along each incident edge.
-
-    ``entries`` holds one value per incident edge, sorted descending; a run
-    longer than ``RUN_CAP`` or one that loops back to the vertex is capped
-    and sets ``truncated``.  ``exact`` keeps the uncapped lengths (loops are
-    reported as -1) for diagnostics.
-    """
-
-    degree: int
-    entries: tuple[int, ...]
-    truncated: bool
-    exact: tuple[int, ...]
-
-    def matches(self, pattern: Sequence[int]) -> bool:
-        """Exact signature match, e.g. ``matches((2, 2, 0))``; requires no
-        truncated walks."""
-        return not self.truncated and self.entries == tuple(
-            sorted(pattern, reverse=True)
-        )
-
-
 def square(g: Graph) -> Graph:
     """Graph on the same vertices joining every pair at distance 1 or 2."""
     edges = set(g.edges())
@@ -270,52 +244,6 @@ def _canonical_run(u: int, v: int, internal: list[int]) -> PathDescriptor:
     if v < u or (v == u and internal and internal[-1] < internal[0]):
         return PathDescriptor((v, u), tuple(reversed(internal)))
     return PathDescriptor((u, v), tuple(internal))
-
-
-def find_k_paths(g: Graph, k: int) -> list[PathDescriptor]:
-    """All maximal degree-2 runs of length exactly ``k`` between anchors.
-
-    Pure cycles of 2-vertices are not runs and are reported separately by
-    :func:`degree_two_runs`.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    runs, _ = degree_two_runs(g)
-    if k == 0:
-        return []
-    return sorted(
-        (r for r in runs if r.length == k),
-        key=lambda r: (r.endpoints, r.internal),
-    )
-
-
-def vertex_signature(g: Graph, v: int) -> VertexSignature:
-    """Per-edge lengths of the 2-vertex runs starting at ``v``.
-
-    A walk that returns to ``v`` contributes an exact entry of -1 (loop)
-    and sets the truncation flag, as does any run longer than ``RUN_CAP``.
-    """
-    if g.degree(v) < 1:
-        raise ValueError(f"vertex {v} has degree 0")
-    exact: list[int] = []
-    truncated = False
-    for w in g.adjacency[v]:
-        if g.degree(w) != 2:
-            exact.append(0)
-            continue
-        internal, end = _walk_run(g, v, w)
-        # back at v: a loop (a 2-vertex v on a cycle is passed, up to w)
-        if end in (v, w):
-            exact.append(-1)
-            truncated = True
-        else:
-            exact.append(len(internal))
-            if len(internal) > RUN_CAP:
-                truncated = True
-    entries = tuple(
-        sorted((min(e, RUN_CAP) if e >= 0 else RUN_CAP for e in exact), reverse=True)
-    )
-    return VertexSignature(g.degree(v), entries, truncated, tuple(sorted(exact, reverse=True)))
 
 
 def subdivide(g: Graph, t: int) -> Graph:

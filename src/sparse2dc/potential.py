@@ -126,11 +126,13 @@ class _Structure:
 
     def starts(self) -> dict[int, list[tuple[int, int, list[int]]]]:
         """Anchor x -> (run number, z, inner) of each run (x, z, inner),
-        built on first use."""
+        built on first use and stored only once whole, since threads may
+        share a ``Graph`` and so its structure."""
         if self._starts is None:
-            self._starts = {}
+            starts: dict[int, list[tuple[int, int, list[int]]]] = {}
             for r, (x, z, run) in enumerate(self.runs):
-                self._starts.setdefault(x, []).append((r, z, run))
+                starts.setdefault(x, []).append((r, z, run))
+            self._starts = starts
         return self._starts
 
 

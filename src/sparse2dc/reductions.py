@@ -39,7 +39,6 @@ from .graph import (
     d_star,
     degree_two_runs,
     remove_vertices,
-    vertex_signature,
 )
 from .potential import DENSITY_BOUND, mad_exact, rho_star
 
@@ -395,6 +394,23 @@ def _slot_kinds(g: Graph, idx: _RunIndex, u: int):
     return out
 
 
+def _signature(g: Graph, idx: _RunIndex, v: int) -> tuple[int, ...]:
+    """The run signature of ``v``: the number of 2-vertices along each of
+    its edges, capped at 4, sorted descending.  A run that comes back to
+    ``v`` reads 4, so a 2-vertex on a cycle of 2-vertices reads (4, 4)."""
+    if v in idx.cycle_of:
+        return (4, 4)
+    r = idx.run_of.get(v)
+    if r is not None:  # a 2-vertex: the 2-vertices before it and after it,
+        # read within 4 of each end of its run, as the cap makes the rest 4
+        head, tail = r.internal[:4], r.internal[-1:-5:-1]
+        lengths = (head.index(v) if v in head else 4, tail.index(v) if v in tail else 4)
+    else:  # an anchor: each slot's run, or 0 for a neighbour that is no 2-vertex
+        lengths = [0 if ints is None else 4 if far == v else len(ints)
+                   for _, ints, far in _slot_kinds(g, idx, v)]
+    return tuple(sorted((min(x, 4) for x in lengths), reverse=True))
+
+
 def _capped(g: Graph, u: int, slot, cap: int) -> bool:
     """Whether ``slot`` at ``u`` is a 2-run whose far end is not ``u`` and
     has degree at most ``cap``."""
@@ -564,7 +580,7 @@ def _weird_seven_at(g, idx, u):
         case = "three-path"
     elif _capped(g, u, extra, 6):
         case = "two-path"
-    elif ints is None and vertex_signature(g, w).matches((2, 2, 0)):
+    elif ints is None and _signature(g, idx, w) == (2, 2, 0):
         case = "deg-three"
     else:
         return
@@ -667,7 +683,7 @@ def _sponsor(g: Graph, idx: _RunIndex, u: int):
             continue
         if _capped(g, u, s, g.n):  # any far degree
             qpaths.append(s)
-        elif ints is None and vertex_signature(g, w).matches((2, 2, 0)):
+        elif ints is None and _signature(g, idx, w) == (2, 2, 0):
             wvertices.append(w)
         else:
             rest.append(w)
@@ -708,6 +724,11 @@ def _sponsor_small_x_at(g, idx, u):
 def _small_x_potentials(g, idx, data) -> dict | None:
     pots = _orientation(g, idx, data)
     return pots and {**pots, "x_reach": idx.reach(data["x"])}
+
+
+def _working(g) -> _WorkGraph:
+    """``g`` itself when it is a working graph, else a working graph on it."""
+    return g if isinstance(g, _WorkGraph) else _WorkGraph(g)
 
 
 def _index(g) -> _RunIndex:
@@ -1150,7 +1171,7 @@ def apply_reduction(g: Graph, cfg: Configuration) -> Reduction:
     the solver's working graph is edited in place instead, behind an undo
     record.
     """
-    wg = g if isinstance(g, _WorkGraph) else _WorkGraph(g)
+    wg = _working(g)
     cfg.validate(wg)
     before = wg.size()
     wg.begin()

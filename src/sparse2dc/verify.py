@@ -103,8 +103,13 @@ def random_capped_instance(
 
     The skeleton keeps minimum degree 2 and one hub of the requested
     degree; two or three rounds of subdivision push the girth up and the
-    density below 18/7 (strictly below when ``strict``).
+    density below 18/7 (strictly below when ``strict``).  A hub degree
+    below 2 is refused before any draw, since no skeleton has one.
     """
+    if hub_degree < 2:
+        raise ValueError(
+            f"hub degree {hub_degree} is below 2; every skeleton has a vertex of degree 2 or more"
+        )
     for attempt in range(_CAPPED_RETRIES):
         n = rng.randint(5, 11)
         extra = rng.randint(0, 2)

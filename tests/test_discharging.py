@@ -241,6 +241,32 @@ class TestConservation:
         if report.negatives:
             assert report.negative_implies_configuration is True
 
+    def test_one_run_index_per_call(self, monkeypatch):
+        """The rules, classification and the report's signatures read one
+        run index: ``run_discharge`` on a ``Graph`` builds exactly one, and
+        ``verify_ledger`` at most one, its configuration check included."""
+        from sparse2dc import reductions
+
+        built = []
+        index_init = reductions._RunIndex.__init__
+
+        def counted_index(self, g):
+            built.append(g)
+            index_init(self, g)
+
+        monkeypatch.setattr(reductions._RunIndex, "__init__", counted_index)
+        detected = 0
+        for make in (*ALL_CASES, lambda: CaseFixture(cycle(7), {})):
+            g = make().graph
+            built.clear()
+            ledger = run_discharge(g)
+            assert len(built) == 1
+            built.clear()
+            report = verify_ledger(g, ledger)
+            assert len(built) == (1 if report.negatives or report.positives else 0)
+            detected += report.negative_implies_configuration is not None
+        assert detected  # some report also ran its configuration check
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             run_discharge(Graph(2, [(0, 1)]))  # degree-1 vertices

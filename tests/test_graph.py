@@ -21,12 +21,17 @@ from sparse2dc.graph import (
     check_girth_mad_bound,
     d_star,
     degree_two_runs,
-    find_k_paths,
     girth,
     square,
     subdivide,
     two_distance_neighborhood,
-    vertex_signature,
+)
+from sparse2dc.reductions import (
+    _RunIndex,
+    _signature,
+    _WorkGraph,
+    apply_reduction,
+    detect_configuration,
 )
 
 from conftest import bfs_distances, random_graph
@@ -219,7 +224,7 @@ class TestRuns:
         # just need degree != 2, so give each anchor two extra leaves.
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (0, 6), (4, 7), (4, 8)]
         g = Graph(9, edges)
-        paths = find_k_paths(g, 3)
+        paths = [r for r in degree_two_runs(g)[0] if r.length == 3]
         assert len(paths) == 1
         assert paths[0].endpoints == (0, 4)
         assert paths[0].internal == (1, 2, 3)
@@ -228,11 +233,11 @@ class TestRuns:
         runs, cycles = degree_two_runs(cycle(5))
         assert runs == []
         assert len(cycles) == 1 and sorted(cycles[0]) == [0, 1, 2, 3, 4]
-        assert find_k_paths(cycle(5), 2) == []
+        assert [r for r in runs if r.length == 2] == []
 
     def test_double_subdivided_claw(self):
         g = subdivide(star(3), 2)
-        paths = find_k_paths(g, 2)
+        paths = [r for r in degree_two_runs(g)[0] if r.length == 2]
         assert len(paths) == 3
         for p in paths:
             assert 0 in p.endpoints
@@ -274,7 +279,7 @@ class TestVertexSignature:
         edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7),
                  (7, 8), (7, 9), (3, 10), (3, 11), (6, 12), (6, 13)]
         g = Graph(14, edges)
-        assert vertex_signature(g, 0).matches((2, 2, 0))
+        assert signature(g, 0) == (2, 2, 0)
 
     def test_two_two_two_zero(self):
         edges = []
@@ -284,19 +289,18 @@ class TestVertexSignature:
         # plus one plain high-degree neighbor
         edges += [(0, 16), (16, 17), (16, 18), (16, 19), (16, 20)]
         g = Graph(21, edges)
-        assert vertex_signature(g, 0).matches((2, 2, 2, 0))
+        assert signature(g, 0) == (2, 2, 2, 0)
 
     def test_star_center_all_zero(self):
         g = star(5)
-        sig = vertex_signature(g, 0)
-        assert sig.entries == (0, 0, 0, 0, 0)
-        assert not sig.truncated
+        sig = signature(g, 0)
+        assert sig == (0, 0, 0, 0, 0)
 
     def test_loop_walk_truncates(self):
         g = Graph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (0, 4), (4, 5)])
-        sig = vertex_signature(g, 0)
-        assert sig.truncated
-        assert -1 in sig.exact
+        sig = signature(g, 0)
+        assert 4 in sig
+        assert sig == (4, 4, 1, 0)  # the closed run reads 4 on both its edges
 
     @given(st.integers(0, 200), st.integers(4, 12))
     @settings(max_examples=30, deadline=None)
@@ -306,16 +310,125 @@ class TestVertexSignature:
         for v in g.vertices():
             if g.degree(v) < 1 or g.degree(v) == 2:
                 continue
-            sig = vertex_signature(g, v)
-            if sig.truncated:
+            sig = signature(g, v)
+            if 4 in sig:
                 continue
             # each positive entry is the length of a run anchored at v
             anchored = sorted(
                 (r.length for r in runs if v in r.endpoints and not r.closed),
                 reverse=True,
             )
-            positives = sorted((e for e in sig.exact if e > 0), reverse=True)
+            positives = [e for e in sig if e > 0]
             assert positives == anchored
+
+    def test_matches_reference_walk(self):
+        """The run index gives every vertex the signature a walk of each of
+        its runs gives, on graphs with every kind of run."""
+        rng = random.Random(29)
+        features, checked = set(), 0
+        for _ in range(300):
+            g = run_rich_graph(rng)
+            features |= run_features(g)
+            idx = _RunIndex(g)
+            for v in g.vertices():
+                expected = signature_reference(g, v) if g.degree(v) else ()
+                assert _signature(g, idx, v) == expected, (g.edges(), v)
+                checked += 1
+        assert features == {"pendant", "closed", "cycle", "long"}
+        assert checked > 5000
+
+    def test_matches_reference_on_working_graph(self):
+        """After a DegreeOne peel and a splice, the synced index of the
+        working graph gives every live vertex its walked signature."""
+        rng = random.Random(30)
+        tested = 0
+        while tested < 40:
+            g = run_rich_graph(rng)
+            if not any(g.degree(v) == 1 for v in g.vertices()):
+                continue
+            wg = _WorkGraph(g)
+            wg.run_index()
+            cfg = detect_configuration(wg)
+            assert cfg.kind == "DegreeOne"
+            apply_reduction(wg, cfg)
+            live = [v for v in wg.vertices() if wg.degree(v) != 2]
+            if len(live) < 2 or wg.has_edge(live[0], live[-1]):
+                continue
+            wg.begin()
+            wg.add_path(live[0], live[-1], rng.randint(1, 6))
+            idx = wg.run_index()
+            for v in wg.vertices():
+                expected = signature_reference(wg, v) if wg.degree(v) else ()
+                assert _signature(wg, idx, v) == expected, (g.edges(), v)
+            tested += 1
+
+
+def signature(g: Graph, v: int) -> tuple[int, ...]:
+    return _signature(g, _RunIndex(g), v)
+
+
+def signature_reference(g, v: int) -> tuple[int, ...]:
+    """A vertex's run signature by walking each of its runs: the number of
+    2-vertices along each edge, capped at 4, a walk back to ``v`` reading
+    4, sorted descending."""
+    if g.degree(v) < 1:
+        raise ValueError(f"vertex {v} has degree 0")
+    entries = []
+    for w in g.adjacency[v]:
+        if g.degree(w) != 2:
+            entries.append(0)
+            continue
+        internal, prev, cur = [w], v, w
+        while True:
+            a, b = g.adjacency[cur]
+            nxt = b if a == prev else a
+            if nxt == w or g.degree(nxt) != 2:
+                break
+            internal.append(nxt)
+            prev, cur = cur, nxt
+        # back at v: a loop (a 2-vertex v on a cycle is passed, up to w)
+        entries.append(4 if nxt in (v, w) else min(len(internal), 4))
+    return tuple(sorted(entries, reverse=True))
+
+
+def run_rich_graph(rng: random.Random) -> Graph:
+    """A random skeleton whose edges become runs of 0-6 2-vertices, with
+    closed runs and pendant vertices at some skeleton vertices and up to
+    two cycles of 2-vertices beside it."""
+    n = rng.randint(2, 8)
+    edges: list[tuple[int, int]] = []
+    fresh = [n]
+
+    def run(u: int, v: int, k: int) -> None:
+        chain = [u, *range(fresh[0], fresh[0] + k), v]
+        fresh[0] += k
+        edges.extend(zip(chain, chain[1:]))
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.4:
+                run(u, v, rng.randint(0, 6))
+        roll = rng.random()
+        if roll < 0.2:
+            run(u, u, rng.randint(2, 6))
+        elif roll < 0.4:
+            run(u, fresh[0], 0)
+            fresh[0] += 1
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(3, 7)
+        ring = list(range(fresh[0], fresh[0] + k))
+        fresh[0] += k
+        edges.extend(zip(ring, ring[1:] + ring[:1]))
+    return Graph(fresh[0], edges)
+
+
+def run_features(g: Graph) -> set[str]:
+    runs, cycles = degree_two_runs(g)
+    found = {"pendant"} if any(g.degree(v) == 1 for v in g.vertices()) else set()
+    found |= {"closed"} if any(r.closed for r in runs) else set()
+    found |= {"cycle"} if cycles else set()
+    found |= {"long"} if any(r.length >= 5 for r in runs) else set()
+    return found
 
 
 class TestSubdivide:

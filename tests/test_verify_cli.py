@@ -671,6 +671,28 @@ class TestCli:
 
         assert cli.build_parser().parse_args(["chi2", "--budget", "5"]).budget == 5
 
+    @pytest.mark.parametrize("hub", ["1", "0", "-3"])
+    def test_gen_hub_degree_below_two_exit_2(self, hub):
+        """No skeleton has a hub degree below 2, so it is refused before a
+        draw, with one line and no traceback."""
+        proc = run_cli(["gen", "--hub-degree", hub, "--count", "1"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"error: hub degree {hub} is below 2; "
+                               "every skeleton has a vertex of degree 2 or more\n")
+
+    def test_gen_exhausted_generator_exit_3(self, capsys, monkeypatch):
+        from sparse2dc import cli, verify
+
+        def exhausted(rng, hub_degree=7, strict=False):
+            raise verify.GenerationError("subdivided-skeleton generator exhausted its retries")
+
+        monkeypatch.setattr(verify, "random_capped_instance", exhausted)
+        assert cli.main(["gen", "--count", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "budget exhausted: subdivided-skeleton generator exhausted its retries\n"
+
     def test_three_path_cycle_discharge_exit_2(self, capsys, tmp_path):
         """Charge rules need the 3-paths to form a forest of stars; an
         input that breaks this is an input error, not a crash."""
