@@ -84,20 +84,25 @@ class Configuration:
     potentials: dict = field(default_factory=dict)
 
     def validate(self, g: Graph) -> None:
-        """Recheck the witness against ``g`` from scratch.
+        """Recheck the witness against ``g``.
 
         A witness of a local kind is valid exactly when its kind's detector
         could produce it at its centre: it must be among the witnesses the
         kind's enumerator yields there, and the potentials it carries must
-        be the ones recomputed for it.  So a hand-made witness in an order
-        no detector produces is refused.  The witnesses of the two kinds
-        that are not local, ThreePathCycle and ThreeConsecutiveThreePaths,
-        are read back run by run.  Raises ValueError naming the kind, also
-        for an unknown kind or malformed data.
+        be the ones recomputed for it, unless it is the very witness
+        detection stored on the working graph, unchanged, with no edit
+        since.  So a hand-made witness in an order no detector produces is
+        refused.  The witnesses of the two kinds that are not local,
+        ThreePathCycle and ThreeConsecutiveThreePaths, are always read back
+        run by run.  Raises ValueError naming the kind, also for an unknown
+        kind or malformed data.
         """
         _require(self.kind in KINDS and isinstance(self.data, dict), self.kind,
                  "unknown kind, or data not a dict")
-        _BY_KIND[self.kind].validate(g, _index(g), self)
+        kind = _BY_KIND[self.kind]
+        idx = g._index if isinstance(g, _WorkGraph) else None
+        if kind.centre is None or idx is None or not idx.detected(self):
+            kind.validate(g, _index(g), self)
 
 
 @dataclass
@@ -180,10 +185,19 @@ class _WorkGraph:
 
     def run_index(self) -> _RunIndex:
         """The chain's run index, caught up with the edits since its last read."""
+        idx = self.pendant_index()
+        idx.sync()
+        return idx
+
+    def pendant_index(self) -> _RunIndex:
+        """The chain's run index with the edits since its last read noted,
+        and its runs not synced."""
         if self._index is None:
             self.dirty.clear()
             self._index = _RunIndex(self)
-        self._index.sync()
+        elif self.dirty:
+            self._index.note(self.dirty)
+            self.dirty = set()
         return self._index
 
     def begin(self) -> None:
@@ -243,25 +257,28 @@ class _WorkGraph:
 # run bookkeeping
 
 #: The worklists, one per structural run detector, that runs of each
-#: length 0..4 feed (4 stands for 4 or more).
+#: length 0..4 feed (4 stands for 4 or more), and those whose detectors
+#: read the anchors: FourPlusPath reads only the length.
 _WORKLISTS = ((), (), ("TwoPathBadEnds", "TwoPathChord"), ("ThreePathBadEnd",), ("FourPlusPath",))
+_ANCHOR_WORKLISTS = _WORKLISTS[:4] + ((),)
 
 
 class _RunIndex:
     """Degree-2 runs of a graph, addressable by (anchor, first internal).
 
-    On the working graph one index lives through the chain.  ``sync`` drops
-    the runs through a vertex edited since the last step, or at one that
-    now has degree 2, and walks the changed runs; a run kept at an edited
-    anchor is pushed back onto its worklists without a walk.  The
-    structural detectors read lazily checked heaps: ``pendants`` (the
-    degree-1 vertices, shared with the DegreeOne batch) and a worklist of
-    runs per run detector, least (endpoints, internal) first.  A run is
-    pushed whenever it is walked or an anchor of it is edited, so a
-    detector may drop a run it does not fire on.  The later detectors read
-    ``three_adj`` and ``cycle_of``, kept with the runs, and ``reach``, d*
-    memoized per vertex until an edit lands next to it.  ``found`` keeps
-    the configuration ``detect_configuration`` found, until the next edit.
+    On the working graph one index lives through the chain.  ``note`` takes
+    the vertices edited since the last read: it forgets ``found`` and pushes
+    the new degree-1 vertices onto ``pendants``, the heap DegreeOne reads.
+    ``sync``, run only once a reader past DegreeOne needs the runs, drops
+    the runs through a noted vertex, or at one that now has degree 2, and
+    walks the changed runs; a run kept at an edited anchor goes back on the
+    worklists that read anchors.  The run detectors read lazily checked
+    worklist heaps, least (endpoints, internal) first, that hold a run at
+    most once (``queued``) and drop a run a detector does not fire on.  The
+    later detectors read ``three_adj`` and ``cycle_of``, kept with the runs,
+    and ``reach``, d* memoized per vertex until an edit lands next to it.
+    ``found`` keeps the configuration ``detect_configuration`` found, and
+    ``seen`` its data and potentials, until the next edit.
     """
 
     def __init__(self, g: Graph):
@@ -273,19 +290,37 @@ class _RunIndex:
         self.three_adj: dict[int, list[tuple[int, PathDescriptor]]] = {}
         self.cycle_of: dict[int, frozenset[int]] = {}  # the cycles of 2-vertices
         self.ds: dict[int, int] = {}  # the d* values read so far
-        self.pendants: list[int] = []
+        adj = g.adjacency
+        self.pendants = [v for v in g.vertices() if len(adj[v]) == 1]  # sorted: a heap
+        self.stale: set[int] = set()  # the vertices noted and not yet synced
         self.found: Configuration | None = None
+        self.seen: tuple[dict, dict] | None = None  # found's data and potentials
         self.worklists = {name: [] for names in _WORKLISTS for name in names}
+        self.queued = {name: set() for name in self.worklists}  # each heap's keys
         self._walk(g.vertices())
 
+    def note(self, edited: set[int]) -> None:
+        """Take the vertices edited since the last read; ``sync`` walks them."""
+        self.found = None
+        adj, heap = self.g.adjacency, self.pendants
+        for x in edited:
+            if len(adj[x]) == 1:
+                heapq.heappush(heap, x)
+        self.stale |= edited
+
+    def detected(self, cfg: Configuration) -> bool:
+        """Whether ``cfg`` is the configuration detection stored, with its
+        data and potentials as found and no edit since."""
+        return (cfg is self.found and not self.g.dirty
+                and (cfg.data, cfg.potentials) == self.seen)
+
     def sync(self) -> None:
-        """Catch up with the working graph's edits since the last sync."""
-        g, dirty = self.g, self.g.dirty
+        """Catch up with the edits noted since the last sync."""
+        dirty = self.stale
         if not dirty:
             return
-        g.dirty = set()
-        self.found = None
-        run_at, forget, cycle_of, adj = self.run_of.get, self.ds.pop, self.cycle_of, g.adjacency
+        self.stale = set()
+        run_at, forget, cycle_of, adj = self.run_of.get, self.ds.pop, self.cycle_of, self.g.adjacency
         for x in dirty:
             # an edit changes d* only at the vertices it touches and next to them
             forget(x, None)
@@ -303,7 +338,7 @@ class _RunIndex:
                 if len(nbrs) == 2:  # x was an anchor of r: its runs merge
                     self._drop(r)
                 else:  # r is unchanged, but an anchor's degree may not be
-                    self._push(r)
+                    self._push(r, _ANCHOR_WORKLISTS)
         self._walk(dirty)
 
     def _walk(self, seeds) -> None:
@@ -312,8 +347,6 @@ class _RunIndex:
         for x in seeds:
             if len(adj[x]) != 2:
                 starts = adj[x]
-                if len(starts) == 1:
-                    heapq.heappush(self.pendants, x)
             elif x in self.run_of or x in self.cycle_of:
                 continue
             else:  # walk to an anchor of x's run and start from there
@@ -348,9 +381,12 @@ class _RunIndex:
                 if not self.three_adj[a]:
                     del self.three_adj[a]
 
-    def _push(self, r: PathDescriptor) -> None:
-        for name in _WORKLISTS[min(len(r.internal), 4)]:
-            heapq.heappush(self.worklists[name], (r.endpoints, r.internal))
+    def _push(self, r: PathDescriptor, worklists=_WORKLISTS) -> None:
+        key = (r.endpoints, r.internal)
+        for name in worklists[min(len(r.internal), 4)]:
+            if key not in self.queued[name]:
+                self.queued[name].add(key)
+                heapq.heappush(self.worklists[name], key)
 
     def holds(self, r) -> bool:
         """Whether ``r`` is a run the index holds, as the index holds it."""
@@ -367,12 +403,12 @@ class _RunIndex:
     def worklist(self, name: str):
         """The named worklist's current runs, smallest first; each run the
         caller passes over is dropped."""
-        heap = self.worklists[name]
+        heap, queued = self.worklists[name], self.queued[name]
         while heap:
             r = self.run_of.get(heap[0][1][0])
             if r is not None and (r.endpoints, r.internal) == heap[0]:
                 yield r
-            heapq.heappop(heap)
+            queued.discard(heapq.heappop(heap))
 
     def reach(self, v: int) -> int:
         """d*(v), computed on first use after the last edit next to v."""
@@ -739,11 +775,20 @@ def _index(g) -> _RunIndex:
 def detect_configuration(g: Graph) -> Configuration | None:
     """First firing configuration in dispatch order (that of ``KINDS``),
     or None.  On a working graph the run index keeps the configuration
-    until the next edit, so detecting again before it runs no detector."""
-    idx = _index(g)
+    until the next edit, so detecting again before it runs no detector,
+    and syncs its runs only if DegreeOne does not fire.  No later kind
+    fires on a residual of cycles of 2-vertices and isolated vertices."""
+    idx = g.pendant_index() if isinstance(g, _WorkGraph) else _RunIndex(g)
+    synced = False
     for kind in _REGISTRY if idx.found is None else ():
-        idx.found = kind.detect(g, idx)
-        if idx.found is not None:
+        if not synced and kind.name != "DegreeOne":
+            idx.sync()
+            synced = True
+            if not idx.run_of and idx.pendant() is None and g.max_degree() <= 2:
+                break
+        found = kind.detect(g, idx)
+        if found is not None:
+            idx.found, idx.seen = found, (dict(found.data), dict(found.potentials))
             break
     return idx.found
 
@@ -822,7 +867,7 @@ def _apply_degree_one(g, cfg):
     and every other vertex within distance 2 of it is colored alike.
     """
     v, u = cfg.data["v"], cfg.data["u"]
-    adj, heap, live = g.adjacency, g.run_index().pendants, len(g.vertices())
+    adj, heap, live = g.adjacency, g.pendant_index().pendants, len(g.vertices())
     dropped = []
     while True:  # only edges go, so the live count stays and size() is live + m
         g.remove_edge(v, u)

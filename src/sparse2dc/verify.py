@@ -106,10 +106,7 @@ def random_capped_instance(
     density below 18/7 (strictly below when ``strict``).  A hub degree
     below 2 is refused before any draw, since no skeleton has one.
     """
-    if hub_degree < 2:
-        raise ValueError(
-            f"hub degree {hub_degree} is below 2; every skeleton has a vertex of degree 2 or more"
-        )
+    _require_hub_degree(hub_degree)
     for attempt in range(_CAPPED_RETRIES):
         n = rng.randint(5, 11)
         extra = rng.randint(0, 2)
@@ -135,7 +132,18 @@ def random_capped_instance(
     raise GenerationError("subdivided-skeleton generator exhausted its retries")
 
 
+def _require_hub_degree(hub_degree: int) -> None:
+    if hub_degree < 2:
+        raise ValueError(
+            f"hub degree {hub_degree} is below 2; every skeleton has a vertex of degree 2 or more"
+        )
+
+
 def random_tree_instance(rng: random.Random, hub_degree: int = 7) -> tuple[Graph, dict]:
+    """A random subdivided tree with pendant paths whose hub has degree at
+    least ``hub_degree``; the maximum degree may be higher.  A hub degree
+    below 2 is refused before any draw."""
+    _require_hub_degree(hub_degree)
     g = decorated_tree(
         rng,
         rng.randint(6, 12),

@@ -2297,10 +2297,13 @@ class TestSolverWork:
     ):
         """Detection reads the live run index alone: ``degree_two_runs``
         runs at most once per solve, for the base case, however many steps
-        reach ThreePathCycle and the detectors after it."""
+        reach ThreePathCycle and the detectors after it.  A cycles-only
+        residual ends detection before ThreePathCycle, so the skeleton
+        carries a disjoint component on which a later kind fires mid-chain,
+        with runs left in the graph."""
         from sparse2dc import reductions as module
 
-        g = capped_skeleton(random.Random(7), 570)
+        g = disjoint(capped_skeleton(random.Random(7), 570), fx.two_consecutive_three_paths())
         assert 1900 <= g.n <= 2100 and g.max_degree() == 7
         calls = Counter()
 
@@ -2322,4 +2325,267 @@ class TestSolverWork:
         phi = constructive_color(g, verify_preconditions=False)
         assert is_valid_2distance(g, phi)[0]
         assert len(steps) >= 200 and calls["reached"] >= 1
+        kinds = [kind for kind, _, _ in steps]
+        assert "TwoConsecutiveThreePaths" in kinds[:-1]
         assert calls["runs"] <= 1
+
+
+def run_enumerators():
+    """Each run worklist's enumerator: its kind's predicate holds at a run
+    when the enumerator yields a witness there."""
+    from sparse2dc import reductions as module
+
+    return {"FourPlusPath": module._four_plus_path_at,
+            "ThreePathBadEnd": module._three_path_bad_end_at,
+            "TwoPathBadEnds": module._two_path_bad_ends_at,
+            "TwoPathChord": module._two_path_chord_at}
+
+
+def check_worklists(g, idx) -> int:
+    """No worklist heap holds a key twice, ``queued`` holds each heap's
+    keys, and every live run at which a worklist's kind has a witness is
+    queued there; returns the number of such runs."""
+    runs = set(idx.run_of.values())
+    held = 0
+    for name, at in run_enumerators().items():
+        heap = idx.worklists[name]
+        assert len(set(heap)) == len(heap) and set(heap) == idx.queued[name], name
+        for r in runs:
+            if next(at(g, idx, r), None) is not None:
+                assert (r.endpoints, r.internal) in idx.queued[name], (name, r)
+                held += 1
+    return held
+
+
+def eager_detect(g):
+    """Detection with the whole run index synced first and every kind tried
+    in order: no sync deferred past DegreeOne and no early exit."""
+    from sparse2dc import reductions as module
+
+    idx = g.run_index() if isinstance(g, _WorkGraph) else _RunIndex(g)
+    return next((cfg for cfg in (k.detect(g, idx) for k in module._REGISTRY) if cfg), None)
+
+
+def disjoint(*graphs) -> Graph:
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(u + n, v + n) for u, v in h.edges()]
+        n += h.n
+    return Graph(n, edges)
+
+
+class TestChainBookkeeping:
+    """The chain's bookkeeping: the run sync waits past DegreeOne, each run
+    is queued at most once per worklist, the detected witness is not
+    enumerated again, and a residual of cycles of 2-vertices and isolated
+    vertices ends detection."""
+
+    @staticmethod
+    def chains(monkeypatch, detect):
+        """The (kind, data, potentials) of every step and the colorings,
+        solving ``TestLiveRunIndex``'s corpus with ``detect``."""
+        from sparse2dc import reductions as module
+
+        steps, colorings = [], []
+        apply = module.apply_reduction
+
+        def recording(g, cfg):
+            steps.append((cfg.kind, dict(cfg.data), dict(cfg.potentials)))
+            return apply(g, cfg)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "apply_reduction", recording)
+            patch.setattr(module, "detect_configuration", detect)
+            for g in TestLiveRunIndex().corpus():
+                try:
+                    colorings.append(constructive_color(g).colors)
+                except ValueError:  # outside the hypotheses: degree or density
+                    colorings.append(None)
+        return steps, colorings
+
+    def test_deferred_sync_matches_an_eager_sync(self, monkeypatch):
+        """The chain as shipped, with the index and the worklists checked
+        against a fresh scan after every sync that does work, takes the
+        steps and gives the colorings of the eager reference."""
+        from sparse2dc import reductions as module
+
+        sync, detect = _RunIndex.sync, module.detect_configuration
+        found = Counter()
+
+        def checked_sync(idx):
+            work = bool(idx.stale)
+            sync(idx)
+            if work:
+                TestLiveRunIndex().check(idx.g, found)
+                found["runs on a worklist predicate"] += check_worklists(idx.g, idx)
+                found["syncs"] += 1
+
+        def counting_detect(g):
+            cfg = detect(g)
+            found["deferred"] += cfg is not None and bool(g._index.stale)
+            return cfg
+
+        monkeypatch.setattr(_RunIndex, "sync", checked_sync)
+        shipped = self.chains(monkeypatch, counting_detect)
+        monkeypatch.setattr(_RunIndex, "sync", sync)
+        eager = self.chains(monkeypatch, eager_detect)
+        assert len(shipped[0]) >= 1000 and sum(c is not None for c in shipped[1]) >= 90
+        assert shipped == eager
+        assert found["syncs"] >= 500 and found["deferred"] >= 300
+        assert found["runs on a worklist predicate"] >= 1000
+
+    def test_detection_matches_the_eager_reference(self):
+        """The early exit is taken only where no kind fires: graphs with no
+        run (a cubic graph, K4 beside cycles) or with runs and maximum degree
+        3 detect what every kind tried in order detects."""
+        k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+        cube = Graph(8, [(a, a ^ bit) for a in range(8) for bit in (1, 2, 4) if a < a ^ bit])
+        rings = disjoint(cycle(5), Graph(2, []), cycle(12))
+        graphs = [k4, cube, petersen(), rings, disjoint(rings, k4), subdivide(k4, 1),
+                  subdivide(cube, 1), disjoint(rings, subdivide(cube, 2)), star(3), spider(3, 2)]
+        fired = set()
+        for g in graphs:
+            expect = eager_detect(_WorkGraph(g))
+            assert detect_configuration(g) == expect
+            assert detect_configuration(_WorkGraph(g)) == expect
+            fired.add(expect and expect.kind)
+        assert {None, "CountingPair", "DegreeOne"} <= fired and len(fired) >= 4
+
+    def test_cycles_only_residual_fires_nothing(self):
+        """On unions of cycles of 2-vertices and isolated vertices, every
+        detector returns None, so ending detection there is exact."""
+        from sparse2dc import reductions as module
+
+        rng = random.Random(31)
+        for _ in range(60):
+            edges, n = [], 0
+            for _ in range(rng.randint(1, 5)):
+                k = rng.randint(3, 30)
+                edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+                n += k
+            n += rng.randint(0, 4)
+            label = rng.sample(range(n), n)
+            g = Graph(n, [(label[u], label[v]) for u, v in edges])
+            for idx in (_RunIndex(g), _WorkGraph(g).run_index()):
+                assert not idx.run_of
+                assert all(kind.detect(idx.g, idx) is None for kind in module._REGISTRY)
+            assert detect_configuration(g) is None
+
+    @pytest.mark.parametrize("how", ["in place", "replaced"])
+    @pytest.mark.parametrize("case", sorted(TestWitnessReadBack.TAMPERED))
+    def test_a_detected_witness_changed_is_refused(self, case, how):
+        """A detected witness changed in place after detection, or a copy
+        of it with changed data, is refused on the working graph it was
+        detected on, before any edit."""
+        make, kind, tamper = TestWitnessReadBack.TAMPERED[case]
+        wg = _WorkGraph(make())
+        cfg = detect_configuration(wg)
+        assert cfg.kind == kind
+        data = tamper(cfg.data)
+        if how == "in place":
+            cfg.data.clear()
+            cfg.data.update(data)
+            bad = cfg
+        else:
+            bad = replace(cfg, data=data)
+        before = list(wg.adjacency)
+        with pytest.raises(ValueError, match=f"{kind} witness invalid"):
+            apply_reduction(wg, bad)
+        assert wg.adjacency == before and not wg._log
+
+    def test_potentials_changed_in_place_are_refused(self):
+        wg = _WorkGraph(fx.two_consecutive_three_paths())
+        cfg = detect_configuration(wg)
+        assert cfg.kind == "TwoConsecutiveThreePaths"
+        cfg.potentials["bridge"] += 1
+        with pytest.raises(ValueError, match="potentials drifted"):
+            apply_reduction(wg, cfg)
+        assert not wg._log
+
+    def test_a_witness_carried_across_an_edit_is_refused(self):
+        wg = _WorkGraph(fx.four_plus_path())
+        cfg = detect_configuration(wg)
+        apply_reduction(wg, cfg)  # the run is cut
+        before = list(wg.adjacency)
+        with pytest.raises(ValueError, match="FourPlusPath witness invalid"):
+            apply_reduction(wg, cfg)
+        assert wg.adjacency == before and len(wg._log) == 1
+        # an edit with no detection since
+        wg = _WorkGraph(fx.three_path_low_end())
+        cfg = detect_configuration(wg)
+        wg.begin()
+        wg.remove_edge(*cfg.data["run"].internal[:2])
+        with pytest.raises(ValueError, match="ThreePathBadEnd witness invalid"):
+            cfg.validate(wg)
+
+    def test_only_the_stored_local_witness_skips_its_check(self, monkeypatch):
+        from sparse2dc import reductions as module
+
+        checked = Counter()
+        for kind in module.KINDS:
+            entry = module._BY_KIND[kind]
+
+            def counting(g, idx, cfg, validate=entry.validate):
+                checked[cfg.kind] += 1
+                validate(g, idx, cfg)
+
+            monkeypatch.setitem(module._BY_KIND, kind, entry._replace(validate=counting))
+        for make, kind in ((fx.counting_pair, "CountingPair"),
+                           (fx.two_consecutive_three_paths, "TwoConsecutiveThreePaths"),
+                           (fx.three_path_cycle, "ThreePathCycle")):
+            g = make()
+            wg = _WorkGraph(g)
+            cfg = detect_configuration(wg)
+            assert cfg.kind == kind
+            cfg.validate(wg)
+            always = kind == "ThreePathCycle"
+            assert checked[kind] == always
+            cfg.validate(g)  # a plain Graph
+            cfg.validate(_WorkGraph(g))  # another working graph
+            replace(cfg).validate(wg)  # a copy
+            assert checked[kind] == 3 + always
+
+    def test_chain_work_per_detection(self, monkeypatch):
+        """A work guard with no timing.  On one 112-hub network, per
+        detection: at most 0.6 syncs that do work, 1.0 runs walked and 3.5
+        worklist heap pushes.  An eager sync, one before every detection
+        with a push at every walk and anchor edit, makes 0.998, 1.44 and
+        8.5."""
+        import heapq
+        import types
+
+        from sparse2dc import reductions as module
+        from sparse2dc.families import random_hub_network
+
+        g = random_hub_network(random.Random(1), 112)
+        counts = Counter()
+        sync, add, detect = _RunIndex.sync, _RunIndex._add, module.detect_configuration
+
+        def counting_sync(idx):
+            counts["syncs"] += bool(idx.stale)
+            sync(idx)
+
+        def counting_add(idx, *args):
+            counts["walked"] += 1
+            add(idx, *args)
+
+        def counting_push(heap, item):
+            counts["pushes"] += isinstance(item, tuple)  # a pendant is an int
+            heapq.heappush(heap, item)
+
+        def counting_detect(wg):
+            counts["detections"] += 1
+            return detect(wg)
+
+        monkeypatch.setattr(_RunIndex, "sync", counting_sync)
+        monkeypatch.setattr(_RunIndex, "_add", counting_add)
+        monkeypatch.setattr(module, "heapq", types.SimpleNamespace(
+            heappush=counting_push, heappop=heapq.heappop))
+        monkeypatch.setattr(module, "detect_configuration", counting_detect)
+        phi = constructive_color(g)
+        assert is_valid_2distance(g, phi)[0]
+        d = counts["detections"]
+        assert d >= 500
+        assert counts["syncs"] <= 0.6 * d
+        assert counts["walked"] <= 1.0 * d
+        assert counts["pushes"] <= 3.5 * d

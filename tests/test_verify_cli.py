@@ -70,6 +70,26 @@ class TestGenerators:
 
             assert mad_exact(g)[0] < DENSITY_BOUND
 
+    #: The digest of the tree draws below: the refusal of a hub degree
+    #: below 2 leaves the draws for 2 and up as they are.
+    PINNED_TREES = "f4afb7c51c25"
+
+    def test_tree_hub_degree_is_a_lower_bound(self):
+        """The tree kind's hub, vertex 0, has at least the hub degree, and
+        the draws for hub degrees 2 and up are unchanged."""
+        from sparse2dc.io import to_graph6
+        from sparse2dc.verify import random_tree_instance
+
+        lines = []
+        for hub in range(2, 10):
+            rng = random.Random(hub)
+            for _ in range(20):
+                g, _ = random_tree_instance(rng, hub)
+                assert g.degree(0) >= hub
+                lines.append(to_graph6(g))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+        assert digest == self.PINNED_TREES
+
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown generator kind 'hubz'"):
             generate_corpus({"kind": "hubz"}, 3, seed=0)
@@ -678,6 +698,13 @@ class TestCli:
         proc = run_cli(["gen", "--hub-degree", hub, "--count", "1"])
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
+        assert proc.stderr == (f"error: hub degree {hub} is below 2; "
+                               "every skeleton has a vertex of degree 2 or more\n")
+
+    @pytest.mark.parametrize("hub", ["1", "0", "-3"])
+    def test_gen_tree_hub_degree_below_two_exit_2(self, hub):
+        proc = run_cli(["gen", "--kind", "tree", "--hub-degree", hub, "--count", "1"])
+        assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == (f"error: hub degree {hub} is below 2; "
                                "every skeleton has a vertex of degree 2 or more\n")
 
